@@ -30,6 +30,11 @@
 //! * the `speedup` column is relative to the legacy float baseline
 //!   while `vs. LUT` is relative to the scalar LUT pipeline, so the
 //!   SIMD win is visible separately from the fixed-point win.
+//!
+//! A second, smaller table times the colour conversions that surround
+//! the pipeline in a session (the server's RGB→4:2:0 before encoding,
+//! and 4:2:0→RGB after decoding) at every kernel tier, against the
+//! scalar oracle tier.
 
 use crate::table::Table;
 use annolight_core::digest::Digester;
@@ -39,7 +44,7 @@ use annolight_core::track::AnnotationTrack;
 use annolight_core::{Annotator, LuminanceProfile, QualityLevel};
 use annolight_display::DeviceProfile;
 use annolight_imgproc::simd;
-use annolight_imgproc::{contrast_enhance_float, CompensationLut, Frame, KernelTier};
+use annolight_imgproc::{contrast_enhance_float, CompensationLut, Frame, KernelTier, Yuv420Frame};
 use annolight_support::json::to_string;
 use annolight_video::ClipLibrary;
 use std::time::Instant;
@@ -91,9 +96,28 @@ pub struct PipelineThroughput {
     pub tier: String,
     /// Baseline + measured rows, in run order.
     pub rows: Vec<ThroughputRow>,
+    /// Colour-conversion rows, one per kernel tier, scalar first.
+    pub colour: Vec<ColourRow>,
 }
 
-annolight_support::impl_json!(struct PipelineThroughput { clip, frames, reps, tier, rows });
+annolight_support::impl_json!(struct PipelineThroughput { clip, frames, reps, tier, rows, colour });
+
+/// Both colour conversions over the clip at one kernel tier.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColourRow {
+    /// The requested tier (clamped to the host inside the kernels).
+    pub tier: String,
+    /// Best-of-`reps` wall-clock of RGB→4:2:0 over every frame, ms.
+    pub to_yuv_ms: f64,
+    /// Best-of-`reps` wall-clock of 4:2:0→RGB over every frame, ms.
+    pub to_rgb_ms: f64,
+    /// Round trips (both directions) per second.
+    pub frames_per_sec: f64,
+    /// Round-trip speedup vs. the scalar oracle tier.
+    pub speedup_vs_scalar: f64,
+}
+
+annolight_support::impl_json!(struct ColourRow { tier, to_yuv_ms, to_rgb_ms, frames_per_sec, speedup_vs_scalar });
 
 /// The deterministic projection of the pipeline table: every
 /// configuration's output digest collapsed into one value (they are all
@@ -232,6 +256,44 @@ fn batched_pass(frames: &[Frame], fps: f64, device: &DeviceProfile, quality: Qua
     start.elapsed().as_secs_f64() * 1e3
 }
 
+/// Times RGB→4:2:0 and 4:2:0→RGB over `frames` at every kernel tier,
+/// converting into reused buffers (the allocation-free forms the session
+/// path uses).
+fn colour_rows(frames: &[Frame], best: &dyn Fn(&dyn Fn() -> f64) -> f64) -> Vec<ColourRow> {
+    let (w, h) = (frames[0].width(), frames[0].height());
+    let yuv: Vec<Yuv420Frame> =
+        frames.iter().map(|f| f.to_yuv420().expect("library clips have even dimensions")).collect();
+    let mut rows: Vec<ColourRow> = Vec::new();
+    for tier in KernelTier::ALL {
+        let to_yuv_ms = best(&|| {
+            let mut out = Yuv420Frame::new(w, h).expect("even dimensions");
+            let start = Instant::now();
+            for f in frames {
+                Yuv420Frame::from_rgb_into_with(f, &mut out, tier).expect("geometry matches");
+            }
+            start.elapsed().as_secs_f64() * 1e3
+        });
+        let to_rgb_ms = best(&|| {
+            let mut out = Frame::new(w, h);
+            let start = Instant::now();
+            for y in &yuv {
+                y.to_rgb_into_with(&mut out, tier).expect("geometry matches");
+            }
+            start.elapsed().as_secs_f64() * 1e3
+        });
+        let ms = to_yuv_ms + to_rgb_ms;
+        let scalar_ms = rows.first().map_or(ms, |r| r.to_yuv_ms + r.to_rgb_ms);
+        rows.push(ColourRow {
+            tier: tier.name().to_owned(),
+            to_yuv_ms,
+            to_rgb_ms,
+            frames_per_sec: frames.len() as f64 / (ms / 1e3),
+            speedup_vs_scalar: scalar_ms / ms,
+        });
+    }
+    rows
+}
+
 /// Times the pipeline on a `preview_s`-second prefix of the *themovie*
 /// profile clip (the paper's largest), best-of-`reps` per row.
 pub fn run(preview_s: f64, reps: u32) -> PipelineThroughput {
@@ -280,12 +342,14 @@ pub fn run(preview_s: f64, reps: u32) -> PipelineThroughput {
             ms,
         );
     }
+    let colour = colour_rows(&frames, &best);
     PipelineThroughput {
         clip: clip.name().to_owned(),
         frames: n,
         reps,
         tier: tier.name().to_owned(),
         rows,
+        colour,
     }
 }
 
@@ -458,6 +522,22 @@ pub fn render(t: &PipelineThroughput) -> String {
          (tests/parallel_identity.rs, tests/pipeline_identity.rs); rows \
          differ only in wall-clock.\n",
     );
+    out.push_str("\nColour conversion (every frame, both directions)\n\n");
+    let mut tbl = Table::new(["kernel tier", "RGB->YUV (ms)", "YUV->RGB (ms)", "frames/s", "vs. scalar"]);
+    for r in &t.colour {
+        tbl.row([
+            r.tier.clone(),
+            format!("{:.2}", r.to_yuv_ms),
+            format!("{:.2}", r.to_rgb_ms),
+            format!("{:.0}", r.frames_per_sec),
+            format!("{:.2}x", r.speedup_vs_scalar),
+        ]);
+    }
+    out.push_str(&tbl.render());
+    out.push_str(
+        "\nEvery tier matches the scalar oracle on all 2^24 pixel inputs \
+         (tests/pipeline_identity.rs).\n",
+    );
     out
 }
 
@@ -479,8 +559,14 @@ mod tests {
             assert!(r.elapsed_ms > 0.0, "{}: non-positive elapsed", r.label);
             assert!(r.frames_per_sec > 0.0, "{}: non-positive fps", r.label);
         }
+        assert_eq!(t.colour.len(), KernelTier::ALL.len());
+        assert_eq!(t.colour[0].speedup_vs_scalar, 1.0);
+        for r in &t.colour {
+            assert!(r.to_yuv_ms > 0.0 && r.to_rgb_ms > 0.0, "{}: non-positive elapsed", r.tier);
+        }
         let rendered = render(&t);
         assert!(rendered.contains("speedup"));
+        assert!(rendered.contains("Colour conversion"));
         assert!(rendered.contains("legacy float kernel"));
         assert!(rendered.contains("batched SIMD pipeline"));
     }

@@ -98,13 +98,12 @@ impl PacketKind {
     }
 }
 
-/// One container packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packet {
-    /// What the payload contains.
-    pub kind: PacketKind,
-    /// The payload bytes.
-    pub payload: Bytes,
+/// A coded picture inside a decoder's stream buffer: its kind and the
+/// byte range of its payload.
+#[derive(Debug, Clone)]
+struct PictureRef {
+    kind: PacketKind,
+    payload: std::ops::Range<usize>,
 }
 
 /// A fully encoded stream.
@@ -219,6 +218,9 @@ pub struct Encoder {
     /// reconstruction buffer (recon ↔ reference ping-pong): a warm
     /// serial encode loop allocates nothing per frame.
     spare: Option<Yuv420Frame>,
+    /// [`Encoder::push_frame`]'s RGB→YUV conversion target, recycled
+    /// from picture to picture.
+    input: Option<Yuv420Frame>,
 }
 
 impl Encoder {
@@ -262,6 +264,7 @@ impl Encoder {
             rate,
             scratch: picture::CodecScratch::default(),
             spare: None,
+            input: None,
         })
     }
 
@@ -335,10 +338,17 @@ impl Encoder {
                 actual: (frame.width(), frame.height()),
             });
         }
-        let yuv = frame
-            .to_yuv420()
+        let mut yuv = match self.input.take() {
+            Some(f) => f,
+            None => Yuv420Frame::new(frame.width(), frame.height())
+                .map_err(|e| CodecError::Malformed { reason: e.to_string() })?,
+        };
+        frame
+            .to_yuv420_into(&mut yuv)
             .map_err(|e| CodecError::Malformed { reason: e.to_string() })?;
-        self.push_yuv_frame(&yuv)
+        let pushed = self.push_yuv_frame(&yuv);
+        self.input = Some(yuv);
+        pushed
     }
 
     /// Encodes and appends one frame already in the codec's native planar
@@ -576,7 +586,10 @@ pub struct Decoder {
     fps: f64,
     gop_size: u8,
     user_data: Vec<Bytes>,
-    pictures: Vec<Packet>,
+    /// The whole container; `pictures` index into it, so no picture
+    /// payload is copied.
+    stream: Bytes,
+    pictures: Vec<PictureRef>,
     /// Index of the next picture [`Decoder::decode_next`] will produce.
     next: usize,
     reference: Option<Yuv420Frame>,
@@ -592,7 +605,7 @@ impl Decoder {
     ///
     /// Returns [`CodecError::Malformed`] for a corrupt container.
     pub fn new(stream: &EncodedStream) -> Result<Self, CodecError> {
-        Self::from_bytes(stream.as_bytes())
+        Self::parse(stream.bytes.clone())
     }
 
     /// Parses a container from raw bytes.
@@ -601,10 +614,20 @@ impl Decoder {
     ///
     /// Returns [`CodecError::Malformed`] for a corrupt container.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        Self::parse(Bytes::copy_from_slice(bytes))
+    }
+
+    /// Indexes the packets of `stream`. Picture payloads stay in place:
+    /// parsing allocates the same amount for a stream of any length.
+    fn parse(stream: Bytes) -> Result<Self, CodecError> {
+        let bytes = stream.as_slice();
         let header = Header::parse(bytes)?;
         let mut pos = header.body_offset;
         let mut user_data = Vec::new();
-        let mut pictures = Vec::new();
+        // Every packet takes at least two bytes (kind and length), which
+        // bounds a corrupt header's claim.
+        let mut pictures =
+            Vec::with_capacity((header.frame_count as usize).min((bytes.len() - pos) / 2));
         while pos < bytes.len() {
             let kind = PacketKind::from_byte(bytes[pos])?;
             pos += 1;
@@ -628,12 +651,11 @@ impl Decoder {
             if end > bytes.len() {
                 return Err(CodecError::Malformed { reason: "truncated packet payload".into() });
             }
-            let payload = Bytes::copy_from_slice(&bytes[pos..end]);
-            pos = end;
             match kind {
-                PacketKind::UserData => user_data.push(payload),
-                _ => pictures.push(Packet { kind, payload }),
+                PacketKind::UserData => user_data.push(Bytes::copy_from_slice(&bytes[pos..end])),
+                _ => pictures.push(PictureRef { kind, payload: pos..end }),
             }
+            pos = end;
         }
         if pictures.len() as u32 != header.frame_count {
             return Err(CodecError::Malformed {
@@ -650,6 +672,7 @@ impl Decoder {
             fps: header.fps,
             gop_size: header.gop_size,
             user_data,
+            stream,
             pictures,
             next: 0,
             reference: None,
@@ -750,22 +773,23 @@ impl Decoder {
     /// a P picture with no preceding I picture; `out` contents are
     /// unspecified (but valid) after an error.
     pub fn decode_next_yuv_into(&mut self, out: &mut Yuv420Frame) -> Result<bool, CodecError> {
-        let Some(packet) = self.pictures.get(self.next) else {
+        let Some(picture) = self.pictures.get(self.next) else {
             return Ok(false);
         };
+        let payload = &self.stream[picture.payload.clone()];
         if (out.width(), out.height()) != (self.width, self.height) {
             *out = Yuv420Frame::new(self.width, self.height)
                 .map_err(|e| CodecError::Malformed { reason: e.to_string() })?;
         }
-        match packet.kind {
+        match picture.kind {
             PacketKind::IntraPicture => {
-                picture::decode_picture_into(&packet.payload, None, out, &self.opts, &mut self.scratch)?;
+                picture::decode_picture_into(payload, None, out, &self.opts, &mut self.scratch)?;
             }
             PacketKind::PredictedPicture => {
                 let reference = self.reference.as_ref().ok_or_else(|| CodecError::Malformed {
                     reason: "P picture before any I picture".into(),
                 })?;
-                picture::decode_picture_into(&packet.payload, Some(reference), out, &self.opts, &mut self.scratch)?;
+                picture::decode_picture_into(payload, Some(reference), out, &self.opts, &mut self.scratch)?;
             }
             PacketKind::UserData => unreachable!("user data filtered at parse time"),
         }
@@ -846,11 +870,11 @@ impl Decoder {
             bounds.windows(2).map(|w| w[0]..w[1]).collect();
         let inner = CodecOptions { parallel: ParallelConfig::serial(), ..self.opts };
         let (width, height) = (self.width, self.height);
-        let pictures = &self.pictures;
+        let (stream, pictures) = (&self.stream, &self.pictures);
         let map = &map;
         let decode_group = |range: std::ops::Range<usize>| {
             range
-                .map(|g| decode_gop(&pictures[groups[g].clone()], width, height, &inner, map))
+                .map(|g| decode_gop(stream, &pictures[groups[g].clone()], width, height, &inner, map))
                 .collect::<Vec<Result<(Vec<T>, Yuv420Frame), CodecError>>>()
         };
         let schedule = self.opts.parallel.with_chunk_frames(1);
@@ -868,24 +892,24 @@ impl Decoder {
 /// Decodes one closed GOP (first packet intra, rest predicted) serially,
 /// returning the mapped display frames and the final reconstruction.
 fn decode_gop<T>(
-    packets: &[Packet],
+    stream: &[u8],
+    pictures: &[PictureRef],
     width: u32,
     height: u32,
     opts: &CodecOptions,
     map: impl Fn(&Yuv420Frame) -> T,
 ) -> Result<(Vec<T>, Yuv420Frame), CodecError> {
-    let mut frames = Vec::with_capacity(packets.len());
+    let mut frames = Vec::with_capacity(pictures.len());
     let mut reference: Option<Yuv420Frame> = None;
-    for packet in packets {
-        let yuv = match packet.kind {
-            PacketKind::IntraPicture => {
-                picture::decode_intra_opts(&packet.payload, width, height, opts)?
-            }
+    for p in pictures {
+        let payload = &stream[p.payload.clone()];
+        let yuv = match p.kind {
+            PacketKind::IntraPicture => picture::decode_intra_opts(payload, width, height, opts)?,
             PacketKind::PredictedPicture => {
                 let r = reference.as_ref().ok_or_else(|| CodecError::Malformed {
                     reason: "P picture before any I picture".into(),
                 })?;
-                picture::decode_inter_opts(&packet.payload, r, opts)?
+                picture::decode_inter_opts(payload, r, opts)?
             }
             PacketKind::UserData => unreachable!("user data filtered at parse time"),
         };
@@ -1053,7 +1077,7 @@ pub fn decode_all_yuv_batched(
                 let (job, ref pics) = units[u];
                 let d = &dref[job];
                 let inner = CodecOptions { parallel: ParallelConfig::serial(), ..d.opts };
-                decode_gop(&d.pictures[pics.clone()], d.width, d.height, &inner, Yuv420Frame::clone)
+                decode_gop(&d.stream, &d.pictures[pics.clone()], d.width, d.height, &inner, Yuv420Frame::clone)
             })
             .collect::<Vec<_>>()
     };

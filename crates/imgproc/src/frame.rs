@@ -38,7 +38,8 @@ impl Frame {
     ///
     /// Panics if either dimension is zero.
     pub fn new(width: u32, height: u32) -> Self {
-        Self::filled(width, height, Rgb8::default())
+        assert!(width > 0 && height > 0, "frame dimensions must be non-zero");
+        Self { width, height, data: vec![0; width as usize * height as usize * 3] }
     }
 
     /// Creates a frame filled with `pixel`.
@@ -393,12 +394,31 @@ impl Yuv420Frame {
     /// Converts an RGB frame into an existing 4:2:0 frame, reusing its
     /// planes — the allocation-free form of [`Self::from_rgb`].
     ///
+    /// Dispatches to the widest SIMD kernel the host supports (see
+    /// [`crate::simd::kernel_tier`]); every tier is byte-identical to
+    /// [`Rgb8::to_yuv`] per pixel with chroma box-averaged per 2×2 block.
+    ///
     /// # Errors
     ///
     /// Returns [`ImageError::OddDimensions`] when either RGB dimension is
     /// odd and [`ImageError::BufferSizeMismatch`] when `out`'s plane
     /// sizes don't match the RGB frame's geometry.
     pub fn from_rgb_into(frame: &Frame, out: &mut Self) -> Result<(), ImageError> {
+        Self::from_rgb_into_with(frame, out, crate::simd::kernel_tier())
+    }
+
+    /// [`Self::from_rgb_into`] at an explicit
+    /// [`KernelTier`](crate::simd::KernelTier) (clamped to host
+    /// capability) — the hook the differential conformance tier sweeps.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::from_rgb_into`].
+    pub fn from_rgb_into_with(
+        frame: &Frame,
+        out: &mut Self,
+        tier: crate::simd::KernelTier,
+    ) -> Result<(), ImageError> {
         let (w, h) = (frame.width(), frame.height());
         if !w.is_multiple_of(2) || !h.is_multiple_of(2) {
             return Err(ImageError::OddDimensions { width: w, height: h });
@@ -412,70 +432,51 @@ impl Yuv420Frame {
         }
         out.width = w;
         out.height = h;
-        for y in 0..h {
-            for x in 0..w {
-                out.y[y as usize * w as usize + x as usize] = frame.pixel(x, y).to_yuv().y;
-            }
-        }
-        let cw = (w / 2) as usize;
-        for cy in 0..(h / 2) {
-            for cx in 0..(w / 2) {
-                let mut su = 0u32;
-                let mut sv = 0u32;
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        let p = frame.pixel(cx * 2 + dx, cy * 2 + dy).to_yuv();
-                        su += u32::from(p.u);
-                        sv += u32::from(p.v);
-                    }
-                }
-                let o = cy as usize * cw + cx as usize;
-                out.u[o] = ((su + 2) / 4) as u8;
-                out.v[o] = ((sv + 2) / 4) as u8;
-            }
-        }
+        crate::simd::rgb_to_yuv420(frame, out, tier);
         Ok(())
     }
 
     /// Converts back to interleaved RGB (chroma upsampled by replication).
     pub fn to_rgb(&self) -> Frame {
-        let w = self.width;
-        let cw = (w / 2) as usize;
-        Frame::from_fn(self.width, self.height, |x, y| {
-            let yy = self.y[y as usize * w as usize + x as usize];
-            let co = (y / 2) as usize * cw + (x / 2) as usize;
-            crate::color::Yuv8::new(yy, self.u[co], self.v[co]).to_rgb().to_array()
-        })
+        let mut out = Frame::new(self.width, self.height);
+        self.to_rgb_into(&mut out).expect("a fresh frame has this frame's geometry");
+        out
     }
 
     /// Converts back to interleaved RGB into an existing frame, reusing
     /// its buffer — the allocation-free form of [`Self::to_rgb`].
+    ///
+    /// Dispatches to the widest SIMD kernel the host supports (see
+    /// [`crate::simd::kernel_tier`]); every tier is byte-identical to
+    /// [`crate::color::Yuv8::to_rgb`] per pixel.
     ///
     /// # Errors
     ///
     /// Returns [`ImageError::BufferSizeMismatch`] when `out`'s buffer
     /// size doesn't match this frame's geometry.
     pub fn to_rgb_into(&self, out: &mut Frame) -> Result<(), ImageError> {
+        self.to_rgb_into_with(out, crate::simd::kernel_tier())
+    }
+
+    /// [`Self::to_rgb_into`] at an explicit
+    /// [`KernelTier`](crate::simd::KernelTier) (clamped to host
+    /// capability) — the hook the differential conformance tier sweeps.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::to_rgb_into`].
+    pub fn to_rgb_into_with(
+        &self,
+        out: &mut Frame,
+        tier: crate::simd::KernelTier,
+    ) -> Result<(), ImageError> {
         let expected = self.width as usize * self.height as usize * 3;
         if out.data.len() != expected {
             return Err(ImageError::BufferSizeMismatch { expected, actual: out.data.len() });
         }
         out.width = self.width;
         out.height = self.height;
-        let w = self.width as usize;
-        let cw = w / 2;
-        for y in 0..self.height as usize {
-            let row = &mut out.data[y * w * 3..(y + 1) * w * 3];
-            let yrow = &self.y[y * w..(y + 1) * w];
-            let crow = (y / 2) * cw;
-            for (x, px) in row.chunks_exact_mut(3).enumerate() {
-                let co = crow + x / 2;
-                let p = crate::color::Yuv8::new(yrow[x], self.u[co], self.v[co]).to_rgb();
-                px[0] = p.r;
-                px[1] = p.g;
-                px[2] = p.b;
-            }
-        }
+        crate::simd::yuv420_to_rgb(self, out, tier);
         Ok(())
     }
 

@@ -15,8 +15,9 @@
 //!   *contrast enhancement* (`C' = min(1, C·k)`) and *brightness
 //!   compensation* (`C' = min(1, C + δC)`), with clipping statistics.
 //! * [`simd`] — runtime-dispatched SSE2/AVX2 kernels for the per-pixel
-//!   hot paths (histogram accumulation, LUT application), byte-identical
-//!   to the retained scalar references on every input.
+//!   hot paths (histogram accumulation, LUT application, YUV↔RGB
+//!   conversion), byte-identical to the retained scalar references on
+//!   every input.
 //!
 //! # Example
 //!

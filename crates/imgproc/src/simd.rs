@@ -2,14 +2,14 @@
 //!
 //! PR 5 vectorised the codec's SAD/half-pel inner loops; this module
 //! extends the same **exact-or-reference** discipline to the imgproc
-//! layer: histogram accumulation, [`CompensationLut`] application and
-//! the [`HebsLut`] remap each get an SSE2 baseline and an AVX2
-//! lane-widened variant, selected at runtime. Every kernel computes the
-//! *identical* integer arithmetic as its retained scalar reference —
-//! byte-for-byte, stats included — so tier selection can never change
-//! output bytes (the `pipeline_identity` conformance tier and the
-//! `simd_props` check! properties pin this down across tiers, worker
-//! counts and ragged frame geometries).
+//! layer: histogram accumulation, [`CompensationLut`] application, the
+//! [`HebsLut`] remap and both 4:2:0 ↔ RGB colour conversions each get an
+//! SSE2 baseline and an AVX2 lane-widened variant, selected at runtime.
+//! Every kernel computes the *identical* arithmetic as its retained
+//! scalar reference — byte-for-byte, stats included — so tier selection
+//! can never change output bytes (the `pipeline_identity` conformance
+//! tier and the `simd_props` check! properties pin this down across
+//! tiers, worker counts and ragged frame geometries).
 //!
 //! # Dispatch
 //!
@@ -51,9 +51,23 @@
 //!   remaps 32 bytes at a time through 16 nibble-indexed `vpshufb` row
 //!   lookups (exact: each byte selects its table row by high nibble and
 //!   its entry by low nibble).
+//! * **Colour conversion** — the oracles [`Yuv8::to_rgb`] and
+//!   [`Rgb8::to_yuv`] are `f32` code, so each lane runs the oracle's own
+//!   IEEE operation sequence in its association order. Divisions stay
+//!   divisions (`v / 0.877`, never `v · (1/0.877)`), and Rust does not
+//!   contract to FMA. `round().clamp(0, 255)` becomes clamp, truncate,
+//!   then +1 when the fraction is ≥ 0.5. That is exactly
+//!   round-half-away-from-zero, because the clamped value is
+//!   non-negative and `c − trunc(c)` is exact. The chroma terms
+//!   `u / 0.492`, `v / 0.877` are hoisted once per 2×2 block and
+//!   replicated across lanes. RGB→YUV sums the four rounded per-pixel
+//!   chroma values in integer lanes, the oracle's `(Σ + 2) / 4`.
+//!   `tests/pipeline_identity.rs` checks both directions against the
+//!   oracles on **all 2²⁴ inputs** at every tier in release builds.
 
+use crate::color::{Rgb8, Yuv8, LUMA_B, LUMA_G, LUMA_R};
 use crate::compensate::{ClipStats, CompensationLut};
-use crate::frame::Frame;
+use crate::frame::{Frame, Yuv420Frame};
 use crate::hebs::HebsLut;
 use crate::histogram::Histogram;
 use std::sync::OnceLock;
@@ -793,6 +807,478 @@ unsafe fn hebs_apply_avx2_inner(lut: &HebsLut, frame: &mut Frame) -> ClipStats {
     }
     hebs_tail(lut, &mut data[blocks * 96..], &mut clipped_px, &mut max_c, &mut any);
     hebs_stats_to_clipstats(lut, clipped_px, max_c, any, total_pixels)
+}
+
+// ---------------------------------------------------------------------------
+// Colour conversion (planar 4:2:0 YUV <-> interleaved RGB)
+// ---------------------------------------------------------------------------
+
+/// One chroma row of a 4:2:0 frame, its two luma rows, and the two RGB
+/// rows they convert to.
+struct ToRgbRows<'a> {
+    y: [&'a [u8]; 2],
+    u: &'a [u8],
+    v: &'a [u8],
+    rgb: [&'a mut [u8]; 2],
+}
+
+/// Two interleaved RGB rows and the 4:2:0 rows they convert to.
+struct ToYuvRows<'a> {
+    rgb: [&'a [u8]; 2],
+    y: [&'a mut [u8]; 2],
+    u: &'a mut [u8],
+    v: &'a mut [u8],
+}
+
+/// Converts `src` into `out` at `tier`. The caller has checked that the
+/// geometries match.
+pub(crate) fn yuv420_to_rgb(src: &Yuv420Frame, out: &mut Frame, tier: KernelTier) {
+    let tier = tier.clamped();
+    let w = src.width() as usize;
+    let cw = w / 2;
+    let rows = out
+        .as_bytes_mut()
+        .chunks_exact_mut(6 * w)
+        .zip(src.y_plane().chunks_exact(2 * w))
+        .zip(src.u_plane().chunks_exact(cw).zip(src.v_plane().chunks_exact(cw)));
+    for ((rgb, y), (u, v)) in rows {
+        let (rgb0, rgb1) = rgb.split_at_mut(3 * w);
+        let (y0, y1) = y.split_at(w);
+        let mut rows = ToRgbRows { y: [y0, y1], u, v, rgb: [rgb0, rgb1] };
+        // Each vector kernel converts a prefix of the chroma columns and
+        // returns its length; the scalar oracle finishes the row pair.
+        let done = match tier {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Sse2 => to_rgb_rows_sse2(&mut rows),
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => to_rgb_rows_avx2(&mut rows),
+            _ => 0,
+        };
+        to_rgb_rows_scalar(&mut rows, done);
+    }
+}
+
+/// The scalar oracle — [`Yuv8::to_rgb`] per pixel — over chroma columns
+/// `cx0..`.
+fn to_rgb_rows_scalar(rows: &mut ToRgbRows<'_>, cx0: usize) {
+    for (y, rgb) in rows.y.iter().zip(rows.rgb.iter_mut()) {
+        for x in 2 * cx0..y.len() {
+            let p = Yuv8::new(y[x], rows.u[x / 2], rows.v[x / 2]).to_rgb();
+            rgb[3 * x..3 * x + 3].copy_from_slice(&p.to_array());
+        }
+    }
+}
+
+/// Converts `src` into `out` at `tier`. The caller has checked that the
+/// geometries match.
+pub(crate) fn rgb_to_yuv420(src: &Frame, out: &mut Yuv420Frame, tier: KernelTier) {
+    let tier = tier.clamped();
+    let w = src.width() as usize;
+    let cw = w / 2;
+    let (yp, up, vp) = out.planes_mut();
+    let rows = src
+        .as_bytes()
+        .chunks_exact(6 * w)
+        .zip(yp.chunks_exact_mut(2 * w))
+        .zip(up.chunks_exact_mut(cw).zip(vp.chunks_exact_mut(cw)));
+    for ((rgb, y), (u, v)) in rows {
+        let (rgb0, rgb1) = rgb.split_at(3 * w);
+        let (y0, y1) = y.split_at_mut(w);
+        let mut rows = ToYuvRows { rgb: [rgb0, rgb1], y: [y0, y1], u, v };
+        // Each vector kernel converts a prefix of the chroma columns and
+        // returns its length; the scalar oracle finishes the row pair.
+        let done = match tier {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Sse2 => to_yuv_rows_sse2(&mut rows),
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => to_yuv_rows_avx2(&mut rows),
+            _ => 0,
+        };
+        to_yuv_rows_scalar(&mut rows, done);
+    }
+}
+
+/// The scalar oracle over chroma columns `cx0..`: [`Rgb8::to_yuv`] once
+/// per pixel, luma stored, chroma box-averaged over the 2×2 block.
+fn to_yuv_rows_scalar(rows: &mut ToYuvRows<'_>, cx0: usize) {
+    for cx in cx0..rows.u.len() {
+        let (mut su, mut sv) = (0u32, 0u32);
+        for (rgb, y) in rows.rgb.iter().zip(rows.y.iter_mut()) {
+            for x in 2 * cx..2 * cx + 2 {
+                let p = Rgb8::new(rgb[3 * x], rgb[3 * x + 1], rgb[3 * x + 2]).to_yuv();
+                y[x] = p.y;
+                su += u32::from(p.u);
+                sv += u32::from(p.v);
+            }
+        }
+        rows.u[cx] = ((su + 2) / 4) as u8;
+        rows.v[cx] = ((sv + 2) / 4) as u8;
+    }
+}
+
+/// `pshufb` masks that interleave planar R, G, B bytes: entry `[k][c]`
+/// moves channel `c`'s bytes into output bytes `16k..16k + 16` (`0x80`
+/// zeroes a lane).
+#[cfg(target_arch = "x86_64")]
+const INTERLEAVE: [[[u8; 16]; 3]; 3] = {
+    let mut m = [[[0x80u8; 16]; 3]; 3];
+    let mut pos = 0;
+    while pos < 48 {
+        m[pos / 16][pos % 3][pos % 16] = (pos / 3) as u8;
+        pos += 1;
+    }
+    m
+};
+
+/// The inverse of [`INTERLEAVE`]: entry `[k][c]` gathers channel `c`'s
+/// bytes out of input bytes `16k..16k + 16`.
+#[cfg(target_arch = "x86_64")]
+const DEINTERLEAVE: [[[u8; 16]; 3]; 3] = {
+    let mut m = [[[0x80u8; 16]; 3]; 3];
+    let mut pos = 0;
+    while pos < 48 {
+        m[pos / 16][pos % 3][pos / 3] = (pos % 16) as u8;
+        pos += 1;
+    }
+    m
+};
+
+/// [`clamp_u8`](crate::color) lane-wise: clamp to `[0, 255]`, truncate,
+/// then add 1 when the dropped fraction is at least one half — exactly
+/// round-half-away-then-clamp, because the clamped value is non-negative
+/// and `c − trunc(c)` is exact.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[inline]
+fn round_clamp_sse2(x: std::arch::x86_64::__m128) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::*;
+    // SAFETY: SSE2 is baseline on x86-64.
+    unsafe {
+        let c = _mm_min_ps(_mm_max_ps(x, _mm_setzero_ps()), _mm_set1_ps(255.0));
+        let t = _mm_cvttps_epi32(c);
+        let up = _mm_cmpge_ps(_mm_sub_ps(c, _mm_cvtepi32_ps(t)), _mm_set1_ps(0.5));
+        _mm_sub_epi32(t, _mm_castps_si128(up))
+    }
+}
+
+/// Packs two vectors of 4 in-range `i32` lanes into 8 bytes (the low
+/// half of the result).
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[inline]
+fn pack8_sse2(lo: std::arch::x86_64::__m128i, hi: std::arch::x86_64::__m128i) -> [u8; 8] {
+    use std::arch::x86_64::*;
+    let mut out = [0u8; 8];
+    // SAFETY: SSE2 is baseline; the store covers the 8-byte array.
+    unsafe {
+        let b = _mm_packus_epi16(_mm_packs_epi32(lo, hi), _mm_setzero_si128());
+        _mm_storel_epi64(out.as_mut_ptr().cast(), b);
+    }
+    out
+}
+
+/// SSE2 YUV→RGB: 4 chroma columns (8 pixels per row) per step.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn to_rgb_rows_sse2(rows: &mut ToRgbRows<'_>) -> usize {
+    use std::arch::x86_64::*;
+    let chunks = rows.u.len() / 4;
+    // SAFETY: loads are 4- and 8-byte reads of bounds-checked subslices;
+    // SSE2 is baseline on x86-64.
+    unsafe {
+        let zero = _mm_setzero_si128();
+        let widen4 = |b: &[u8]| -> __m128 {
+            let x = _mm_cvtsi32_si128(i32::from_le_bytes(b.try_into().expect("4 bytes")));
+            _mm_cvtepi32_ps(_mm_unpacklo_epi16(_mm_unpacklo_epi8(x, zero), zero))
+        };
+        let (half, ku, kv) = (_mm_set1_ps(128.0), _mm_set1_ps(0.492), _mm_set1_ps(0.877));
+        let (lr, lg, lb) = (_mm_set1_ps(LUMA_R), _mm_set1_ps(LUMA_G), _mm_set1_ps(LUMA_B));
+        for c in 0..chunks {
+            let cx = 4 * c;
+            // Chroma terms, once per 2×2 block: `u / 0.492`, `v / 0.877`.
+            let uq = _mm_div_ps(_mm_sub_ps(widen4(&rows.u[cx..cx + 4]), half), ku);
+            let vq = _mm_div_ps(_mm_sub_ps(widen4(&rows.v[cx..cx + 4]), half), kv);
+            let uq = [_mm_unpacklo_ps(uq, uq), _mm_unpackhi_ps(uq, uq)];
+            let vq = [_mm_unpacklo_ps(vq, vq), _mm_unpackhi_ps(vq, vq)];
+            for (y_row, rgb_row) in rows.y.iter().zip(rows.rgb.iter_mut()) {
+                let x = 2 * cx;
+                let y16 = _mm_unpacklo_epi8(_mm_loadl_epi64(y_row[x..x + 8].as_ptr().cast()), zero);
+                let ys = [_mm_unpacklo_epi16(y16, zero), _mm_unpackhi_epi16(y16, zero)];
+                let mut ch = [[zero; 2]; 3];
+                for h in 0..2 {
+                    let y = _mm_cvtepi32_ps(ys[h]);
+                    let r = _mm_add_ps(y, vq[h]);
+                    let b = _mm_add_ps(y, uq[h]);
+                    let g = _mm_div_ps(_mm_sub_ps(_mm_sub_ps(y, _mm_mul_ps(lr, r)), _mm_mul_ps(lb, b)), lg);
+                    ch[0][h] = round_clamp_sse2(r);
+                    ch[1][h] = round_clamp_sse2(g);
+                    ch[2][h] = round_clamp_sse2(b);
+                }
+                let planar = ch.map(|[lo, hi]| pack8_sse2(lo, hi));
+                for (i, px) in rgb_row[3 * x..3 * x + 24].chunks_exact_mut(3).enumerate() {
+                    px.copy_from_slice(&[planar[0][i], planar[1][i], planar[2][i]]);
+                }
+            }
+        }
+    }
+    4 * chunks
+}
+
+/// SSE2 RGB→YUV: 4 chroma columns (8 pixels per row) per step.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn to_yuv_rows_sse2(rows: &mut ToYuvRows<'_>) -> usize {
+    use std::arch::x86_64::*;
+    let chunks = rows.u.len() / 4;
+    // SAFETY: lanes are assembled from bounds-checked byte reads; the
+    // 8-byte luma store covers a bounds-checked subslice; SSE2 is
+    // baseline on x86-64.
+    unsafe {
+        let (half, ku, kv) = (_mm_set1_ps(128.0), _mm_set1_ps(0.492), _mm_set1_ps(0.877));
+        let (lr, lg, lb) = (_mm_set1_ps(LUMA_R), _mm_set1_ps(LUMA_G), _mm_set1_ps(LUMA_B));
+        for c in 0..chunks {
+            let cx = 4 * c;
+            let mut su = _mm_setzero_si128();
+            let mut sv = _mm_setzero_si128();
+            for (rgb_row, y_row) in rows.rgb.iter().zip(rows.y.iter_mut()) {
+                let x = 2 * cx;
+                let px = &rgb_row[3 * x..3 * x + 24];
+                let mut ys = [_mm_setzero_si128(); 2];
+                let mut us = [_mm_setzero_si128(); 2];
+                let mut vs = [_mm_setzero_si128(); 2];
+                for h in 0..2 {
+                    let lane = |i: usize, ch: usize| i32::from(px[12 * h + 3 * i + ch]);
+                    let chan = |ch: usize| {
+                        _mm_cvtepi32_ps(_mm_setr_epi32(lane(0, ch), lane(1, ch), lane(2, ch), lane(3, ch)))
+                    };
+                    let (r, g, b) = (chan(0), chan(1), chan(2));
+                    let y = _mm_add_ps(_mm_add_ps(_mm_mul_ps(lr, r), _mm_mul_ps(lg, g)), _mm_mul_ps(lb, b));
+                    let u = _mm_add_ps(_mm_mul_ps(ku, _mm_sub_ps(b, y)), half);
+                    let v = _mm_add_ps(_mm_mul_ps(kv, _mm_sub_ps(r, y)), half);
+                    ys[h] = round_clamp_sse2(y);
+                    us[h] = round_clamp_sse2(u);
+                    vs[h] = round_clamp_sse2(v);
+                }
+                y_row[x..x + 8].copy_from_slice(&pack8_sse2(ys[0], ys[1]));
+                // Horizontal pair sums: even lanes plus odd lanes.
+                let pairs = |[a, b]: [__m128i; 2]| {
+                    let (a, b) = (_mm_castsi128_ps(a), _mm_castsi128_ps(b));
+                    _mm_add_epi32(
+                        _mm_castps_si128(_mm_shuffle_ps(a, b, 0b10_00_10_00)),
+                        _mm_castps_si128(_mm_shuffle_ps(a, b, 0b11_01_11_01)),
+                    )
+                };
+                su = _mm_add_epi32(su, pairs(us));
+                sv = _mm_add_epi32(sv, pairs(vs));
+            }
+            let two = _mm_set1_epi32(2);
+            let u = pack8_sse2(_mm_srli_epi32(_mm_add_epi32(su, two), 2), _mm_setzero_si128());
+            let v = pack8_sse2(_mm_srli_epi32(_mm_add_epi32(sv, two), 2), _mm_setzero_si128());
+            rows.u[cx..cx + 4].copy_from_slice(&u[..4]);
+            rows.v[cx..cx + 4].copy_from_slice(&v[..4]);
+        }
+    }
+    4 * chunks
+}
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn to_rgb_rows_avx2(rows: &mut ToRgbRows<'_>) -> usize {
+    if !std::arch::is_x86_feature_detected!("avx2") {
+        return to_rgb_rows_sse2(rows);
+    }
+    // SAFETY: AVX2 availability checked immediately above.
+    unsafe { to_rgb_rows_avx2_inner(rows) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn to_yuv_rows_avx2(rows: &mut ToYuvRows<'_>) -> usize {
+    if !std::arch::is_x86_feature_detected!("avx2") {
+        return to_yuv_rows_sse2(rows);
+    }
+    // SAFETY: AVX2 availability checked immediately above.
+    unsafe { to_yuv_rows_avx2_inner(rows) }
+}
+
+/// [`round_clamp_sse2`] on 8 lanes.
+///
+/// # Safety
+///
+/// Caller must ensure the host supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn round_clamp_avx2(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let c = _mm256_min_ps(_mm256_max_ps(x, _mm256_setzero_ps()), _mm256_set1_ps(255.0));
+    let t = _mm256_cvttps_epi32(c);
+    let up = _mm256_cmp_ps(_mm256_sub_ps(c, _mm256_cvtepi32_ps(t)), _mm256_set1_ps(0.5), _CMP_GE_OQ);
+    _mm256_sub_epi32(t, _mm256_castps_si256(up))
+}
+
+/// Packs two vectors of 8 in-range `i32` lanes into 16 bytes, in order.
+///
+/// # Safety
+///
+/// Caller must ensure the host supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn pack16_avx2(
+    lo: std::arch::x86_64::__m256i,
+    hi: std::arch::x86_64::__m256i,
+) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::*;
+    // packus works per 128-bit lane; the qword permute restores order.
+    let w = _mm256_permute4x64_epi64(_mm256_packus_epi32(lo, hi), 0b11_01_10_00);
+    _mm_packus_epi16(_mm256_castsi256_si128(w), _mm256_extracti128_si256(w, 1))
+}
+
+/// Widens 8 bytes to 8 `f32` lanes.
+///
+/// # Safety
+///
+/// Caller must ensure the host supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn widen8_avx2(b: std::arch::x86_64::__m128i) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(b))
+}
+
+/// AVX2 YUV→RGB: 8 chroma columns (16 pixels per row) per step, RGB
+/// interleaved with `pshufb` (SSSE3, implied by AVX2).
+///
+/// # Safety
+///
+/// Caller must ensure the host supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+unsafe fn to_rgb_rows_avx2_inner(rows: &mut ToRgbRows<'_>) -> usize {
+    use std::arch::x86_64::*;
+    let chunks = rows.u.len() / 8;
+    // SAFETY: every load/store covers a bounds-checked subslice of the
+    // stated length; the masks are 16-byte arrays.
+    unsafe {
+        let (half, ku, kv) = (_mm256_set1_ps(128.0), _mm256_set1_ps(0.492), _mm256_set1_ps(0.877));
+        let (lr, lg, lb) = (_mm256_set1_ps(LUMA_R), _mm256_set1_ps(LUMA_G), _mm256_set1_ps(LUMA_B));
+        let dup = [_mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3), _mm256_setr_epi32(4, 4, 5, 5, 6, 6, 7, 7)];
+        let masks = INTERLEAVE.map(|k| k.map(|m| _mm_loadu_si128(m.as_ptr().cast())));
+        for c in 0..chunks {
+            let cx = 8 * c;
+            // Chroma terms, once per 2×2 block: `u / 0.492`, `v / 0.877`.
+            let load8 = |s: &[u8]| widen8_avx2(_mm_loadl_epi64(s[cx..cx + 8].as_ptr().cast()));
+            let uq = _mm256_div_ps(_mm256_sub_ps(load8(rows.u), half), ku);
+            let vq = _mm256_div_ps(_mm256_sub_ps(load8(rows.v), half), kv);
+            let uq = dup.map(|d| _mm256_permutevar8x32_ps(uq, d));
+            let vq = dup.map(|d| _mm256_permutevar8x32_ps(vq, d));
+            for (y_row, rgb_row) in rows.y.iter().zip(rows.rgb.iter_mut()) {
+                let x = 2 * cx;
+                let y16 = _mm_loadu_si128(y_row[x..x + 16].as_ptr().cast());
+                let ys = [y16, _mm_srli_si128(y16, 8)];
+                let mut ch = [[_mm256_setzero_si256(); 2]; 3];
+                for h in 0..2 {
+                    let y = widen8_avx2(ys[h]);
+                    let r = _mm256_add_ps(y, vq[h]);
+                    let b = _mm256_add_ps(y, uq[h]);
+                    let g = _mm256_div_ps(
+                        _mm256_sub_ps(_mm256_sub_ps(y, _mm256_mul_ps(lr, r)), _mm256_mul_ps(lb, b)),
+                        lg,
+                    );
+                    ch[0][h] = round_clamp_avx2(r);
+                    ch[1][h] = round_clamp_avx2(g);
+                    ch[2][h] = round_clamp_avx2(b);
+                }
+                let planar = ch.map(|[lo, hi]| pack16_avx2(lo, hi));
+                let out = &mut rgb_row[3 * x..3 * x + 48];
+                for (k, m) in masks.iter().enumerate() {
+                    let v = _mm_or_si128(
+                        _mm_or_si128(_mm_shuffle_epi8(planar[0], m[0]), _mm_shuffle_epi8(planar[1], m[1])),
+                        _mm_shuffle_epi8(planar[2], m[2]),
+                    );
+                    _mm_storeu_si128(out[16 * k..16 * k + 16].as_mut_ptr().cast(), v);
+                }
+            }
+        }
+    }
+    8 * chunks
+}
+
+/// AVX2 RGB→YUV: 8 chroma columns (16 pixels per row) per step, RGB
+/// de-interleaved with `pshufb`.
+///
+/// # Safety
+///
+/// Caller must ensure the host supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+unsafe fn to_yuv_rows_avx2_inner(rows: &mut ToYuvRows<'_>) -> usize {
+    use std::arch::x86_64::*;
+    let chunks = rows.u.len() / 8;
+    // SAFETY: every load/store covers a bounds-checked subslice of the
+    // stated length; the masks are 16-byte arrays and the chroma sums go
+    // to a stack array.
+    unsafe {
+        let (half, ku, kv) = (_mm256_set1_ps(128.0), _mm256_set1_ps(0.492), _mm256_set1_ps(0.877));
+        let (lr, lg, lb) = (_mm256_set1_ps(LUMA_R), _mm256_set1_ps(LUMA_G), _mm256_set1_ps(LUMA_B));
+        let masks = DEINTERLEAVE.map(|k| k.map(|m| _mm_loadu_si128(m.as_ptr().cast())));
+        let two = _mm256_set1_epi32(2);
+        for c in 0..chunks {
+            let cx = 8 * c;
+            let mut su = _mm256_setzero_si256();
+            let mut sv = _mm256_setzero_si256();
+            for (rgb_row, y_row) in rows.rgb.iter().zip(rows.y.iter_mut()) {
+                let x = 2 * cx;
+                let px = &rgb_row[3 * x..3 * x + 48];
+                let input: [__m128i; 3] =
+                    std::array::from_fn(|k| _mm_loadu_si128(px[16 * k..16 * k + 16].as_ptr().cast()));
+                let planar: [__m128i; 3] = std::array::from_fn(|ch| {
+                    _mm_or_si128(
+                        _mm_or_si128(
+                            _mm_shuffle_epi8(input[0], masks[0][ch]),
+                            _mm_shuffle_epi8(input[1], masks[1][ch]),
+                        ),
+                        _mm_shuffle_epi8(input[2], masks[2][ch]),
+                    )
+                });
+                let mut ys = [_mm256_setzero_si256(); 2];
+                let mut us = [_mm256_setzero_si256(); 2];
+                let mut vs = [_mm256_setzero_si256(); 2];
+                for h in 0..2 {
+                    let lanes = |p: __m128i| widen8_avx2(if h == 0 { p } else { _mm_srli_si128(p, 8) });
+                    let (r, g, b) = (lanes(planar[0]), lanes(planar[1]), lanes(planar[2]));
+                    let y = _mm256_add_ps(
+                        _mm256_add_ps(_mm256_mul_ps(lr, r), _mm256_mul_ps(lg, g)),
+                        _mm256_mul_ps(lb, b),
+                    );
+                    let u = _mm256_add_ps(_mm256_mul_ps(ku, _mm256_sub_ps(b, y)), half);
+                    let v = _mm256_add_ps(_mm256_mul_ps(kv, _mm256_sub_ps(r, y)), half);
+                    ys[h] = round_clamp_avx2(y);
+                    us[h] = round_clamp_avx2(u);
+                    vs[h] = round_clamp_avx2(v);
+                }
+                _mm_storeu_si128(y_row[x..x + 16].as_mut_ptr().cast(), pack16_avx2(ys[0], ys[1]));
+                // In-lane pair sums: lanes come out as blocks
+                // [0, 1, 4, 5 | 2, 3, 6, 7], restored after both rows.
+                su = _mm256_add_epi32(su, _mm256_hadd_epi32(us[0], us[1]));
+                sv = _mm256_add_epi32(sv, _mm256_hadd_epi32(vs[0], vs[1]));
+            }
+            for (sum, plane) in [(su, &mut *rows.u), (sv, &mut *rows.v)] {
+                let avg = _mm256_srli_epi32(_mm256_add_epi32(sum, two), 2);
+                let avg = _mm256_permute4x64_epi64(avg, 0b11_01_10_00);
+                let bytes = pack16_avx2(avg, _mm256_setzero_si256());
+                _mm_storel_epi64(plane[cx..cx + 8].as_mut_ptr().cast(), bytes);
+            }
+        }
+    }
+    8 * chunks
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use crate::faults::{
 use annolight_codec::{CodecError, Decoder, EncodedStream};
 use annolight_core::track::AnnotationTrack;
 use annolight_display::{BacklightController, BacklightLevel, ControllerConfig, DeviceProfile, SwitchStats};
+use annolight_imgproc::Yuv420Frame;
 use annolight_power::{EnergyMeter, SystemPowerModel};
 use std::error::Error;
 use std::fmt;
@@ -229,7 +230,13 @@ impl PlaybackClient {
         let mut backlight_energy = 0.0f64;
         let mut level_sum = 0.0f64;
 
-        while dec.decode_next()?.is_some() {
+        // Nothing here reads the pixels — the client's one extra job is the
+        // backlight — so pictures decode into one reused 4:2:0 frame and
+        // are never converted to RGB.
+        let (w, h) = dec.dimensions();
+        let mut picture =
+            Yuv420Frame::new(w, h).map_err(|_| CodecError::BadDimensions { width: w, height: h })?;
+        while dec.decode_next_yuv_into(&mut picture)? {
             let now = f64::from(frames) * dt;
             let want = desired(frames, now, track.as_ref())?;
             let level = controller.request(now, want);

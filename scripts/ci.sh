@@ -119,6 +119,9 @@ cmp "$PIPELINE_LOG_A" "$PIPELINE_LOG_B" \
 echo "== allocation-regression guard (0 allocations/frame warm steady state) =="
 cargo test -q --release --offline --test alloc_steady
 
+echo "== annobench tests (its own package; smoke-runs every workload against golden.json) =="
+cargo test -q --offline --manifest-path annobench/Cargo.toml
+
 echo "== policy tournament smoke (--test mode, 27 cells, double-run deterministic) =="
 cargo run -q --release --offline -p annolight-bench --bin tab_policies -- --test
 

@@ -1,44 +1,64 @@
-//! Allocation-count regression tier for the frame hot path (issue 10).
+//! Allocation-count regression tier for the frame hot path.
 //!
-//! A counting global allocator wraps `System`; a warm steady-state
-//! transcode + compensate loop — decode into a reused frame, RGB
-//! conversion in place, histogram accumulation into a reused
-//! [`Histogram`], LUT compensation in place, YUV conversion in place,
-//! re-encode through the encoder's recycled scratch — must perform
-//! **zero** heap allocations per frame once the session is warm.
+//! A counting global allocator wraps `System`. Two steady states must
+//! perform **zero** heap allocations per frame:
 //!
-//! The test lives in its own integration-test binary because a
-//! `#[global_allocator]` is process-wide: a single `#[test]` keeps the
-//! counters unpolluted by concurrent harness work.
+//! * a warm transcode + compensate loop — decode into a reused frame,
+//!   RGB conversion in place, histogram accumulation into a reused
+//!   [`Histogram`], LUT compensation in place, YUV conversion in place,
+//!   re-encode through the encoder's recycled scratch (both from YUV and
+//!   straight from RGB through [`Encoder::push_frame`]);
+//! * client playback — [`PlaybackClient::play`] allocates the same
+//!   amount for a short stream as for a long one.
+//!
+//! Counts are kept per thread, so concurrently running tests and the
+//! harness's own threads cannot pollute each other's measurements.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use annolight_codec::{Decoder, Encoder, EncoderConfig};
+use annolight_codec::{Decoder, EncodedStream, Encoder, EncoderConfig};
+use annolight_core::track::{AnnotationEntry, AnnotationMode, AnnotationTrack};
+use annolight_core::QualityLevel;
+use annolight_display::{BacklightLevel, DeviceProfile};
 use annolight_imgproc::{CompensationLut, Frame, Histogram, Yuv420Frame};
+use annolight_power::SystemPowerModel;
+use annolight_stream::PlaybackClient;
 
-/// Counts every allocation routed through the global allocator.
+/// Counts every allocation routed through the global allocator, per
+/// thread.
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Records one allocation of `bytes` on the current thread. `try_with`
+/// because the allocator also runs while a thread is being torn down.
+fn record(bytes: usize) {
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|b| b.set(b.get() + bytes as u64));
+}
+
+/// The current thread's (allocation calls, bytes) so far.
+fn counts() -> (u64, u64) {
+    (ALLOC_CALLS.with(Cell::get), ALLOC_BYTES.with(Cell::get))
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        record(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        record(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -81,37 +101,34 @@ fn warm_transcode_and_compensate_allocates_zero_bytes_per_frame() {
     let mut dec = Decoder::new(&input).expect("input stream parses");
     let mut enc = Encoder::new(config).expect("valid encoder geometry");
     enc.reserve_body(total * (W as usize * H as usize * 3 + 64));
+    let mut enc_rgb = Encoder::new(config).expect("valid encoder geometry");
+    enc_rgb.reserve_body(total * (W as usize * H as usize * 3 + 64));
     let lut = CompensationLut::new(1.31);
     let mut hist = Histogram::new();
     let mut yuv = Yuv420Frame::new(W, H).expect("even dimensions");
     let mut rgb = source_frame(0);
     let mut recoded = Yuv420Frame::new(W, H).expect("even dimensions");
 
-    let step = |yuv: &mut Yuv420Frame,
-                    rgb: &mut Frame,
-                    recoded: &mut Yuv420Frame,
-                    hist: &mut Histogram,
-                    dec: &mut Decoder,
-                    enc: &mut Encoder| {
-        assert!(dec.decode_next_yuv_into(yuv).expect("decode succeeds"), "stream has frames");
-        yuv.to_rgb_into(rgb).expect("geometry matches");
-        rgb.luma_histogram_into(hist);
-        lut.apply(rgb);
-        rgb.to_yuv420_into(recoded).expect("geometry matches");
-        enc.push_yuv_frame(recoded).expect("frames match geometry");
+    let mut step = || {
+        assert!(dec.decode_next_yuv_into(&mut yuv).expect("decode succeeds"), "stream has frames");
+        yuv.to_rgb_into(&mut rgb).expect("geometry matches");
+        rgb.luma_histogram_into(&mut hist);
+        lut.apply(&mut rgb);
+        rgb.to_yuv420_into(&mut recoded).expect("geometry matches");
+        enc.push_yuv_frame(&recoded).expect("frames match geometry");
+        enc_rgb.push_frame(&rgb).expect("frames match geometry");
     };
 
     for _ in 0..WARMUP_FRAMES {
-        step(&mut yuv, &mut rgb, &mut recoded, &mut hist, &mut dec, &mut enc);
+        step();
     }
 
-    let calls_before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
+    let (calls_before, bytes_before) = counts();
     for _ in 0..MEASURED_FRAMES {
-        step(&mut yuv, &mut rgb, &mut recoded, &mut hist, &mut dec, &mut enc);
+        step();
     }
-    let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls_before;
-    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before;
+    let (calls, bytes) = counts();
+    let (calls, bytes) = (calls - calls_before, bytes - bytes_before);
 
     assert_eq!(
         (calls, bytes),
@@ -126,9 +143,63 @@ fn warm_transcode_and_compensate_allocates_zero_bytes_per_frame() {
     // window (sanity: the zero-allocation loop did real work).
     let out = enc.finish();
     assert_eq!(out.frame_count(), total as u32);
+    // Encoding straight from RGB is exactly conversion then YUV encode.
+    assert_eq!(enc_rgb.finish().as_bytes(), out.as_bytes());
     let decoded = Decoder::new(&out)
         .expect("output stream parses")
         .decode_all()
         .expect("output stream decodes");
     assert_eq!(decoded.len(), total);
+}
+
+/// A stream of `frames` source frames whose annotation track has the
+/// same three scenes whatever its length, so any difference in playback
+/// allocations comes from the per-frame path alone.
+fn annotated_stream(frames: usize) -> EncodedStream {
+    let config = EncoderConfig { width: W, height: H, fps: 12.0, ..EncoderConfig::default() };
+    let entries = [(0, 200), (8, 120), (16, 160)].map(|(start_frame, level)| AnnotationEntry {
+        start_frame,
+        backlight: BacklightLevel(level),
+        compensation: 255.0 / f32::from(level),
+        effective_max_luma: level,
+    });
+    let track = AnnotationTrack::new(
+        DeviceProfile::ipaq_5555().name(),
+        QualityLevel::Q10,
+        AnnotationMode::PerScene,
+        config.fps,
+        frames as u32,
+        entries.to_vec(),
+    )
+    .expect("well-formed track");
+    let mut enc = Encoder::new(config).expect("valid encoder geometry");
+    enc.push_user_data(&track.to_rle_bytes());
+    for i in 0..frames {
+        enc.push_frame(&source_frame(i)).expect("frames match geometry");
+    }
+    enc.finish()
+}
+
+#[test]
+fn playback_allocations_do_not_grow_with_stream_length() {
+    let client = PlaybackClient::new(DeviceProfile::ipaq_5555(), SystemPowerModel::ipaq_5555());
+    let play = |stream: &EncodedStream| {
+        let before = counts().0;
+        let report = client.play(stream, None).expect("stream plays");
+        let calls = counts().0 - before;
+        assert!(report.annotated);
+        assert_eq!(report.frames, stream.frame_count());
+        calls
+    };
+    let short = annotated_stream(WARMUP_FRAMES);
+    let long = annotated_stream(WARMUP_FRAMES + MEASURED_FRAMES);
+    // One untimed play settles any process-wide lazy state.
+    play(&short);
+    let (short_calls, long_calls) = (play(&short), play(&long));
+    assert_eq!(
+        short_calls, long_calls,
+        "playback must not allocate per frame: {short_calls} allocation calls for \
+         {WARMUP_FRAMES} frames vs {long_calls} for {} frames",
+        WARMUP_FRAMES + MEASURED_FRAMES
+    );
 }
