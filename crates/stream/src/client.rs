@@ -294,7 +294,7 @@ impl PlaybackClient {
     /// Plays a stream whose annotation hints crossed a lossy hop.
     ///
     /// `arrivals` records when each scene's hint reached the client (see
-    /// [`crate::faults::deliver_lossy`]). A scene whose hint is present by
+    /// [`crate::faults::LossyEngine`]). A scene whose hint is present by
     /// the time its first frame displays plays exactly as [`Self::play`]
     /// would; a missing hint triggers the graceful-degradation policy in
     /// `degradation` — hold the last annotated level for a few frames,

@@ -14,10 +14,12 @@
 //! * [`retry`] — the deadline-aware exponential-backoff
 //!   [`RetryPolicy`](retry::RetryPolicy) (shared with the serve tier's
 //!   admission backpressure; it lives in `annolight_support::retry`).
-//! * [`deliver_lossy`] — the end-to-end delivery engine: picture packets are
+//! * [`LossyEngine`] / [`LossyCollector`] — the end-to-end delivery engine
+//!   as a non-blocking sender/receiver pair: picture packets are
 //!   retransmitted *reliably* (the player buffers), annotation deltas are
 //!   *hints* retried only until their scene starts; a lost hint degrades
-//!   playback gracefully instead of stalling it.
+//!   playback gracefully instead of stalling it. Every session drives this
+//!   pair one packet at a time from [`crate::machine::SessionMachine`].
 //! * [`DegradationEvent`] / [`DegradationConfig`] — the client-side policy
 //!   when a hint is missing: hold the last annotated level briefly, then
 //!   slew toward full backlight (safe brightness, no flicker), and recover
@@ -33,9 +35,7 @@ use crate::network::WirelessChannel;
 use annolight_codec::{Decoder, EncodedStream};
 use annolight_core::delta::{AnnotationDelta, DeltaTracker};
 use annolight_core::track::AnnotationTrack;
-use annolight_support::channel;
 use annolight_support::rng::SmallRng;
-use std::thread;
 
 /// Deadline-aware retry with exponential backoff and jitter.
 ///
@@ -363,13 +363,13 @@ impl FaultyChannel {
     /// Drives one packet's complete fate — first transmission plus, on
     /// loss, the recovery sequence `recovery` chooses — in a single
     /// **non-blocking** call, so a reactor task can step fault delivery
-    /// without the helper threads the blocking pipeline uses.
+    /// one packet at a time.
     ///
     /// `recovery` receives the send-clock time of the lost first copy
     /// and returns the [`RetryPolicy`] to recover with (`None` = give
     /// the packet up). The RNG draw order is exactly
     /// [`Self::send`]-then-[`Self::retransmit`], so fates are
-    /// byte-identical to the threaded delivery loop — a property the
+    /// byte-identical to calling the two by hand — a property the
     /// `fault_props` tier pins.
     pub fn try_deliver(
         &mut self,
@@ -423,7 +423,7 @@ impl FaultyChannel {
 
 /// Every arrival produced for one packet by [`FaultyChannel::try_deliver`]:
 /// the primary copy (or its recovered retransmission) first, then any
-/// duplicate — the exact order the threaded sender forwards them.
+/// duplicate — the order the receiver is offered them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeliveredCopies {
     /// When the first transmission finished serialising, seconds.
@@ -469,12 +469,6 @@ impl AnnotationArrivals {
     #[must_use]
     pub fn punctual(n: usize) -> Self {
         Self { startup_s: 0.0, fps: 1.0, deadlines_s: vec![0.0; n], arrivals_s: vec![Some(0.0); n] }
-    }
-
-    /// No annotation stream at all.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self::punctual(0)
     }
 
     /// Number of sequences tracked.
@@ -566,7 +560,8 @@ pub struct FaultReport {
 
 annolight_support::impl_json!(struct FaultReport { channel, delta_packets, deltas_lost, deltas_late, delta_duplicates, delta_gaps, retransmit_energy_j, transfer_time_s });
 
-/// Everything [`deliver_lossy`] hands back.
+/// Everything a drained [`LossyEngine`] hands back
+/// ([`LossyEngine::finish`]).
 #[derive(Debug, Clone)]
 pub struct LossyDelivery {
     /// The reassembled picture stream (byte-identical to the input —
@@ -580,24 +575,78 @@ pub struct LossyDelivery {
     pub report: FaultReport,
 }
 
+/// The annotation hint plan a sender derives from a served stream: the
+/// embedded backlight track, one sequence-numbered [`AnnotationDelta`] per
+/// canonical track entry, and each delta's deadline — the wall-clock
+/// start of the scene it governs. Shared by [`LossyEngine`] and the
+/// reactor's lightweight [`crate::machine::ScaleSpec`].
+#[derive(Debug)]
+pub(crate) struct HintPlan {
+    /// The embedded backlight track, if the stream carries one.
+    pub(crate) track: Option<AnnotationTrack>,
+    /// One hint per canonical track entry, in sequence order.
+    pub(crate) deltas: Vec<AnnotationDelta>,
+    /// Per-hint deadline, wall clock: `startup_s + start_frame / fps`.
+    pub(crate) deadlines: Vec<f64>,
+    /// Wall-clock start of playback (latency + startup buffering).
+    pub(crate) startup_s: f64,
+    /// Frame rate the deadlines were computed against.
+    pub(crate) fps: f64,
+}
+
+impl HintPlan {
+    /// Plans the hints for delivering `stream` over `link` with
+    /// `startup_buffer_s` of client-side buffering.
+    ///
+    /// # Errors
+    ///
+    /// Returns a descriptive string when the stream or its embedded
+    /// annotation track cannot be decoded.
+    pub(crate) fn of(
+        stream: &EncodedStream,
+        link: &WirelessChannel,
+        startup_buffer_s: f64,
+    ) -> Result<Self, String> {
+        // The sender knows the track (it produced the stream): split it
+        // into sequence-numbered hints.
+        let dec = Decoder::new(stream).map_err(|e| e.to_string())?;
+        let mut track: Option<AnnotationTrack> = None;
+        for bytes in dec.user_data() {
+            if !annolight_core::extensions::is_dvfs_payload(bytes) && track.is_none() {
+                track = Some(AnnotationTrack::from_rle_bytes(bytes).map_err(|e| e.to_string())?);
+            }
+        }
+        let fps = stream.fps().max(f64::EPSILON);
+        let startup_s = link.latency_s + startup_buffer_s;
+        let deltas = track.as_ref().map(AnnotationDelta::from_track).unwrap_or_default();
+        let deadlines =
+            deltas.iter().map(|d| startup_s + f64::from(d.entry.start_frame) / fps).collect();
+        Ok(Self { track, deltas, deadlines, startup_s, fps })
+    }
+}
+
 /// The sender half of lossy delivery as a resumable **pull** engine: the
-/// packet plan (annotation hints first, then MTU picture chunks) plus the
-/// [`FaultyChannel`] that decides each packet's fate.
+/// packet plan plus the [`FaultyChannel`] that decides each packet's fate.
 ///
-/// One [`Self::pump`] call drives exactly one packet — a bounded,
-/// non-blocking slice of work — so a reactor task can host a lossy
-/// session without the sender thread the blocking pipeline spawns.
-/// [`deliver_lossy`] itself delegates to this engine, which is what keeps
-/// the two paths byte-identical by construction.
+/// The annotation hints (one [`AnnotationDelta`] per canonical track
+/// entry) ride just ahead of the picture data; each is retried only until
+/// its scene starts ([`RetryPolicy::annotation`]), while picture packets
+/// use the generous [`RetryPolicy::reliable`] budget. One [`Self::pump`]
+/// call drives exactly one packet — a bounded, non-blocking slice of work
+/// — whose copies the caller offers to a [`LossyCollector`]; once the plan
+/// is exhausted, [`Self::finish`] folds the two back into a
+/// [`LossyDelivery`].
+///
+/// The embedded track stays inside the (reliable) picture bytes — it
+/// describes the compensation already baked into the pixels. What the
+/// lossy hop decides is *when* the client learns each scene's backlight
+/// level: that is the hint stream recorded in [`LossyDelivery::arrivals`].
 #[derive(Debug)]
 pub struct LossyEngine {
     chan: FaultyChannel,
-    deltas: Vec<AnnotationDelta>,
-    deadlines: Vec<f64>,
+    plan: HintPlan,
     bytes: Vec<u8>,
     mtu: usize,
-    startup: f64,
-    fps: f64,
     next_delta: usize,
     chunk_off: usize,
     seq: u32,
@@ -616,39 +665,15 @@ impl LossyEngine {
         link: &WirelessChannel,
         cfg: &FaultConfig,
     ) -> Result<Self, String> {
-        cfg.validate();
-        // The sender knows the track (it produced the stream): split it
-        // into sequence-numbered hints.
-        let dec = Decoder::new(stream).map_err(|e| e.to_string())?;
-        let mut track: Option<AnnotationTrack> = None;
-        for bytes in dec.user_data() {
-            if !annolight_core::extensions::is_dvfs_payload(bytes) && track.is_none() {
-                track = Some(AnnotationTrack::from_rle_bytes(bytes).map_err(|e| e.to_string())?);
-            }
-        }
-        let fps = stream.fps().max(f64::EPSILON);
-        let startup = link.latency_s + cfg.startup_buffer_s;
-        let deltas = track.as_ref().map(AnnotationDelta::from_track).unwrap_or_default();
-        let deadlines: Vec<f64> =
-            deltas.iter().map(|d| startup + f64::from(d.entry.start_frame) / fps).collect();
         Ok(Self {
             chan: FaultyChannel::new(*link, *cfg),
-            deltas,
-            deadlines,
+            plan: HintPlan::of(stream, link, cfg.startup_buffer_s)?,
             bytes: stream.as_bytes().to_vec(),
             mtu: link.mtu,
-            startup,
-            fps,
             next_delta: 0,
             chunk_off: 0,
             seq: 0,
         })
-    }
-
-    /// Wall-clock start of playback (latency + startup buffering).
-    #[must_use]
-    pub fn startup_s(&self) -> f64 {
-        self.startup
     }
 
     /// The channel's send clock so far, seconds — what a cooperative
@@ -656,12 +681,6 @@ impl LossyEngine {
     #[must_use]
     pub fn clock_s(&self) -> f64 {
         self.chan.clock_s()
-    }
-
-    /// Packets not yet driven (hints + picture chunks).
-    #[must_use]
-    pub fn remaining_packets(&self) -> usize {
-        (self.deltas.len() - self.next_delta) + self.bytes.len().saturating_sub(self.chunk_off).div_ceil(self.mtu)
     }
 
     /// Drives the next packet's fate. Returns the `(arrival, wire)`
@@ -674,10 +693,10 @@ impl LossyEngine {
     /// the reliable retry budget (only possible under certain loss).
     pub fn pump(&mut self) -> Result<Option<Vec<(f64, Vec<u8>)>>, String> {
         // Annotations ride ahead of the data (§3): all hints first.
-        if self.next_delta < self.deltas.len() {
+        if self.next_delta < self.plan.deltas.len() {
             let i = self.next_delta;
-            let wire = StreamPacket::delta(self.seq, self.deltas[i].to_bytes()).to_wire();
-            let deadline = self.deadlines[i];
+            let wire = StreamPacket::delta(self.seq, self.plan.deltas[i].to_bytes()).to_wire();
+            let deadline = self.plan.deadlines[i];
             // A hint is only worth retrying until its scene starts.
             let fate = self.chan.try_deliver(wire.len(), |sent_s| {
                 Some(RetryPolicy::annotation().with_deadline((deadline - sent_s).max(0.0)))
@@ -717,12 +736,13 @@ impl LossyEngine {
         // The client sees hints in *arrival* order.
         delta_events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.seq.cmp(&b.1.seq)));
         let mut tracker = DeltaTracker::new();
-        let mut arrivals: Vec<Option<f64>> = vec![None; self.deltas.len()];
+        let HintPlan { deltas, deadlines, startup_s, fps, .. } = self.plan;
+        let mut arrivals: Vec<Option<f64>> = vec![None; deltas.len()];
         for (arrival, d) in &delta_events {
-            let now_frame = if *arrival <= self.startup {
+            let now_frame = if *arrival <= startup_s {
                 0
             } else {
-                ((*arrival - self.startup) * self.fps).floor() as u32
+                ((*arrival - startup_s) * fps).floor() as u32
             };
             tracker.offer(d, now_frame);
             let slot = arrivals.get_mut(d.seq as usize);
@@ -732,8 +752,8 @@ impl LossyEngine {
                 }
             }
         }
-        let n_deltas = self.deltas.len();
-        let arrivals = AnnotationArrivals::new(self.startup, self.fps, self.deadlines, arrivals);
+        let n_deltas = deltas.len();
+        let arrivals = AnnotationArrivals::new(startup_s, fps, deadlines, arrivals);
         let report = FaultReport {
             channel: self.chan.stats(),
             delta_packets: n_deltas as u64,
@@ -797,66 +817,6 @@ impl LossyCollector {
         }
         Ok(())
     }
-}
-
-/// Delivers `stream` over `link` with the faults in `cfg`.
-///
-/// The annotation hints (one [`AnnotationDelta`] per canonical track
-/// entry) ride just ahead of the picture data; each is retried only until
-/// its scene starts ([`RetryPolicy::annotation`]), while picture packets
-/// use the generous [`RetryPolicy::reliable`] budget. Sender and receiver
-/// run on separate threads connected by a bounded channel, mirroring the
-/// lossless session pipeline — but both delegate to the non-blocking
-/// [`LossyEngine`]/[`LossyCollector`] pair, the same machinery the
-/// reactor drives without threads, so the two paths produce
-/// byte-identical fates.
-///
-/// The embedded track stays inside the (reliable) picture bytes — it
-/// describes the compensation already baked into the pixels. What the
-/// lossy hop decides is *when* the client learns each scene's backlight
-/// level: that is the hint stream recorded in
-/// [`LossyDelivery::arrivals`].
-///
-/// # Errors
-///
-/// Returns a descriptive string when the stream cannot be decoded, a
-/// pipeline thread fails, or a picture packet exhausts even the reliable
-/// retry budget (only possible under certain loss).
-pub fn deliver_lossy(
-    stream: &EncodedStream,
-    link: &WirelessChannel,
-    cfg: &FaultConfig,
-) -> Result<LossyDelivery, String> {
-    let mut engine = LossyEngine::new(stream, link, cfg)?;
-    let total = stream.as_bytes().len();
-
-    let (tx, rx) = channel::bounded::<(f64, Vec<u8>)>(64);
-    let sender = thread::spawn(move || -> Result<LossyEngine, String> {
-        while let Some(copies) = engine.pump()? {
-            for (arrival, wire) in copies {
-                if tx.send((arrival, wire)).is_err() {
-                    return Ok(engine);
-                }
-            }
-        }
-        Ok(engine)
-    });
-
-    let receiver = thread::spawn(move || -> Result<LossyCollector, String> {
-        let mut collector = LossyCollector::with_capacity(total);
-        for (arrival, wire) in rx.iter() {
-            collector.offer(arrival, &wire)?;
-        }
-        Ok(collector)
-    });
-
-    let engine = sender
-        .join()
-        .map_err(|_| "fault sender thread panicked".to_owned())??;
-    let collector = receiver
-        .join()
-        .map_err(|_| "fault receiver thread panicked".to_owned())??;
-    engine.finish(collector)
 }
 
 /// Client policy when a scene's annotation hint is missing.

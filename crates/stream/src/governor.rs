@@ -22,21 +22,23 @@
 //! 5. play the scene from the plan at the actuated knob, drain the
 //!    battery, integrate the thermal state.
 //!
-//! Over a faulty hop ([`run_session_governed_faulty`]) the hint stream
-//! crosses the seeded lossy channel first: retransmission energy is
-//! debited against the budget *before* the first scene plays, and a
-//! scene whose hint missed its deadline plays at full backlight at every
-//! knob — the governor compensates on the scenes it still controls. With
-//! a lossless fault config the governed trace is byte-identical to the
-//! fault-free reference ([`run_session_governed`]) — the two paths share
-//! [`GovernorDriver`], as does the reactor machine
-//! ([`crate::machine::GovernedSessionMachine`]), which is what makes
-//! governor traces byte-identical across hosts and worker counts.
+//! The hint stream first crosses the hop in [`SessionConfig::faults`]:
+//! retransmission energy is debited against the budget *before* the
+//! first scene plays, and a scene whose hint missed its deadline plays at
+//! full backlight at every knob — the governor compensates on the scenes
+//! it still controls. A lossless hop loses nothing and draws no channel
+//! randomness the governor can see, so its trace does not depend on the
+//! channel seed.
+//!
+//! [`run_session_governed`] runs the one session machine
+//! ([`crate::machine::SessionMachine`]) alone, and the reactor hosts the
+//! same machine, so governor traces are byte-identical across hosts and
+//! worker counts by construction.
 
 use crate::client::DECODE_CPU_BUSY;
-use crate::faults::{deliver_lossy, AnnotationArrivals};
+use crate::faults::{AnnotationArrivals, LossyDelivery};
 use crate::message::StreamPacket;
-use crate::session::{negotiate_and_serve_at, SessionConfig, SessionError};
+use crate::session::{negotiate_and_serve_at, retransmit_energy_j, SessionConfig, SessionError};
 use annolight_codec::{Decoder, EncodedStream};
 use annolight_core::extensions::DvfsHint;
 use annolight_core::governor::{
@@ -144,9 +146,9 @@ pub struct GovernedSessionReport {
     pub degraded_scenes: u32,
     /// Scenes decided under thermal throttling.
     pub throttled_scenes: u32,
-    /// Hint packets lost on the faulty hop (0 on the reference path).
+    /// Hint packets lost on the hop (0 over a lossless hop).
     pub deltas_lost: u64,
-    /// Link-layer retransmissions spent (0 on the reference path).
+    /// Link-layer retransmissions spent (0 over a lossless hop).
     pub retransmits: u64,
     /// Battery charge remaining after the session, joules.
     pub final_battery_j: f64,
@@ -198,13 +200,13 @@ pub(crate) struct GovernedPrep {
 
 impl GovernedPrep {
     /// Builds the ladder for a served stream. `config` is the
-    /// post-negotiation session config.
+    /// post-negotiation session config (its quality is the granted one).
     fn build(
         stream: &EncodedStream,
-        granted: QualityLevel,
         config: &SessionConfig,
         control: &GovernorControl,
     ) -> Result<Self, SessionError> {
+        let granted = config.quality;
         control.validate();
         let pipeline = |e: String| SessionError::Pipeline(e);
 
@@ -360,22 +362,11 @@ impl GovernedPrep {
 }
 
 // ---------------------------------------------------------------------------
-// The shared driver.
+// The scene driver.
 // ---------------------------------------------------------------------------
 
-/// Fault-tier inputs the faulty path debits before the first scene.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GovernedFaultInputs {
-    pub(crate) arrivals: Option<AnnotationArrivals>,
-    pub(crate) retransmit_energy_j: f64,
-    pub(crate) retransmits: u64,
-    pub(crate) deltas_lost: u64,
-}
-
-/// The governed playback loop as a resumable scene-stepper, shared by
-/// the threaded entry points and the reactor machine — one
-/// implementation, so governor traces are byte-identical across hosts
-/// by construction.
+/// The governed playback loop as a resumable scene-stepper: the reactor
+/// machine drives it one scene per step.
 #[derive(Debug)]
 pub(crate) struct GovernorDriver {
     prep: GovernedPrep,
@@ -388,7 +379,11 @@ pub(crate) struct GovernorDriver {
     budget_j: f64,
     effective_budget_j: f64,
     spent_j: f64,
-    faults: GovernedFaultInputs,
+    /// When each hint reached the client.
+    arrivals: AnnotationArrivals,
+    retransmit_energy_j: f64,
+    retransmits: u64,
+    deltas_lost: u64,
     scene: usize,
     seq: u32,
     events: Vec<GovernorEvent>,
@@ -399,16 +394,21 @@ pub(crate) struct GovernorDriver {
 }
 
 impl GovernorDriver {
+    /// A driver for `prep`, after the hint stream crossed the hop as
+    /// `lossy` records.
     pub(crate) fn new(
         prep: GovernedPrep,
         cfg: &GovernorSessionConfig,
-        faults: GovernedFaultInputs,
+        lossy: LossyDelivery,
     ) -> Self {
         let mut battery = BatteryState::at_fraction(cfg.battery, cfg.battery_fraction);
         let effective_budget_j = battery.budget_clamp_j(cfg.budget_j);
+        let retransmits = lossy.report.channel.retransmits;
+        let retransmit_energy_j =
+            retransmit_energy_j(retransmits, &cfg.session.channel, &cfg.session.system);
         // Retransmissions already happened when playback starts: debit
         // them against the budget (and the pack) before scene 0.
-        battery.drain_j(faults.retransmit_energy_j.min(battery.remaining_j()));
+        battery.drain_j(retransmit_energy_j.min(battery.remaining_j()));
         let governor =
             QualityGovernor::new(cfg.control.clone()).with_knob(prep.requested_knob);
         Self {
@@ -420,8 +420,11 @@ impl GovernorDriver {
             ambient: SmallRng::stream(cfg.ambient_seed, AMBIENT_STREAM),
             budget_j: cfg.budget_j,
             effective_budget_j,
-            spent_j: faults.retransmit_energy_j,
-            faults,
+            spent_j: retransmit_energy_j,
+            arrivals: lossy.arrivals,
+            retransmit_energy_j,
+            retransmits,
+            deltas_lost: lossy.report.deltas_lost,
             scene: 0,
             seq: 0,
             events: Vec::with_capacity(prep.spans.len()),
@@ -434,13 +437,8 @@ impl GovernorDriver {
     }
 
     fn hint_present(&self, scene: usize) -> bool {
-        match &self.faults.arrivals {
-            None => true,
-            Some(arrivals) => {
-                let now = f64::from(self.prep.spans[scene].start) / self.prep.fps;
-                arrivals.arrived_by(self.prep.scene_seq[scene], now)
-            }
-        }
+        let now = f64::from(self.prep.spans[scene].start) / self.prep.fps;
+        self.arrivals.arrived_by(self.prep.scene_seq[scene], now)
     }
 
     /// Whether another scene remains to govern.
@@ -569,7 +567,7 @@ impl GovernorDriver {
             .sum();
         let full_energy_j =
             self.system.power_w(DECODE_CPU_BUSY, true, prep.full_w) * duration;
-        let playback_energy_j = self.spent_j - self.faults.retransmit_energy_j;
+        let playback_energy_j = self.spent_j - self.retransmit_energy_j;
         let total_j = self.spent_j;
         let frames_governed: f64 =
             prep.spans.iter().map(|s| f64::from(s.len())).sum();
@@ -583,7 +581,7 @@ impl GovernorDriver {
             budget_j: self.budget_j,
             effective_budget_j: self.effective_budget_j,
             playback_energy_j,
-            retransmit_energy_j: self.faults.retransmit_energy_j,
+            retransmit_energy_j: self.retransmit_energy_j,
             total_j,
             within_budget: total_j <= self.effective_budget_j + 1e-9,
             infeasible: self.infeasible,
@@ -602,8 +600,8 @@ impl GovernorDriver {
             quality_error,
             degraded_scenes: self.degraded_scenes,
             throttled_scenes: self.throttled_scenes,
-            deltas_lost: self.faults.deltas_lost,
-            retransmits: self.faults.retransmits,
+            deltas_lost: self.deltas_lost,
+            retransmits: self.retransmits,
             final_battery_j: self.battery.remaining_j(),
             final_temp_c: self.thermal.temp_c,
             frames: prep.frames,
@@ -617,35 +615,27 @@ impl GovernorDriver {
 }
 
 // ---------------------------------------------------------------------------
-// Threaded entry points.
+// Entry points.
 // ---------------------------------------------------------------------------
 
-/// Negotiates, serves and prepares the governed session halves shared by
-/// the threaded paths and the reactor machine.
+/// Negotiates, serves and prepares the governed session: the served
+/// stream, the plan ladder, and the post-negotiation config.
 pub(crate) fn prepare_governed(
     cfg: &GovernorSessionConfig,
 ) -> Result<(EncodedStream, GovernedPrep, SessionConfig), SessionError> {
     // Full resolution always: the governor's ladders price quality levels
     // against a fixed stream geometry, so spatial rescaling is pinned off.
-    let (stream, _, granted, _, config) = negotiate_and_serve_at(cfg.session.clone(), false)?;
-    let prep = GovernedPrep::build(&stream, granted, &config, &cfg.control)?;
+    let (stream, _, config) = negotiate_and_serve_at(cfg.session.clone(), false)?;
+    let prep = GovernedPrep::build(&stream, &config, &cfg.control)?;
     Ok((stream, prep, config))
 }
 
-fn drive_to_completion(
-    prep: GovernedPrep,
-    cfg: &GovernorSessionConfig,
-    faults: GovernedFaultInputs,
-) -> Result<GovernedSessionReport, SessionError> {
-    let mut driver = GovernorDriver::new(prep, cfg, faults);
-    while !driver.done() {
-        driver.step_scene()?;
-    }
-    Ok(driver.finish())
-}
-
-/// Runs one governed session over a lossless hop — the fault-free
-/// reference trace.
+/// Runs one governed session with the hint stream crossing the hop in
+/// [`SessionConfig::faults`]: retransmission energy is debited against
+/// the budget before the first scene, and scenes whose hints missed
+/// their deadline play at full backlight — the governor compensates on
+/// the scenes it still controls. Over a lossless hop (the default) no
+/// hint is lost.
 ///
 /// # Errors
 ///
@@ -653,49 +643,7 @@ fn drive_to_completion(
 pub fn run_session_governed(
     cfg: GovernorSessionConfig,
 ) -> Result<GovernedSessionReport, SessionError> {
-    let (_, prep, _) = prepare_governed(&cfg)?;
-    drive_to_completion(prep, &cfg, GovernedFaultInputs::default())
-}
-
-/// Runs one governed session with the hint stream crossing the faulty
-/// hop in [`SessionConfig::faults`]: retransmission energy is debited
-/// against the budget before the first scene, and scenes whose hints
-/// missed their deadline play at full backlight — the governor
-/// compensates on the scenes it still controls. With a lossless fault
-/// config the report is byte-identical to [`run_session_governed`].
-///
-/// # Errors
-///
-/// Returns [`SessionError`] for failures anywhere in the pipeline.
-pub fn run_session_governed_faulty(
-    cfg: GovernorSessionConfig,
-) -> Result<GovernedSessionReport, SessionError> {
-    let (stream, prep, config) = prepare_governed(&cfg)?;
-    let lossy = deliver_lossy(&stream, &config.channel, &config.faults)
-        .map_err(SessionError::Pipeline)?;
-    drive_to_completion(prep, &cfg, governed_fault_inputs(&lossy, &config))
-}
-
-/// Derives the governed fault inputs from a lossy delivery: arrivals
-/// plus the retransmission energy expression shared with
-/// [`crate::session::run_session_faulty`].
-pub(crate) fn governed_fault_inputs(
-    lossy: &crate::faults::LossyDelivery,
-    config: &SessionConfig,
-) -> GovernedFaultInputs {
-    let retransmits = lossy.report.channel.retransmits;
-    let retransmit_energy_j = if retransmits > 0 {
-        let slot = (config.channel.mtu as f64 * 8.0) / config.channel.bandwidth_bps;
-        config.system.retransmit_energy_j(retransmits, slot)
-    } else {
-        0.0
-    };
-    GovernedFaultInputs {
-        arrivals: Some(lossy.arrivals.clone()),
-        retransmit_energy_j,
-        retransmits,
-        deltas_lost: lossy.report.deltas_lost,
-    }
+    crate::machine::govern_alone(cfg)
 }
 
 /// Projects the whole-session energy at every ladder level with all
@@ -786,7 +734,7 @@ mod tests {
         let reference = run_session_governed(governed(budget)).unwrap();
         let mut cfg = governed(budget);
         cfg.session.faults = FaultConfig::lossless(42);
-        let faulty = run_session_governed_faulty(cfg).unwrap();
+        let faulty = run_session_governed(cfg).unwrap();
         assert_eq!(
             annolight_support::json::to_string_pretty(&reference),
             annolight_support::json::to_string_pretty(&faulty),

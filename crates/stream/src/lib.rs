@@ -17,12 +17,13 @@
 //! * [`faults`] — seeded fault injection on that hop (burst loss,
 //!   duplication, reordering, jitter), retry/backoff retransmission, and
 //!   the client's graceful-degradation policy for lost annotation hints;
-//! * [`session`] — end-to-end orchestration (threaded server → client
-//!   delivery over crossbeam channels), producing the measurements behind
-//!   Fig. 10;
-//! * [`machine`] — the same session lifecycle re-hosted as resumable
-//!   state machines on the deterministic reactor, scaling one process to
-//!   10⁵⁺ concurrent sessions;
+//! * [`session`] — the blocking end-to-end entry points (negotiate, serve,
+//!   deliver, play), producing the measurements behind Fig. 10;
+//! * [`machine`] — the one session implementation: a resumable state
+//!   machine on the deterministic reactor, which every blocking entry
+//!   point runs alone and which hosts any mix of sessions on one reactor,
+//!   plus a lightweight tier scaling one process to 10⁵⁺ concurrent
+//!   sessions;
 //! * [`governor`] — closed-loop battery/thermal-aware quality governance:
 //!   fit a whole playback into an N-joule budget by searching the quality
 //!   knob per scene and shipping the decision upstream over the hint
@@ -46,18 +47,15 @@ pub mod spatial;
 
 pub use client::{PlaybackClient, PlaybackReport};
 pub use faults::{
-    deliver_lossy, AnnotationArrivals, ChannelStats, DegradationConfig, DegradationEvent,
-    DegradationKind, DegradedPlayback, FaultConfig, FaultReport, FaultyChannel, LossyDelivery,
-    RetryOutcome,
+    AnnotationArrivals, ChannelStats, DegradationConfig, DegradationEvent, DegradationKind,
+    DegradedPlayback, FaultConfig, FaultReport, FaultyChannel, LossyDelivery, RetryOutcome,
 };
 pub use governor::{
-    governed_projections, run_session_governed, run_session_governed_faulty,
-    GovernedSessionReport, GovernorSessionConfig,
+    governed_projections, run_session_governed, GovernedSessionReport, GovernorSessionConfig,
 };
 pub use machine::{
-    run_faulty_sessions_on_reactor, run_governed_faulty_sessions_on_reactor,
-    run_governed_sessions_on_reactor, run_sessions_on_reactor, FaultySessionMachine,
-    GovernedSessionMachine, ScaleOutcome, ScaleSession, ScaleSpec, SessionMachine,
+    run_sessions_on_reactor, ScaleOutcome, ScaleSession, ScaleSpec, SessionMachine,
+    SessionOutcome, SessionSpec,
 };
 pub use message::{grant_quality, ClientHello, PacketKind, ServerOffer, StreamPacket};
 pub use network::WirelessChannel;

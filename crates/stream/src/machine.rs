@@ -1,54 +1,59 @@
 //! Sessions as resumable reactor state machines.
 //!
-//! The thread-per-session entry points ([`crate::session::run_session`],
-//! [`crate::session::run_session_faulty`]) pin an OS stack per live
-//! playback — the hard ceiling between a soak test and the "millions of
-//! users" fleet scenarios. This module re-hosts the same session
-//! lifecycle (negotiate → stream → retransmit → degrade → ramp) as
-//! cooperative [`Task`]s on the [`annolight_support::reactor`]:
+//! [`SessionMachine`] is the one **full-fidelity** session
+//! implementation. It runs a [`SessionSpec`] — a playback session or a
+//! governed one — as a cooperative [`Task`] on the
+//! [`annolight_support::reactor`]:
 //!
-//! * [`SessionMachine`] / [`FaultySessionMachine`] — **full-fidelity**
-//!   machines that reuse the exact negotiation/delivery/playback halves
-//!   of the threaded paths (`negotiate_and_serve`, `play_received`,
-//!   `finish_faulty`, [`LossyEngine`]/[`LossyCollector`]), so their
-//!   reports are byte-identical to the thread-per-session reference by
-//!   construction — the determinism tier pins this.
-//! * [`ScaleSession`] — the **lightweight** tier for 10⁵⁺ concurrent
-//!   sessions: per-session state is one [`FaultyChannel`] plus a few
-//!   counters (≈ a few hundred bytes), the packet plan and annotation
-//!   schedule are shared behind one [`ScaleSpec`] `Arc`, and received
-//!   copies fold into an FNV digest instead of buffering bytes. Fault
-//!   fates still come from the real seeded channel; the degradation tail
-//!   replays the client's hold-then-ramp policy arithmetically.
+//! 1. **init** — negotiate and serve (or proxy-transcode); a governed
+//!    session also builds its plan ladder. Then plan the hop's packets
+//!    ([`LossyEngine`]).
+//! 2. **deliver** — pump 16 packet fates per step
+//!    through the seeded [`FaultConfig`] hop into a [`LossyCollector`],
+//!    sleeping to the channel's send clock between batches.
+//! 3. **play** — the client's playback with retransmission accounting in
+//!    one step, or, for a governed session, one scene per step, sleeping
+//!    the playback clock to each scene boundary.
+//!
+//! Every blocking entry point — [`crate::session::run_session`],
+//! [`crate::session::run_session_faulty`],
+//! [`crate::session::run_session_with_server`] and
+//! [`crate::governor::run_session_governed`] — runs this machine alone on
+//! a one-task, one-worker [`Reactor`], and [`run_sessions_on_reactor`]
+//! hosts any mix of specs on one reactor. All delivery timing is simulated
+//! by the channel model, so no session needs a thread of its own, and a
+//! hosted session reports byte for byte what its blocking run reports at
+//! any schedule seed and worker count — the determinism tier pins this.
+//!
+//! [`ScaleSession`] is the **lightweight** tier for 10⁵⁺ concurrent
+//! sessions: per-session state is one [`FaultyChannel`] plus a few
+//! counters (≈ a few hundred bytes), the packet plan and annotation
+//! schedule are shared behind one [`ScaleSpec`] `Arc`, and received
+//! copies fold into an FNV digest instead of buffering bytes. Fault fates
+//! still come from the real seeded channel; the degradation tail replays
+//! the client's hold-then-ramp policy arithmetically.
 
 use crate::faults::{
-    retry::RetryPolicy, DegradationConfig, FaultConfig, FaultyChannel, LossyCollector, LossyEngine,
+    retry::RetryPolicy, DegradationConfig, FaultConfig, FaultyChannel, HintPlan, LossyCollector,
+    LossyEngine,
 };
 use crate::governor::{
-    governed_fault_inputs, prepare_governed, GovernedFaultInputs, GovernedSessionReport,
-    GovernorDriver, GovernorSessionConfig,
+    prepare_governed, GovernedPrep, GovernedSessionReport, GovernorDriver, GovernorSessionConfig,
 };
 use crate::message::StreamPacket;
 use crate::network::WirelessChannel;
 use crate::session::{
-    finish_faulty, negotiate_and_serve, play_received, FaultySessionReport, SessionConfig,
-    SessionError, SessionReport,
+    finish_faulty, negotiate_and_serve, ClientTail, FaultySessionReport, SessionConfig,
+    SessionError,
 };
-use annolight_codec::{Decoder, EncodedStream};
-use annolight_core::delta::AnnotationDelta;
-use annolight_core::track::AnnotationTrack;
-use annolight_core::QualityLevel;
-use annolight_display::DeviceProfile;
-use annolight_power::SystemPowerModel;
+use annolight_codec::EncodedStream;
 use annolight_support::channel::{self, Sender};
+use annolight_support::json::{Json, ToJson};
 use annolight_support::reactor::{Context, Reactor, ReactorConfig, ReactorReport, Step, Task};
 use annolight_support::wheel::ticks_from_secs;
 use std::sync::Arc;
 
-/// MTU chunks a lossless machine moves per cooperative step.
-const CHUNKS_PER_STEP: usize = 16;
-
-/// Packets a faulty machine pumps per cooperative step.
+/// Packets a machine pumps per cooperative step.
 const PACKETS_PER_STEP: usize = 16;
 
 fn fnv_fold(mut hash: u64, word: u64) -> u64 {
@@ -60,367 +65,162 @@ fn fnv_fold(mut hash: u64, word: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Full-fidelity lossless machine.
+// The full-fidelity session machine.
 // ---------------------------------------------------------------------------
 
-struct PlainDeliver {
-    bytes: Vec<u8>,
-    offset: usize,
-    packets: usize,
-    received: Vec<u8>,
-    annotation_bytes: usize,
-    granted: QualityLevel,
-    device: DeviceProfile,
-    system: SystemPowerModel,
-    channel: WirelessChannel,
-    burst_prefetch: bool,
+/// What one [`SessionMachine`] runs.
+#[derive(Debug, Clone)]
+pub enum SessionSpec {
+    /// A playback session over the hop in [`SessionConfig::faults`].
+    Play(SessionConfig),
+    /// A governed session: the hint stream crosses the hop in
+    /// `session.faults`, then the governor plays scene by scene.
+    Govern(GovernorSessionConfig),
 }
 
-enum PlainState {
-    Init(Box<SessionConfig>),
-    Deliver(Box<PlainDeliver>),
+/// What one [`SessionMachine`] reports. Serialises as the report it
+/// carries.
+#[derive(Debug, Clone)]
+pub enum SessionOutcome {
+    /// The report of a [`SessionSpec::Play`] session.
+    Play(FaultySessionReport),
+    /// The report of a [`SessionSpec::Govern`] session.
+    Govern(GovernedSessionReport),
+}
+
+impl ToJson for SessionOutcome {
+    fn to_json(&self) -> Json {
+        match self {
+            SessionOutcome::Play(report) => report.to_json(),
+            SessionOutcome::Govern(report) => report.to_json(),
+        }
+    }
+}
+
+/// What runs once the hop is drained.
+enum Then {
+    /// Degraded playback and retransmission accounting, in one step.
+    Play(ClientTail),
+    /// Governed playback, one scene per step.
+    Govern(GovernedPrep, Box<GovernorSessionConfig>),
+}
+
+/// The deliver phase: the sender engine, the receiver, and what follows.
+struct Delivery {
+    engine: LossyEngine,
+    collector: LossyCollector,
+    then: Then,
+}
+
+impl Delivery {
+    fn new(
+        stream: &EncodedStream,
+        link: &WirelessChannel,
+        faults: &FaultConfig,
+        then: Then,
+    ) -> Result<Self, SessionError> {
+        Ok(Self {
+            engine: LossyEngine::new(stream, link, faults).map_err(SessionError::Pipeline)?,
+            collector: LossyCollector::with_capacity(stream.as_bytes().len()),
+            then,
+        })
+    }
+}
+
+enum State {
+    Init(Box<SessionSpec>),
+    Deliver(Box<Delivery>),
+    Govern(Box<GovernorDriver>),
     Finished,
 }
 
-/// [`crate::session::run_session`] as a resumable state machine:
-/// negotiate/serve in the first step, then move MTU chunks
-/// cooperatively (sleeping the virtual send clock between batches), then
-/// play back through the shared `play_received` tail. The result arrives
-/// on the output channel as `(index, report)`.
+/// A session as a resumable state machine (see the module docs for its
+/// steps). The result arrives on the output channel as `(index, result)`.
 pub struct SessionMachine {
-    state: PlainState,
+    state: State,
     index: usize,
-    out: Sender<(usize, Result<SessionReport, SessionError>)>,
+    out: Sender<(usize, Result<SessionOutcome, SessionError>)>,
 }
 
 impl SessionMachine {
-    /// A machine for `config`, reporting as session `index` on `out`.
+    /// A machine for `spec`, reporting as session `index` on `out`.
     #[must_use]
     pub fn new(
-        config: SessionConfig,
+        spec: SessionSpec,
         index: usize,
-        out: Sender<(usize, Result<SessionReport, SessionError>)>,
+        out: Sender<(usize, Result<SessionOutcome, SessionError>)>,
     ) -> Self {
-        Self { state: PlainState::Init(Box::new(config)), index, out }
+        Self { state: State::Init(Box::new(spec)), index, out }
+    }
+
+    fn report(&mut self, result: Result<SessionOutcome, SessionError>) -> Step {
+        let _ = self.out.send((self.index, result));
+        Step::Done
+    }
+
+    fn init(spec: SessionSpec) -> Result<Delivery, SessionError> {
+        match spec {
+            SessionSpec::Play(config) => {
+                let (stream, annotation_bytes, config) = negotiate_and_serve(config)?;
+                let then = Then::Play(ClientTail::of(&config, annotation_bytes));
+                Delivery::new(&stream, &config.channel, &config.faults, then)
+            }
+            SessionSpec::Govern(cfg) => {
+                let (stream, prep, config) = prepare_governed(&cfg)?;
+                let then = Then::Govern(prep, Box::new(cfg));
+                Delivery::new(&stream, &config.channel, &config.faults, then)
+            }
+        }
+    }
+
+    fn deliver(&mut self, mut d: Box<Delivery>) -> Result<Step, SessionError> {
+        for _ in 0..PACKETS_PER_STEP {
+            let Some(copies) = d.engine.pump().map_err(SessionError::Pipeline)? else {
+                let Delivery { engine, collector, then } = *d;
+                let lossy = engine.finish(collector).map_err(SessionError::Pipeline)?;
+                return Ok(match then {
+                    Then::Play(tail) => {
+                        self.report(finish_faulty(lossy, tail).map(SessionOutcome::Play))
+                    }
+                    Then::Govern(prep, cfg) => {
+                        let driver = GovernorDriver::new(prep, &cfg, lossy);
+                        self.state = State::Govern(Box::new(driver));
+                        Step::Yield
+                    }
+                });
+            };
+            for (arrival, wire) in copies {
+                d.collector.offer(arrival, &wire).map_err(SessionError::Pipeline)?;
+            }
+        }
+        let clock = d.engine.clock_s();
+        self.state = State::Deliver(d);
+        Ok(Step::Sleep(ticks_from_secs(clock)))
+    }
+
+    fn govern(&mut self, mut driver: Box<GovernorDriver>) -> Result<Step, SessionError> {
+        if driver.done() {
+            return Ok(self.report(Ok(SessionOutcome::Govern(driver.finish()))));
+        }
+        driver.step_scene()?;
+        let clock = driver.scene_end_s();
+        self.state = State::Govern(driver);
+        Ok(Step::Sleep(ticks_from_secs(clock)))
     }
 }
 
 impl Task for SessionMachine {
     fn step(&mut self, _cx: &Context) -> Step {
-        match std::mem::replace(&mut self.state, PlainState::Finished) {
-            PlainState::Init(config) => match negotiate_and_serve(*config) {
-                Ok((stream, annotation_bytes, granted, device, config)) => {
-                    let bytes = stream.as_bytes().to_vec();
-                    self.state = PlainState::Deliver(Box::new(PlainDeliver {
-                        received: Vec::with_capacity(bytes.len()),
-                        bytes,
-                        offset: 0,
-                        packets: 0,
-                        annotation_bytes,
-                        granted,
-                        device,
-                        system: config.system,
-                        channel: config.channel,
-                        burst_prefetch: config.burst_prefetch,
-                    }));
-                    Step::Yield
-                }
-                Err(e) => {
-                    let _ = self.out.send((self.index, Err(e)));
-                    Step::Done
-                }
-            },
-            PlainState::Deliver(mut d) => {
-                let mtu = d.channel.mtu;
-                for _ in 0..CHUNKS_PER_STEP {
-                    if d.offset >= d.bytes.len() {
-                        break;
-                    }
-                    let end = (d.offset + mtu).min(d.bytes.len());
-                    d.received.extend_from_slice(&d.bytes[d.offset..end]);
-                    d.offset = end;
-                    d.packets += 1;
-                }
-                if d.offset >= d.bytes.len() {
-                    let result = play_received(
-                        d.received,
-                        d.packets,
-                        d.annotation_bytes,
-                        d.granted,
-                        d.device,
-                        d.system,
-                        &d.channel,
-                        d.burst_prefetch,
-                    );
-                    let _ = self.out.send((self.index, result));
-                    return Step::Done;
-                }
-                // Sleep to the cumulative send clock — the same
-                // bytes-over-bandwidth expression the channel model uses.
-                let clock =
-                    (d.offset as f64 * 8.0) / d.channel.bandwidth_bps + d.channel.latency_s;
-                self.state = PlainState::Deliver(d);
-                Step::Sleep(ticks_from_secs(clock))
-            }
-            PlainState::Finished => Step::Done,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Full-fidelity faulty machine.
-// ---------------------------------------------------------------------------
-
-struct FaultyDeliver {
-    engine: LossyEngine,
-    collector: LossyCollector,
-    total: usize,
-    annotation_bytes: usize,
-    granted: QualityLevel,
-    device: DeviceProfile,
-    system: SystemPowerModel,
-    channel: WirelessChannel,
-    burst_prefetch: bool,
-}
-
-enum FaultyState {
-    Init(Box<SessionConfig>),
-    Deliver(Box<FaultyDeliver>),
-    Finished,
-}
-
-/// [`crate::session::run_session_faulty`] as a resumable state machine:
-/// the [`LossyEngine`] pumps packet fates (loss, bursts, retransmission
-/// deadlines) cooperatively into the [`LossyCollector`], then the shared
-/// `finish_faulty` tail degrades/ramps playback — byte-identical to the
-/// threaded path, which pumps the same engine from a thread.
-pub struct FaultySessionMachine {
-    state: FaultyState,
-    index: usize,
-    out: Sender<(usize, Result<FaultySessionReport, SessionError>)>,
-}
-
-impl FaultySessionMachine {
-    /// A machine for `config`, reporting as session `index` on `out`.
-    #[must_use]
-    pub fn new(
-        config: SessionConfig,
-        index: usize,
-        out: Sender<(usize, Result<FaultySessionReport, SessionError>)>,
-    ) -> Self {
-        Self { state: FaultyState::Init(Box::new(config)), index, out }
-    }
-
-    fn fail(&mut self, e: SessionError) -> Step {
-        let _ = self.out.send((self.index, Err(e)));
-        Step::Done
-    }
-}
-
-impl Task for FaultySessionMachine {
-    fn step(&mut self, _cx: &Context) -> Step {
-        match std::mem::replace(&mut self.state, FaultyState::Finished) {
-            FaultyState::Init(config) => match negotiate_and_serve(*config) {
-                Ok((stream, annotation_bytes, granted, device, config)) => {
-                    let total = stream.as_bytes().len();
-                    let engine = match LossyEngine::new(&stream, &config.channel, &config.faults)
-                    {
-                        Ok(engine) => engine,
-                        Err(e) => return self.fail(SessionError::Pipeline(e)),
-                    };
-                    self.state = FaultyState::Deliver(Box::new(FaultyDeliver {
-                        engine,
-                        collector: LossyCollector::with_capacity(total),
-                        total,
-                        annotation_bytes,
-                        granted,
-                        device,
-                        system: config.system,
-                        channel: config.channel,
-                        burst_prefetch: config.burst_prefetch,
-                    }));
-                    Step::Yield
-                }
-                Err(e) => self.fail(e),
-            },
-            FaultyState::Deliver(mut d) => {
-                for _ in 0..PACKETS_PER_STEP {
-                    match d.engine.pump() {
-                        Ok(Some(copies)) => {
-                            for (arrival, wire) in copies {
-                                if let Err(e) = d.collector.offer(arrival, &wire) {
-                                    return self.fail(SessionError::Pipeline(e));
-                                }
-                            }
-                        }
-                        Ok(None) => {
-                            let lossy = match d.engine.finish(d.collector) {
-                                Ok(lossy) => lossy,
-                                Err(e) => return self.fail(SessionError::Pipeline(e)),
-                            };
-                            let result = finish_faulty(
-                                lossy,
-                                d.total,
-                                d.annotation_bytes,
-                                d.granted,
-                                d.device,
-                                &d.channel,
-                                &d.system,
-                                d.burst_prefetch,
-                            );
-                            let _ = self.out.send((self.index, result));
-                            return Step::Done;
-                        }
-                        Err(e) => return self.fail(SessionError::Pipeline(e)),
-                    }
-                }
-                let clock = d.engine.clock_s();
-                self.state = FaultyState::Deliver(d);
-                Step::Sleep(ticks_from_secs(clock))
-            }
-            FaultyState::Finished => Step::Done,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Full-fidelity governed machine.
-// ---------------------------------------------------------------------------
-
-struct GovernedDeliver {
-    engine: LossyEngine,
-    collector: LossyCollector,
-    cfg: GovernorSessionConfig,
-    config: SessionConfig,
-    prep: Option<crate::governor::GovernedPrep>,
-}
-
-enum GovernedState {
-    Init(Box<GovernorSessionConfig>),
-    Deliver(Box<GovernedDeliver>),
-    Govern(Box<GovernorDriver>),
-    Finished,
-}
-
-/// [`crate::governor::run_session_governed`] /
-/// [`crate::governor::run_session_governed_faulty`] as a resumable state
-/// machine: negotiate/serve and build the plan ladder in the first step,
-/// (optionally) pump the hint stream through the seeded lossy channel
-/// cooperatively, then govern **one scene per step**, sleeping the
-/// playback clock to each scene boundary. The machine drives the same
-/// [`GovernorDriver`] the threaded entry points drive, so governor
-/// traces are byte-identical across hosts and worker counts by
-/// construction — the reactor parity tier pins this.
-pub struct GovernedSessionMachine {
-    state: GovernedState,
-    faulty: bool,
-    index: usize,
-    out: Sender<(usize, Result<GovernedSessionReport, SessionError>)>,
-}
-
-impl GovernedSessionMachine {
-    /// A machine that runs `cfg` with the hint stream crossing the
-    /// faulty hop in `cfg.session.faults`.
-    #[must_use]
-    pub fn new(
-        cfg: GovernorSessionConfig,
-        index: usize,
-        out: Sender<(usize, Result<GovernedSessionReport, SessionError>)>,
-    ) -> Self {
-        Self { state: GovernedState::Init(Box::new(cfg)), faulty: true, index, out }
-    }
-
-    /// A machine that runs `cfg` over the lossless reference hop.
-    #[must_use]
-    pub fn reference(
-        cfg: GovernorSessionConfig,
-        index: usize,
-        out: Sender<(usize, Result<GovernedSessionReport, SessionError>)>,
-    ) -> Self {
-        Self { state: GovernedState::Init(Box::new(cfg)), faulty: false, index, out }
-    }
-
-    fn fail(&mut self, e: SessionError) -> Step {
-        let _ = self.out.send((self.index, Err(e)));
-        Step::Done
-    }
-}
-
-impl Task for GovernedSessionMachine {
-    fn step(&mut self, _cx: &Context) -> Step {
-        match std::mem::replace(&mut self.state, GovernedState::Finished) {
-            GovernedState::Init(cfg) => {
-                let (stream, prep, config) = match prepare_governed(&cfg) {
-                    Ok(parts) => parts,
-                    Err(e) => return self.fail(e),
-                };
-                if self.faulty {
-                    let engine =
-                        match LossyEngine::new(&stream, &config.channel, &config.faults) {
-                            Ok(engine) => engine,
-                            Err(e) => return self.fail(SessionError::Pipeline(e)),
-                        };
-                    let total = stream.as_bytes().len();
-                    self.state = GovernedState::Deliver(Box::new(GovernedDeliver {
-                        engine,
-                        collector: LossyCollector::with_capacity(total),
-                        cfg: *cfg,
-                        config,
-                        prep: Some(prep),
-                    }));
-                } else {
-                    self.state = GovernedState::Govern(Box::new(GovernorDriver::new(
-                        prep,
-                        &cfg,
-                        GovernedFaultInputs::default(),
-                    )));
-                }
+        let step = match std::mem::replace(&mut self.state, State::Finished) {
+            State::Init(spec) => Self::init(*spec).map(|delivery| {
+                self.state = State::Deliver(Box::new(delivery));
                 Step::Yield
-            }
-            GovernedState::Deliver(mut d) => {
-                for _ in 0..PACKETS_PER_STEP {
-                    match d.engine.pump() {
-                        Ok(Some(copies)) => {
-                            for (arrival, wire) in copies {
-                                if let Err(e) = d.collector.offer(arrival, &wire) {
-                                    return self.fail(SessionError::Pipeline(e));
-                                }
-                            }
-                        }
-                        Ok(None) => {
-                            let lossy = match d.engine.finish(d.collector) {
-                                Ok(lossy) => lossy,
-                                Err(e) => return self.fail(SessionError::Pipeline(e)),
-                            };
-                            let prep = d.prep.take().expect("prep consumed once");
-                            self.state = GovernedState::Govern(Box::new(GovernorDriver::new(
-                                prep,
-                                &d.cfg,
-                                governed_fault_inputs(&lossy, &d.config),
-                            )));
-                            return Step::Yield;
-                        }
-                        Err(e) => return self.fail(SessionError::Pipeline(e)),
-                    }
-                }
-                let clock = d.engine.clock_s();
-                self.state = GovernedState::Deliver(d);
-                Step::Sleep(ticks_from_secs(clock))
-            }
-            GovernedState::Govern(mut driver) => {
-                if driver.done() {
-                    let _ = self.out.send((self.index, Ok(driver.finish())));
-                    return Step::Done;
-                }
-                if let Err(e) = driver.step_scene() {
-                    return self.fail(e);
-                }
-                let clock = driver.scene_end_s();
-                self.state = GovernedState::Govern(driver);
-                Step::Sleep(ticks_from_secs(clock))
-            }
-            GovernedState::Finished => Step::Done,
-        }
+            }),
+            State::Deliver(d) => self.deliver(d),
+            State::Govern(driver) => self.govern(driver),
+            State::Finished => Ok(Step::Done),
+        };
+        step.unwrap_or_else(|e| self.report(Err(e)))
     }
 }
 
@@ -448,14 +248,14 @@ pub struct ScaleSpec {
 
 impl ScaleSpec {
     /// Negotiates and serves `config`'s clip once (the same
-    /// server-side path the threaded sessions take) and derives the
-    /// fleet's shared packet plan from the served stream.
+    /// server-side path every full-fidelity session takes) and derives
+    /// the fleet's shared packet plan from the served stream.
     ///
     /// # Errors
     ///
     /// Propagates negotiation/pipeline failures.
     pub fn negotiate(config: SessionConfig) -> Result<Self, SessionError> {
-        let (stream, _, _, _, config) = negotiate_and_serve(config)?;
+        let (stream, _, config) = negotiate_and_serve(config)?;
         Self::from_stream(&stream, &config.channel, config.faults.startup_buffer_s)
             .map_err(SessionError::Pipeline)
     }
@@ -472,20 +272,10 @@ impl ScaleSpec {
         link: &WirelessChannel,
         startup_buffer_s: f64,
     ) -> Result<Self, String> {
-        let dec = Decoder::new(stream).map_err(|e| e.to_string())?;
-        let mut track: Option<AnnotationTrack> = None;
-        for bytes in dec.user_data() {
-            if !annolight_core::extensions::is_dvfs_payload(bytes) && track.is_none() {
-                track = Some(AnnotationTrack::from_rle_bytes(bytes).map_err(|e| e.to_string())?);
-            }
-        }
-        let fps = stream.fps().max(f64::EPSILON);
-        let startup = link.latency_s + startup_buffer_s;
-        let deltas = track.as_ref().map(AnnotationDelta::from_track).unwrap_or_default();
-        let deadlines: Vec<f64> =
-            deltas.iter().map(|d| startup + f64::from(d.entry.start_frame) / fps).collect();
+        let plan = HintPlan::of(stream, link, startup_buffer_s)?;
         let mut seq = 0u32;
-        let delta_lens: Vec<usize> = deltas
+        let delta_lens: Vec<usize> = plan
+            .deltas
             .iter()
             .map(|d| {
                 let len = StreamPacket::delta(seq, d.to_bytes()).to_wire().len();
@@ -502,16 +292,17 @@ impl ScaleSpec {
                 len
             })
             .collect();
-        let schedule = track
+        let schedule = plan
+            .track
             .as_ref()
             .map(|t| t.entries().iter().map(|e| (e.start_frame, e.backlight.0)).collect())
             .unwrap_or_default();
         Ok(Self {
             delta_lens,
             picture_lens,
-            deadlines,
-            startup_s: startup,
-            fps,
+            deadlines: plan.deadlines,
+            startup_s: plan.startup_s,
+            fps: plan.fps,
             frames: stream.frame_count(),
             schedule,
             link: *link,
@@ -713,83 +504,78 @@ fn collect_indexed<T>(
         .collect()
 }
 
-/// Runs every config as a [`SessionMachine`] on one reactor; results in
+fn host(
+    states: Vec<State>,
+    reactor_config: ReactorConfig,
+) -> (Vec<Result<SessionOutcome, SessionError>>, ReactorReport) {
+    let n = states.len();
+    let (tx, rx) = channel::unbounded();
+    let mut reactor = Reactor::with_config(reactor_config);
+    for (index, state) in states.into_iter().enumerate() {
+        reactor.spawn(Box::new(SessionMachine { state, index, out: tx.clone() }));
+    }
+    drop(tx);
+    let report = reactor.run();
+    (collect_indexed(rx, n, "hosted"), report)
+}
+
+/// Runs every spec as a [`SessionMachine`] on one reactor; results in
 /// spawn order, plus the reactor's schedule report.
 #[must_use]
 pub fn run_sessions_on_reactor(
-    configs: Vec<SessionConfig>,
+    specs: Vec<SessionSpec>,
     reactor_config: ReactorConfig,
-) -> (Vec<Result<SessionReport, SessionError>>, ReactorReport) {
-    let n = configs.len();
-    let (tx, rx) = channel::unbounded();
-    let mut reactor = Reactor::with_config(reactor_config);
-    for (index, config) in configs.into_iter().enumerate() {
-        reactor.spawn(Box::new(SessionMachine::new(config, index, tx.clone())));
-    }
-    drop(tx);
-    let report = reactor.run();
-    (collect_indexed(rx, n, "lossless"), report)
+) -> (Vec<Result<SessionOutcome, SessionError>>, ReactorReport) {
+    host(specs.into_iter().map(|spec| State::Init(Box::new(spec))).collect(), reactor_config)
 }
 
-/// Runs every config as a [`FaultySessionMachine`] on one reactor;
-/// results in spawn order, plus the reactor's schedule report.
-#[must_use]
-pub fn run_faulty_sessions_on_reactor(
-    configs: Vec<SessionConfig>,
-    reactor_config: ReactorConfig,
-) -> (Vec<Result<FaultySessionReport, SessionError>>, ReactorReport) {
-    let n = configs.len();
-    let (tx, rx) = channel::unbounded();
-    let mut reactor = Reactor::with_config(reactor_config);
-    for (index, config) in configs.into_iter().enumerate() {
-        reactor.spawn(Box::new(FaultySessionMachine::new(config, index, tx.clone())));
-    }
-    drop(tx);
-    let report = reactor.run();
-    (collect_indexed(rx, n, "faulty"), report)
+/// Runs one machine alone on a one-task, one-worker reactor.
+fn alone(state: State) -> Result<SessionOutcome, SessionError> {
+    let (mut results, _) = host(vec![state], ReactorConfig::default());
+    results.pop().expect("one machine, one result")
 }
 
-/// Runs every config as a reference (lossless) [`GovernedSessionMachine`]
-/// on one reactor; results in spawn order, plus the reactor's schedule
-/// report.
-#[must_use]
-pub fn run_governed_sessions_on_reactor(
-    configs: Vec<GovernorSessionConfig>,
-    reactor_config: ReactorConfig,
-) -> (Vec<Result<GovernedSessionReport, SessionError>>, ReactorReport) {
-    let n = configs.len();
-    let (tx, rx) = channel::unbounded();
-    let mut reactor = Reactor::with_config(reactor_config);
-    for (index, cfg) in configs.into_iter().enumerate() {
-        reactor.spawn(Box::new(GovernedSessionMachine::reference(cfg, index, tx.clone())));
+fn play_outcome(state: State) -> Result<FaultySessionReport, SessionError> {
+    match alone(state)? {
+        SessionOutcome::Play(report) => Ok(report),
+        SessionOutcome::Govern(_) => unreachable!("a play session reports a play outcome"),
     }
-    drop(tx);
-    let report = reactor.run();
-    (collect_indexed(rx, n, "governed"), report)
 }
 
-/// Runs every config as a faulty [`GovernedSessionMachine`] on one
-/// reactor; results in spawn order, plus the reactor's schedule report.
-#[must_use]
-pub fn run_governed_faulty_sessions_on_reactor(
-    configs: Vec<GovernorSessionConfig>,
-    reactor_config: ReactorConfig,
-) -> (Vec<Result<GovernedSessionReport, SessionError>>, ReactorReport) {
-    let n = configs.len();
-    let (tx, rx) = channel::unbounded();
-    let mut reactor = Reactor::with_config(reactor_config);
-    for (index, cfg) in configs.into_iter().enumerate() {
-        reactor.spawn(Box::new(GovernedSessionMachine::new(cfg, index, tx.clone())));
+/// The body of [`crate::session::run_session_faulty`].
+pub(crate) fn play_alone(config: SessionConfig) -> Result<FaultySessionReport, SessionError> {
+    play_outcome(State::Init(Box::new(SessionSpec::Play(config))))
+}
+
+/// The body of [`crate::session::run_session_with_server`]: an
+/// already-served `stream` crosses a lossless hop to the client in `tail`
+/// through the machine's deliver and play steps.
+pub(crate) fn play_served(
+    stream: &EncodedStream,
+    tail: ClientTail,
+) -> Result<FaultySessionReport, SessionError> {
+    let link = tail.channel;
+    let delivery = Delivery::new(stream, &link, &FaultConfig::default(), Then::Play(tail))?;
+    play_outcome(State::Deliver(Box::new(delivery)))
+}
+
+/// The body of [`crate::governor::run_session_governed`].
+pub(crate) fn govern_alone(
+    cfg: GovernorSessionConfig,
+) -> Result<GovernedSessionReport, SessionError> {
+    match alone(State::Init(Box::new(SessionSpec::Govern(cfg))))? {
+        SessionOutcome::Govern(report) => Ok(report),
+        SessionOutcome::Play(_) => unreachable!("a governed session reports a governed outcome"),
     }
-    drop(tx);
-    let report = reactor.run();
-    (collect_indexed(rx, n, "governed-faulty"), report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::run_session;
+    use crate::governor::run_session_governed;
+    use crate::session::run_session_faulty;
+    use annolight_core::QualityLevel;
+    use annolight_support::json::to_string;
     use annolight_video::ClipLibrary;
 
     fn config(seed: u64) -> SessionConfig {
@@ -800,71 +586,27 @@ mod tests {
     }
 
     #[test]
-    fn reactor_session_matches_threaded_reference_byte_for_byte() {
-        let threaded = run_session(config(1)).unwrap();
-        let (results, _) =
-            run_sessions_on_reactor(vec![config(1)], ReactorConfig::default());
-        let hosted = results.into_iter().next().unwrap().unwrap();
-        assert_eq!(
-            annolight_support::json::to_string(&threaded),
-            annolight_support::json::to_string(&hosted),
-            "reactor-hosted session must reproduce the threaded report exactly"
+    fn hosted_sessions_match_their_blocking_runs() {
+        // A play and a governed session sharing one seeded, shuffled
+        // reactor report exactly what each reports run alone.
+        let mut play = config(42);
+        play.faults = FaultConfig::lossy(42, 0.2);
+        let mut govern = GovernorSessionConfig::new(config(3), 400.0).with_ambient_seed(3);
+        govern.session.faults = FaultConfig::lossy(3, 0.2);
+        let (results, report) = run_sessions_on_reactor(
+            vec![SessionSpec::Play(play.clone()), SessionSpec::Govern(govern.clone())],
+            ReactorConfig { seed: 7, ..ReactorConfig::default() },
         );
-    }
-
-    #[test]
-    fn reactor_faulty_session_matches_threaded_reference() {
-        let mut cfg = config(42);
-        cfg.faults = FaultConfig::lossy(42, 0.2);
-        let threaded = crate::session::run_session_faulty(cfg.clone()).unwrap();
-        let (results, _) =
-            run_faulty_sessions_on_reactor(vec![cfg], ReactorConfig::default());
-        let hosted = results.into_iter().next().unwrap().unwrap();
-        assert_eq!(
-            annolight_support::json::to_string(&threaded),
-            annolight_support::json::to_string(&hosted),
-            "reactor-hosted faulty session must reproduce the threaded report exactly"
-        );
-    }
-
-    #[test]
-    fn reactor_governed_session_matches_threaded_reference() {
-        let governed = |faults: Option<FaultConfig>| {
-            let mut cfg = GovernorSessionConfig::new(config(3), 400.0).with_ambient_seed(3);
-            if let Some(f) = faults {
-                cfg.session.faults = f;
-            }
-            cfg
-        };
-        // Reference hop.
-        let threaded = crate::governor::run_session_governed(governed(None)).unwrap();
-        let (results, _) =
-            run_governed_sessions_on_reactor(vec![governed(None)], ReactorConfig::default());
-        let hosted = results.into_iter().next().unwrap().unwrap();
-        assert_eq!(
-            annolight_support::json::to_string(&threaded),
-            annolight_support::json::to_string(&hosted),
-            "reactor-hosted governed session must reproduce the threaded report exactly"
-        );
-        // Faulty hop.
-        let faults = Some(FaultConfig::lossy(42, 0.2));
-        let threaded =
-            crate::governor::run_session_governed_faulty(governed(faults)).unwrap();
-        let (results, _) = run_governed_faulty_sessions_on_reactor(
-            vec![governed(faults)],
-            ReactorConfig::default(),
-        );
-        let hosted = results.into_iter().next().unwrap().unwrap();
-        assert_eq!(
-            annolight_support::json::to_string(&threaded),
-            annolight_support::json::to_string(&hosted),
-            "reactor-hosted faulty governed session must reproduce the threaded report"
-        );
+        assert_eq!(report.tasks, 2);
+        let hosted: Vec<String> =
+            results.into_iter().map(|r| to_string(&r.expect("hosted session"))).collect();
+        assert_eq!(hosted[0], to_string(&run_session_faulty(play).unwrap()));
+        assert_eq!(hosted[1], to_string(&run_session_governed(govern).unwrap()));
     }
 
     #[test]
     fn scale_sessions_complete_and_replay_deterministically() {
-        let (stream, _, _, _, config) = negotiate_and_serve(config(7)).unwrap();
+        let (stream, _, config) = negotiate_and_serve(config(7)).unwrap();
         let spec = Arc::new(
             ScaleSpec::from_stream(&stream, &config.channel, config.faults.startup_buffer_s)
                 .unwrap(),

@@ -3,13 +3,14 @@
 //! A session follows Fig. 1: the client opens with a negotiation message
 //! carrying its device profile and requested quality; the server (or a
 //! proxy on its behalf) answers with the annotated stream, delivered in
-//! MTU-sized chunks over the wireless channel model. Server and client run
-//! on separate threads connected by crossbeam channels, like the real
-//! pipeline; all *timing* is simulated (the channel model), so results are
-//! deterministic.
+//! MTU-sized packets over the wireless channel model; the client plays it
+//! back with energy accounting. Every entry point here runs the one
+//! session implementation, [`crate::machine::SessionMachine`], alone on a
+//! one-task reactor. All *timing* is simulated (the channel model), so
+//! results are deterministic.
 
 use crate::client::{PlaybackClient, PlaybackError, PlaybackReport};
-use crate::faults::{deliver_lossy, DegradationConfig, DegradationEvent, FaultConfig, FaultReport};
+use crate::faults::{DegradationConfig, DegradationEvent, FaultConfig, FaultReport, LossyDelivery};
 use crate::network::WirelessChannel;
 use crate::proxy::Proxy;
 use crate::server::{MediaServer, ServeError, ServeRequest};
@@ -19,10 +20,8 @@ use annolight_core::{PolicyKind, QualityLevel};
 use annolight_display::DeviceProfile;
 use annolight_power::{EnergyMeter, SystemPowerModel};
 use annolight_video::Clip;
-use annolight_support::channel;
 use std::error::Error;
 use std::fmt;
-use std::thread;
 
 /// Where annotations are inserted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +58,8 @@ pub struct SessionConfig {
     /// available ahead of the data).
     pub burst_prefetch: bool,
     /// Fault injection on the wireless hop. The default is lossless;
-    /// [`run_session`] ignores it, [`run_session_faulty`] honours it.
+    /// [`run_session`] ignores it, [`run_session_faulty`] and
+    /// [`crate::governor::run_session_governed`] honour it.
     pub faults: FaultConfig,
     /// The annotation-policy backend the client asks for. Carried in the
     /// hello, so the serving side plans (and compensates) with it.
@@ -110,7 +110,10 @@ pub enum SessionError {
     Proxy(crate::proxy::ProxyError),
     /// Playback failed on the client.
     Playback(PlaybackError),
-    /// A pipeline thread panicked or disconnected.
+    /// A pipeline stage failed outside playback: the hello or a packet did
+    /// not round-trip its wire format, the stream or its annotation track
+    /// did not decode or reassemble, or a picture packet exhausted even
+    /// the reliable retry budget.
     Pipeline(String),
 }
 
@@ -152,31 +155,25 @@ pub struct SessionReport {
 
 annolight_support::impl_json!(struct SessionReport { granted_quality, stream_bytes, annotation_bytes, packets, transfer_time_s, real_time, playback, energy_breakdown });
 
-/// Runs one complete session.
+/// Runs one complete session over a lossless hop: [`run_session_faulty`]
+/// with [`SessionConfig::faults`] ignored, reporting the session
+/// measurements.
 ///
 /// # Errors
 ///
 /// Returns [`SessionError`] for failures anywhere in the pipeline.
 pub fn run_session(config: SessionConfig) -> Result<SessionReport, SessionError> {
-    let (stream, annotation_bytes, granted, device, config) = negotiate_and_serve(config)?;
-    deliver_and_play(
-        &stream,
-        annotation_bytes,
-        granted,
-        device,
-        config.system,
-        &config.channel,
-        config.burst_prefetch,
-    )
+    run_session_faulty(SessionConfig { faults: FaultConfig::default(), ..config })
+        .map(|report| report.session)
 }
 
 /// The wired half of every session — negotiation, then serving or proxy
-/// transcoding — shared by the lossless and fault-injected paths (and by
-/// the reactor state machines in [`crate::machine`]).
-#[allow(clippy::type_complexity)]
+/// transcoding. Returns the served stream, its annotation-track size, and
+/// the post-negotiation config (granted quality, echoed device and
+/// policy).
 pub(crate) fn negotiate_and_serve(
     config: SessionConfig,
-) -> Result<(EncodedStream, usize, QualityLevel, DeviceProfile, SessionConfig), SessionError> {
+) -> Result<(EncodedStream, usize, SessionConfig), SessionError> {
     negotiate_and_serve_at(config, true)
 }
 
@@ -186,11 +183,10 @@ pub(crate) fn negotiate_and_serve(
 /// negotiated policy is [`PolicyKind::SpatialScale`] — the governor uses
 /// this, because its energy ladders are calibrated against full-resolution
 /// playback and a mid-session geometry change would invalidate them.
-#[allow(clippy::type_complexity)]
 pub(crate) fn negotiate_and_serve_at(
     config: SessionConfig,
     allow_spatial: bool,
-) -> Result<(EncodedStream, usize, QualityLevel, DeviceProfile, SessionConfig), SessionError> {
+) -> Result<(EncodedStream, usize, SessionConfig), SessionError> {
     let clip_name = config.clip.name().to_owned();
 
     // --- Server-side preparation (Fig. 1, wired segment) ----------------
@@ -209,9 +205,12 @@ pub(crate) fn negotiate_and_serve_at(
     let hello = crate::message::ClientHello::from_wire(&hello.to_wire())
         .map_err(SessionError::Pipeline)?;
     let offer = server.negotiate(&hello).map_err(SessionError::Negotiation)?;
-    let granted = offer.granted_quality;
-    let config =
-        SessionConfig { quality: granted, device: hello.device, policy: hello.policy, ..config };
+    let config = SessionConfig {
+        quality: offer.granted_quality,
+        device: hello.device,
+        policy: hello.policy,
+        ..config
+    };
 
     // --- Spatial scaling (§3): the policy prices full vs. half --------
     // --- resolution with *this* client's channel and power model ------
@@ -228,73 +227,47 @@ pub(crate) fn negotiate_and_serve_at(
         )
         .use_half;
 
-    let (stream, annotation_bytes) = if downscale {
-        // The data-shaping role of the Fig. 1 proxy: fetch the pictures
-        // losslessly, downscale 2×, and annotate the reshaped frames.
-        let plain = server
+    if config.site == AnnotationSite::Server && !downscale {
+        let served = server
             .serve(&ServeRequest {
                 clip_name,
                 device: config.device.clone(),
-                quality: QualityLevel::Q0,
+                quality: config.quality,
                 mode: config.mode,
-                dvfs: false,
-                policy: PolicyKind::PeakClip,
+                dvfs: config.dvfs,
+                policy: config.policy,
             })
             .map_err(SessionError::Serve)?;
-        let proxy = Proxy::new(config.encoder).with_policy(config.policy);
-        let out = proxy
-            .transcode_downscaled(&plain.stream, &config.device, config.quality, config.mode)
-            .map_err(SessionError::Proxy)?;
-        let annotation = annolight_codec::Decoder::new(&out)
-            .map_err(|e| SessionError::Pipeline(e.to_string()))?
-            .user_data()
-            .first()
-            .map_or(0, |b| b.len());
-        (out, annotation)
+        return Ok((served.stream, served.annotation_bytes, config));
+    }
+
+    // The Fig. 1 proxy: the server sends the plain stream a legacy server
+    // would emit, and the proxy annotates it on the fly. Under spatial
+    // scaling it also shapes the data — downscale 2× and annotate the
+    // reshaped frames.
+    let plain = server
+        .serve(&ServeRequest {
+            clip_name,
+            device: config.device.clone(),
+            quality: QualityLevel::Q0,
+            mode: config.mode,
+            dvfs: false,
+            policy: PolicyKind::PeakClip,
+        })
+        .map_err(SessionError::Serve)?;
+    let proxy = Proxy::new(config.encoder).with_policy(config.policy);
+    let out = if downscale {
+        proxy.transcode_downscaled(&plain.stream, &config.device, config.quality, config.mode)
     } else {
-        match config.site {
-            AnnotationSite::Server => {
-                let served = server
-                    .serve(&ServeRequest {
-                        clip_name,
-                        device: config.device.clone(),
-                        quality: config.quality,
-                        mode: config.mode,
-                        dvfs: config.dvfs,
-                        policy: config.policy,
-                    })
-                    .map_err(SessionError::Serve)?;
-                (served.stream, served.annotation_bytes)
-            }
-            AnnotationSite::Proxy => {
-                // Legacy server: plain stream; proxy annotates on the fly.
-                let plain = server
-                    .serve(&ServeRequest {
-                        clip_name,
-                        device: config.device.clone(),
-                        quality: QualityLevel::Q0,
-                        mode: config.mode,
-                        dvfs: false,
-                        policy: PolicyKind::PeakClip,
-                    })
-                    .map_err(SessionError::Serve)?;
-                // Strip annotations by re-encoding without user data is what a
-                // legacy server would emit; transcode from the clean pictures.
-                let proxy = Proxy::new(config.encoder).with_policy(config.policy);
-                let out = proxy
-                    .transcode(&plain.stream, &config.device, config.quality, config.mode)
-                    .map_err(SessionError::Proxy)?;
-                let annotation = annolight_codec::Decoder::new(&out)
-                    .map_err(|e| SessionError::Pipeline(e.to_string()))?
-                    .user_data()
-                    .first()
-                    .map_or(0, |b| b.len());
-                (out, annotation)
-            }
-        }
-    };
-    let device = config.device.clone();
-    Ok((stream, annotation_bytes, granted, device, config))
+        proxy.transcode(&plain.stream, &config.device, config.quality, config.mode)
+    }
+    .map_err(SessionError::Proxy)?;
+    let annotation_bytes = annolight_codec::Decoder::new(&out)
+        .map_err(|e| SessionError::Pipeline(e.to_string()))?
+        .user_data()
+        .first()
+        .map_or(0, |b| b.len());
+    Ok((out, annotation_bytes, config))
 }
 
 /// The outcome of a fault-injected session ([`run_session_faulty`]).
@@ -328,42 +301,65 @@ annolight_support::impl_json!(struct FaultySessionReport { session, faults, even
 ///
 /// Returns [`SessionError`] for failures anywhere in the pipeline.
 pub fn run_session_faulty(config: SessionConfig) -> Result<FaultySessionReport, SessionError> {
-    let (stream, annotation_bytes, granted, device, config) = negotiate_and_serve(config)?;
-    let lossy = deliver_lossy(&stream, &config.channel, &config.faults)
-        .map_err(SessionError::Pipeline)?;
-    let total = stream.as_bytes().len();
-    finish_faulty(
-        lossy,
-        total,
-        annotation_bytes,
-        granted,
-        device,
-        &config.channel,
-        &config.system,
-        config.burst_prefetch,
-    )
+    crate::machine::play_alone(config)
 }
 
-/// The client-side tail of a fault-injected session: degraded playback,
-/// retransmission energy accounting, and report assembly. Shared by
-/// [`run_session_faulty`] and the reactor's resumable faulty session
-/// machine so both produce byte-identical reports from the same
-/// [`LossyDelivery`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_faulty(
-    lossy: crate::faults::LossyDelivery,
-    total: usize,
-    annotation_bytes: usize,
-    granted: QualityLevel,
-    device: DeviceProfile,
+/// The client half of a play session, fixed once the stream is served:
+/// everything [`finish_faulty`] needs besides the delivery itself.
+#[derive(Debug)]
+pub(crate) struct ClientTail {
+    pub(crate) annotation_bytes: usize,
+    pub(crate) granted: QualityLevel,
+    pub(crate) device: DeviceProfile,
+    pub(crate) channel: WirelessChannel,
+    pub(crate) system: SystemPowerModel,
+    pub(crate) burst_prefetch: bool,
+}
+
+impl ClientTail {
+    /// The tail of a session negotiated to `config`.
+    pub(crate) fn of(config: &SessionConfig, annotation_bytes: usize) -> Self {
+        Self {
+            annotation_bytes,
+            granted: config.quality,
+            device: config.device.clone(),
+            channel: config.channel,
+            system: config.system,
+            burst_prefetch: config.burst_prefetch,
+        }
+    }
+}
+
+/// WNIC energy of `retransmits` link-layer retransmissions over
+/// `channel`, joules: each keeps the radio receiving for one extra packet
+/// airtime and transmits a NACK — charged above the baseline the playback
+/// already accounts.
+pub(crate) fn retransmit_energy_j(
+    retransmits: u64,
     channel: &WirelessChannel,
     system: &SystemPowerModel,
-    burst_prefetch: bool,
+) -> f64 {
+    if retransmits == 0 {
+        return 0.0;
+    }
+    let slot = (channel.mtu as f64 * 8.0) / channel.bandwidth_bps;
+    system.retransmit_energy_j(retransmits, slot)
+}
+
+/// The client-side end of a play session: degraded playback,
+/// retransmission energy accounting, and report assembly.
+pub(crate) fn finish_faulty(
+    lossy: LossyDelivery,
+    tail: ClientTail,
 ) -> Result<FaultySessionReport, SessionError> {
-    let transfer_time = channel.transfer_time_s(total);
+    let total = lossy.stream.as_bytes().len();
+    let transfer_time = tail.channel.transfer_time_s(total);
     let meter = EnergyMeter::new();
-    let mut client = PlaybackClient::new(device, system.clone());
-    if burst_prefetch && lossy.stream.frame_count() > 0 {
+    let mut client = PlaybackClient::new(tail.device, tail.system);
+    if tail.burst_prefetch && lossy.stream.frame_count() > 0 {
+        // With annotations the client knows the stream layout up front and
+        // can fetch it in bursts: the radio only needs to receive for the
+        // fraction of playback the transfer actually takes.
         let duration =
             f64::from(lossy.stream.frame_count()) / lossy.stream.fps().max(f64::EPSILON);
         let duty = (transfer_time / duration).clamp(0.0, 1.0);
@@ -374,22 +370,18 @@ pub(crate) fn finish_faulty(
         .map_err(SessionError::Playback)?;
 
     let mut faults = lossy.report;
+    faults.retransmit_energy_j =
+        retransmit_energy_j(faults.channel.retransmits, &tail.channel, &tail.system);
     if faults.channel.retransmits > 0 {
-        // Each retransmission keeps the radio receiving for one extra
-        // packet airtime and transmits a NACK — charged above the
-        // baseline the playback already accounts.
-        let slot = (channel.mtu as f64 * 8.0) / channel.bandwidth_bps;
-        faults.retransmit_energy_j =
-            system.retransmit_energy_j(faults.channel.retransmits, slot);
         meter.add("wnic_retransmit", faults.retransmit_energy_j);
     }
 
     let playback = degraded.report;
     Ok(FaultySessionReport {
         session: SessionReport {
-            granted_quality: granted,
+            granted_quality: tail.granted,
             stream_bytes: total,
-            annotation_bytes,
+            annotation_bytes: tail.annotation_bytes,
             packets: lossy.picture_packets,
             transfer_time_s: transfer_time,
             real_time: transfer_time <= playback.duration_s,
@@ -431,12 +423,13 @@ impl Default for SharedSessionOptions {
 }
 
 /// Runs a session against an existing (possibly shared) server
-/// catalogue. Unlike [`run_session`], which builds a private server
-/// around one clip, this entry negotiates by *name*: a hello for a clip
-/// the server does not store comes back as
+/// catalogue over a lossless hop. Unlike [`run_session`], which builds a
+/// private server around one clip, this entry negotiates by *name*: a
+/// hello for a clip the server does not store comes back as
 /// [`SessionError::Negotiation`]`(`[`ServeError::UnknownClip`]`)` — the
 /// typed, client-visible failure — rather than a panic or a silent
-/// empty stream.
+/// empty stream. Once served, the stream takes the same delivery and
+/// playback steps as every other session.
 ///
 /// # Errors
 ///
@@ -462,110 +455,15 @@ pub fn run_session_with_server(
             policy: hello.policy,
         })
         .map_err(SessionError::Serve)?;
-    deliver_and_play(
-        &served.stream,
-        served.annotation_bytes,
+    let tail = ClientTail {
+        annotation_bytes: served.annotation_bytes,
         granted,
-        hello.device,
-        options.system.clone(),
-        &options.channel,
-        options.burst_prefetch,
-    )
-}
-
-/// The shared tail of every session: chunked wireless delivery over a
-/// sender/receiver thread pair, reassembly, then client playback with
-/// energy accounting.
-fn deliver_and_play(
-    stream: &EncodedStream,
-    annotation_bytes: usize,
-    granted: QualityLevel,
-    device: DeviceProfile,
-    system: SystemPowerModel,
-    wireless: &WirelessChannel,
-    burst_prefetch: bool,
-) -> Result<SessionReport, SessionError> {
-    let mtu = wireless.mtu;
-    let bytes = stream.as_bytes().to_vec();
-    let total = bytes.len();
-    let (tx, rx) = channel::bounded::<Vec<u8>>(64);
-    let sender = thread::spawn(move || {
-        for chunk in bytes.chunks(mtu) {
-            if tx.send(chunk.to_vec()).is_err() {
-                return;
-            }
-        }
-    });
-    let receiver = thread::spawn(move || {
-        let mut buf = Vec::with_capacity(total);
-        let mut packets = 0usize;
-        for chunk in rx.iter() {
-            packets += 1;
-            buf.extend_from_slice(&chunk);
-        }
-        (buf, packets)
-    });
-    sender
-        .join()
-        .map_err(|_| SessionError::Pipeline("sender thread panicked".into()))?;
-    let (received, packets) = receiver
-        .join()
-        .map_err(|_| SessionError::Pipeline("receiver thread panicked".into()))?;
-    play_received(
-        received,
-        packets,
-        annotation_bytes,
-        granted,
-        device,
-        system,
-        wireless,
-        burst_prefetch,
-    )
-}
-
-/// The client half of a lossless delivery: reassembly of the received
-/// bytes, then playback with energy accounting. Shared by the threaded
-/// [`deliver_and_play`] pipeline and the reactor's resumable session
-/// machine, which accumulates the same chunks cooperatively — both feed
-/// this function, so their reports are byte-identical by construction.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn play_received(
-    received: Vec<u8>,
-    packets: usize,
-    annotation_bytes: usize,
-    granted: QualityLevel,
-    device: DeviceProfile,
-    system: SystemPowerModel,
-    wireless: &WirelessChannel,
-    burst_prefetch: bool,
-) -> Result<SessionReport, SessionError> {
-    let total = received.len();
-    let delivered = EncodedStream::from_bytes(received)
-        .map_err(|e| SessionError::Pipeline(format!("reassembly failed: {e}")))?;
-
-    // --- Client playback with energy accounting ------------------------
-    let transfer_time = wireless.transfer_time_s(total);
-    let meter = EnergyMeter::new();
-    let mut client = PlaybackClient::new(device, system);
-    if burst_prefetch && delivered.frame_count() > 0 {
-        // With annotations the client knows the stream layout up front and
-        // can fetch it in bursts: the radio only needs to receive for the
-        // fraction of playback the transfer actually takes.
-        let duration = f64::from(delivered.frame_count()) / delivered.fps().max(f64::EPSILON);
-        let duty = (transfer_time / duration).clamp(0.0, 1.0);
-        client = client.with_wnic_duty(duty);
-    }
-    let playback = client.play(&delivered, Some(&meter)).map_err(SessionError::Playback)?;
-    Ok(SessionReport {
-        granted_quality: granted,
-        stream_bytes: total,
-        annotation_bytes,
-        packets,
-        transfer_time_s: transfer_time,
-        real_time: transfer_time <= playback.duration_s,
-        playback,
-        energy_breakdown: meter.breakdown(),
-    })
+        device: hello.device,
+        channel: options.channel,
+        system: options.system,
+        burst_prefetch: options.burst_prefetch,
+    };
+    crate::machine::play_served(&served.stream, tail).map(|report| report.session)
 }
 
 /// Runs several sessions sharing one wireless hop (Fig. 1 shows multiple

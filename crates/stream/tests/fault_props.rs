@@ -110,9 +110,9 @@ annolight_support::check! {
     }
 
     /// The reactor's non-blocking `try_deliver` is byte-identical to the
-    /// blocking send-then-retransmit sequence the threaded pipeline
-    /// performs: same copies in the same order, same channel statistics,
-    /// for arbitrary fault mixes, packet traces, and retry policies.
+    /// explicit send-then-retransmit sequence: same copies in the same
+    /// order, same channel statistics, for arbitrary fault mixes, packet
+    /// traces, and retry policies.
     fn try_deliver_matches_blocking_sequence(g, cases = 24) {
         let seed = g.any::<u64>();
         let cfg = FaultConfig {
@@ -140,7 +140,7 @@ annolight_support::check! {
             };
             let got = nonblocking.try_deliver(bytes, |_| Some(policy.clone()));
 
-            // The threaded discipline: send, and on loss retransmit.
+            // By hand: send, and on loss retransmit.
             let fate = blocking.send(bytes);
             let mut want = Vec::new();
             match fate.arrival_s {

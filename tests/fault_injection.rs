@@ -19,8 +19,8 @@
 
 use annolight::core::QualityLevel;
 use annolight::stream::{
-    governed_projections, run_session, run_session_faulty, run_session_governed,
-    run_session_governed_faulty, FaultConfig, GovernorSessionConfig, SessionConfig,
+    governed_projections, run_session, run_session_faulty, run_session_governed, FaultConfig,
+    GovernorSessionConfig, SessionConfig,
 };
 use annolight::video::{Clip, ClipLibrary};
 
@@ -123,7 +123,7 @@ fn governed_lossy_matrix_lands_within_budget_with_retransmits_charged() {
     let budget = mid_budget(&clip);
     for seed in SEEDS {
         for loss_pct in [5.0, 10.0, 20.0] {
-            let r = run_session_governed_faulty(governed(&clip, seed, loss_pct, budget))
+            let r = run_session_governed(governed(&clip, seed, loss_pct, budget))
                 .unwrap_or_else(|e| panic!("seed {seed} loss {loss_pct}%: {e}"));
             let cell = format!("seed {seed} loss {loss_pct}%");
             // Every scene still governed and played.
@@ -166,10 +166,8 @@ fn zero_fault_governed_trace_is_byte_identical_to_reference() {
         // Same ambient sensor stream; only the (lossless, hence inert)
         // channel seed varies — no channel randomness may reach the
         // governor.
-        let faulty = run_session_governed_faulty(
-            governed(&clip, seed, 0.0, budget).with_ambient_seed(7),
-        )
-        .expect("lossless governed session succeeds");
+        let faulty = run_session_governed(governed(&clip, seed, 0.0, budget).with_ambient_seed(7))
+            .expect("lossless governed session succeeds");
         assert_eq!(
             annolight_support::json::to_string_pretty(&faulty),
             annolight_support::json::to_string_pretty(&reference),

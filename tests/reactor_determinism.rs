@@ -6,10 +6,12 @@
 //!   step-trace digest across two runs *and* across worker counts
 //!   (`workers ∈ {1, 4}`): parallel stepping may reorder execution but
 //!   never observation.
-//! * **Byte-identity to the threaded reference** — a zero-fault
+//! * **Byte-identity to the blocking reference** — a zero-fault
 //!   reactor-hosted session serialises byte-for-byte equal to
-//!   [`run_session`], and a faulty one to [`run_session_faulty`], for
-//!   every seed in the matrix.
+//!   [`run_session`], a faulty one to [`run_session_faulty`], and a
+//!   governed one to [`run_session_governed`], for every seed in the
+//!   matrix — also when play and governed sessions over lossless, lossy
+//!   and bursty hops share one reactor.
 //! * **Scale-tier replay** — a mixed lossy/bursty [`ScaleSession`]
 //!   fleet replays identical per-session outcome digests.
 //!
@@ -20,10 +22,9 @@
 use annolight::core::QualityLevel;
 use annolight::stream::machine::{ScaleOutcome, ScaleSession, ScaleSpec};
 use annolight::stream::{
-    governed_projections, run_faulty_sessions_on_reactor, run_governed_faulty_sessions_on_reactor,
-    run_governed_sessions_on_reactor, run_session, run_session_faulty, run_session_governed,
-    run_session_governed_faulty, run_sessions_on_reactor, FaultConfig, GovernorSessionConfig,
-    SessionConfig,
+    governed_projections, run_session, run_session_faulty, run_session_governed,
+    run_sessions_on_reactor, FaultConfig, FaultySessionReport, GovernedSessionReport,
+    GovernorSessionConfig, SessionConfig, SessionError, SessionOutcome, SessionSpec,
 };
 use annolight::video::{Clip, ClipLibrary};
 use annolight_support::channel;
@@ -54,6 +55,24 @@ fn faulty_configs(clip: &Clip, seed: u64) -> Vec<SessionConfig> {
         .collect()
 }
 
+fn play_specs(configs: Vec<SessionConfig>) -> Vec<SessionSpec> {
+    configs.into_iter().map(SessionSpec::Play).collect()
+}
+
+fn play_report(result: Result<SessionOutcome, SessionError>) -> FaultySessionReport {
+    match result.expect("reactor session succeeds") {
+        SessionOutcome::Play(report) => report,
+        SessionOutcome::Govern(_) => panic!("a play spec reported a governed outcome"),
+    }
+}
+
+fn govern_report(result: Result<SessionOutcome, SessionError>) -> GovernedSessionReport {
+    match result.expect("reactor session succeeds") {
+        SessionOutcome::Govern(report) => report,
+        SessionOutcome::Play(_) => panic!("a governed spec reported a play outcome"),
+    }
+}
+
 fn reactor_config(seed: u64, workers: usize) -> ReactorConfig {
     ReactorConfig { seed, workers, ..ReactorConfig::default() }
 }
@@ -63,11 +82,13 @@ fn same_seed_same_digest_across_runs_and_worker_counts() {
     let clip = test_clip();
     for seed in SEEDS {
         let run = |workers: usize| {
-            let (reports, reactor) =
-                run_faulty_sessions_on_reactor(faulty_configs(&clip, seed), reactor_config(seed, workers));
+            let (reports, reactor) = run_sessions_on_reactor(
+                play_specs(faulty_configs(&clip, seed)),
+                reactor_config(seed, workers),
+            );
             let serialized: Vec<String> = reports
                 .into_iter()
-                .map(|r| annolight_support::json::to_string(&r.expect("session succeeds")))
+                .map(|r| annolight_support::json::to_string(&play_report(r)))
                 .collect();
             (serialized, reactor.digest.value())
         };
@@ -81,7 +102,7 @@ fn same_seed_same_digest_across_runs_and_worker_counts() {
     }
     // Different seeds shuffle differently (schedules are seed-driven).
     let digest_of = |seed: u64| {
-        run_faulty_sessions_on_reactor(faulty_configs(&clip, seed), reactor_config(seed, 1))
+        run_sessions_on_reactor(play_specs(faulty_configs(&clip, seed)), reactor_config(seed, 1))
             .1
             .digest
             .value()
@@ -97,12 +118,12 @@ fn zero_fault_reactor_sessions_match_threaded_reference_byte_for_byte() {
     let want = annolight_support::json::to_string_pretty(&plain);
     for seed in SEEDS {
         let (results, _) = run_sessions_on_reactor(
-            vec![SessionConfig::new(clip.clone(), QualityLevel::Q10)],
+            play_specs(vec![SessionConfig::new(clip.clone(), QualityLevel::Q10)]),
             reactor_config(seed, 1),
         );
-        let hosted = results.into_iter().next().unwrap().expect("reactor session succeeds");
+        let hosted = play_report(results.into_iter().next().unwrap());
         assert_eq!(
-            annolight_support::json::to_string_pretty(&hosted),
+            annolight_support::json::to_string_pretty(&hosted.session),
             want,
             "seed {seed}: reactor-hosted session must reproduce run_session exactly"
         );
@@ -114,14 +135,14 @@ fn faulty_reactor_sessions_match_threaded_reference_byte_for_byte() {
     let clip = test_clip();
     for seed in SEEDS {
         for config in faulty_configs(&clip, seed) {
-            let threaded =
-                run_session_faulty(config.clone()).expect("threaded faulty session succeeds");
+            let blocking =
+                run_session_faulty(config.clone()).expect("blocking faulty session succeeds");
             let (results, _) =
-                run_faulty_sessions_on_reactor(vec![config], reactor_config(seed, 1));
-            let hosted = results.into_iter().next().unwrap().expect("reactor session succeeds");
+                run_sessions_on_reactor(play_specs(vec![config]), reactor_config(seed, 1));
+            let hosted = play_report(results.into_iter().next().unwrap());
             assert_eq!(
                 annolight_support::json::to_string_pretty(&hosted),
-                annolight_support::json::to_string_pretty(&threaded),
+                annolight_support::json::to_string_pretty(&blocking),
                 "seed {seed}: reactor-hosted faulty session must reproduce run_session_faulty"
             );
         }
@@ -130,22 +151,23 @@ fn faulty_reactor_sessions_match_threaded_reference_byte_for_byte() {
 
 #[test]
 fn non_default_policy_sessions_replay_identically_on_the_reactor() {
-    // The machines reuse the threaded `negotiate_and_serve`, so the
-    // policy thread (HEBS remaps, spatial downscaling) must survive
-    // reactor hosting byte-for-byte — including across worker counts.
+    // The policy (HEBS remaps, spatial downscaling) must survive reactor
+    // hosting byte-for-byte — including across worker counts.
     use annolight::core::PolicyKind;
     let clip = test_clip();
     for policy in [PolicyKind::Hebs, PolicyKind::SpatialScale] {
         let mut config = SessionConfig::new(clip.clone(), QualityLevel::Q10);
         config.policy = policy;
-        let threaded = run_session(config.clone()).expect("threaded session succeeds");
-        let want = annolight_support::json::to_string_pretty(&threaded);
+        let blocking = run_session(config.clone()).expect("blocking session succeeds");
+        let want = annolight_support::json::to_string_pretty(&blocking);
         let digest_at = |workers: usize| {
-            let (results, reactor) =
-                run_sessions_on_reactor(vec![config.clone()], reactor_config(42, workers));
-            let hosted = results.into_iter().next().unwrap().expect("reactor session");
+            let (results, reactor) = run_sessions_on_reactor(
+                play_specs(vec![config.clone()]),
+                reactor_config(42, workers),
+            );
+            let hosted = play_report(results.into_iter().next().unwrap());
             assert_eq!(
-                annolight_support::json::to_string_pretty(&hosted),
+                annolight_support::json::to_string_pretty(&hosted.session),
                 want,
                 "{} workers {workers}: reactor-hosted session must match run_session",
                 policy.name()
@@ -193,16 +215,16 @@ fn governed_config(clip: &Clip, seed: u64, lossy: bool) -> GovernorSessionConfig
 fn governed_reactor_sessions_match_threaded_reference_across_worker_counts() {
     let clip = test_clip();
     for seed in SEEDS {
-        // Reference (lossless) hop.
+        // Lossless hop.
         let cfg = governed_config(&clip, seed, false);
-        let threaded = run_session_governed(cfg.clone()).expect("threaded governed session");
-        let want = annolight_support::json::to_string_pretty(&threaded);
+        let blocking = run_session_governed(cfg.clone()).expect("blocking governed session");
+        let want = annolight_support::json::to_string_pretty(&blocking);
         for workers in [1usize, 4] {
-            let (results, _) = run_governed_sessions_on_reactor(
-                vec![cfg.clone()],
+            let (results, _) = run_sessions_on_reactor(
+                vec![SessionSpec::Govern(cfg.clone())],
                 reactor_config(seed, workers),
             );
-            let hosted = results.into_iter().next().unwrap().expect("reactor session");
+            let hosted = govern_report(results.into_iter().next().unwrap());
             // Identical GovernorEvent logs, trace digest and final
             // battery/thermal state — the whole report, byte for byte.
             assert_eq!(
@@ -213,24 +235,78 @@ fn governed_reactor_sessions_match_threaded_reference_across_worker_counts() {
         }
         // Faulty hop: the hint stream crosses the seeded lossy channel.
         let cfg = governed_config(&clip, seed, true);
-        let threaded =
-            run_session_governed_faulty(cfg.clone()).expect("threaded governed faulty session");
-        let want = annolight_support::json::to_string_pretty(&threaded);
+        let blocking = run_session_governed(cfg.clone()).expect("blocking governed faulty session");
+        let want = annolight_support::json::to_string_pretty(&blocking);
         for workers in [1usize, 4] {
-            let (results, _) = run_governed_faulty_sessions_on_reactor(
-                vec![cfg.clone()],
+            let (results, _) = run_sessions_on_reactor(
+                vec![SessionSpec::Govern(cfg.clone())],
                 reactor_config(seed, workers),
             );
-            let hosted = results.into_iter().next().unwrap().expect("reactor session");
+            let hosted = govern_report(results.into_iter().next().unwrap());
             assert_eq!(
                 annolight_support::json::to_string_pretty(&hosted),
                 want,
                 "seed {seed} workers {workers}: faulty governed reactor parity"
             );
-            assert_eq!(hosted.final_battery_j, threaded.final_battery_j);
-            assert_eq!(hosted.trace_hex, threaded.trace_hex);
+            assert_eq!(hosted.final_battery_j, blocking.final_battery_j);
+            assert_eq!(hosted.trace_hex, blocking.trace_hex);
         }
     }
+}
+
+/// Play and governed specs over lossless, lossy and bursty hops, at two
+/// channel seeds — enough specs that a four-worker reactor steps the
+/// first round in parallel.
+fn mixed_fleet(clip: &Clip) -> Vec<SessionSpec> {
+    let governed = governed_config(clip, 0, false);
+    let mut specs = Vec::new();
+    for seed in [1u64, 42] {
+        for faults in
+            [FaultConfig::lossless(seed), FaultConfig::lossy(seed, 0.1), FaultConfig::bursty(seed)]
+        {
+            let mut play = SessionConfig::new(clip.clone(), QualityLevel::Q10);
+            play.faults = faults;
+            specs.push(SessionSpec::Play(play));
+            let mut govern = governed.clone().with_ambient_seed(seed);
+            govern.session.faults = faults;
+            specs.push(SessionSpec::Govern(govern));
+        }
+    }
+    specs
+}
+
+#[test]
+fn mixed_fleet_sessions_match_their_blocking_runs_across_worker_counts() {
+    let clip = test_clip();
+    let specs = mixed_fleet(&clip);
+    let want: Vec<String> = specs
+        .iter()
+        .map(|spec| match spec.clone() {
+            SessionSpec::Play(config) => annolight_support::json::to_string_pretty(
+                &run_session_faulty(config).expect("blocking play session"),
+            ),
+            SessionSpec::Govern(cfg) => annolight_support::json::to_string_pretty(
+                &run_session_governed(cfg).expect("blocking governed session"),
+            ),
+        })
+        .collect();
+    let mut digests = Vec::new();
+    for workers in [1usize, 4] {
+        let (results, reactor) = run_sessions_on_reactor(specs.clone(), reactor_config(7, workers));
+        assert_eq!(reactor.tasks, specs.len());
+        let got: Vec<String> = results
+            .into_iter()
+            .map(|r| annolight_support::json::to_string_pretty(&r.expect("hosted session")))
+            .collect();
+        for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                got, want,
+                "workers {workers} spec {i}: hosted report must match its blocking run"
+            );
+        }
+        digests.push(reactor.digest.value());
+    }
+    assert_eq!(digests[0], digests[1], "schedule digest must be invariant under workers=4");
 }
 
 fn scale_fleet(seed: u64, workers: usize) -> (Vec<ScaleOutcome>, u64) {
@@ -281,10 +357,11 @@ fn reactor_log() -> String {
     let mut out = String::from("[\n");
     let mut first = true;
     for seed in SEEDS {
-        let (reports, reactor) =
-            run_faulty_sessions_on_reactor(faulty_configs(&clip, seed), reactor_config(seed, 1));
-        let sessions: Vec<annolight::stream::FaultySessionReport> =
-            reports.into_iter().map(|r| r.expect("session succeeds")).collect();
+        let (reports, reactor) = run_sessions_on_reactor(
+            play_specs(faulty_configs(&clip, seed)),
+            reactor_config(seed, 1),
+        );
+        let sessions: Vec<FaultySessionReport> = reports.into_iter().map(play_report).collect();
         let (fleet, fleet_digest) = scale_fleet(seed, 1);
         let scale_digests: Vec<String> =
             fleet.iter().map(|o| format!("{:016x}", o.digest)).collect();
