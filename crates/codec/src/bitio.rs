@@ -5,11 +5,13 @@
 //! family used for all runs, levels and motion vectors.
 //!
 //! Both sides run on a `u64` accumulator: the writer batches whole fields
-//! into the accumulator and drains full bytes (the old implementation
-//! pushed one *bit* per iteration into the `Vec`), the reader refills the
-//! accumulator a byte at a time and serves multi-bit reads with a single
-//! shift+mask. The emitted byte sequence is byte-identical to the old
-//! bit-at-a-time code, including trailing-byte zero padding.
+//! into the accumulator and drains aligned 32-bit words (the old
+//! implementation pushed one *bit* per iteration into the `Vec`); the
+//! reader refills its accumulator with one big-endian 8-byte load and
+//! reads an Exp-Golomb code in one step from the accumulator's
+//! leading-zero count. The emitted byte sequence is byte-identical to
+//! the old bit-at-a-time code, including trailing-byte zero padding, and
+//! every read returns the old value or error.
 //!
 //! The pre-word-level implementations are retained behind
 //! [`BitWriter::new_reference`] / [`BitReader::new_reference`]: one bit
@@ -72,20 +74,11 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `count > 32`.
-    #[inline]
+    #[inline(always)]
     pub fn put_bits(&mut self, value: u32, count: u8) {
         assert!(count <= 32, "cannot write {count} bits at once");
         if self.bitwise {
-            // Retained reference loop: one bit per iteration.
-            for i in (0..count).rev() {
-                let bit = u64::from((value >> i) & 1);
-                self.acc = (self.acc << 1) | bit;
-                self.nbits += 1;
-                if self.nbits == 8 {
-                    self.nbits = 0;
-                    self.bytes.push(self.acc as u8);
-                }
-            }
+            self.put_bits_bitwise(value, count);
             return;
         }
         let count = u32::from(count);
@@ -100,6 +93,19 @@ impl BitWriter {
             self.nbits -= 32;
             let word = (self.acc >> self.nbits) as u32;
             self.bytes.extend_from_slice(&word.to_be_bytes());
+        }
+    }
+
+    /// The retained reference loop: one bit per iteration.
+    fn put_bits_bitwise(&mut self, value: u32, count: u8) {
+        for i in (0..count).rev() {
+            let bit = u64::from((value >> i) & 1);
+            self.acc = (self.acc << 1) | bit;
+            self.nbits += 1;
+            if self.nbits == 8 {
+                self.nbits = 0;
+                self.bytes.push(self.acc as u8);
+            }
         }
     }
 
@@ -186,11 +192,16 @@ pub struct BitReader<'a> {
     bytes: &'a [u8],
     /// Next byte to load into the accumulator.
     byte_pos: usize,
-    /// Loaded-but-unconsumed bits, right-aligned in `acc` (low `acc_bits`
-    /// bits are valid stream data, oldest at the top).
+    /// Loaded-but-unconsumed bits, left-aligned: the top `acc_bits` bits
+    /// of `acc` are the next stream bits. Every bit below them is either
+    /// zero or the stream bit at that offset (a refill may load past
+    /// `acc_bits`), so OR-ing the same stream bytes in again is harmless.
     acc: u64,
+    /// Valid bits in `acc`; never more than 63.
     acc_bits: u32,
-    /// Total bits consumed so far (for [`Self::bit_pos`]).
+    /// Bits consumed so far by the bit-at-a-time reference loop (the
+    /// word-level path derives its position from `byte_pos` and
+    /// `acc_bits` instead).
     consumed: usize,
     /// Use the retained bit-at-a-time reference loop.
     bitwise: bool,
@@ -208,19 +219,40 @@ impl<'a> BitReader<'a> {
         Self { bitwise: true, ..Self::new(bytes) }
     }
 
-    /// Tops up the accumulator a byte at a time (to at most 64 valid bits).
-    #[inline]
+    /// Tops up the accumulator to between 56 and 63 valid bits, or with
+    /// every remaining byte near the end of the input. Away from the end
+    /// this is one big-endian 8-byte load: the whole bytes that fit below
+    /// the valid bits are counted, and the rest of the load is the
+    /// look-ahead the invariant on `acc` allows.
+    #[inline(always)]
     fn refill(&mut self) {
-        while self.acc_bits <= 56 {
-            match self.bytes.get(self.byte_pos) {
-                Some(&b) => {
-                    self.acc = (self.acc << 8) | u64::from(b);
-                    self.acc_bits += 8;
-                    self.byte_pos += 1;
-                }
-                None => break,
-            }
+        if let Some(chunk) = self.bytes.get(self.byte_pos..self.byte_pos + 8) {
+            let word = u64::from_be_bytes(chunk.try_into().expect("slice of 8 bytes"));
+            self.acc |= word >> self.acc_bits;
+            self.byte_pos += ((63 - self.acc_bits) >> 3) as usize;
+            self.acc_bits |= 56;
+        } else {
+            self.refill_tail();
         }
+    }
+
+    /// [`Self::refill`] within 8 bytes of the end: a byte at a time.
+    #[cold]
+    #[inline(never)]
+    fn refill_tail(&mut self) {
+        while self.acc_bits <= 55 {
+            let Some(&b) = self.bytes.get(self.byte_pos) else { break };
+            self.acc |= u64::from(b) << (56 - self.acc_bits);
+            self.acc_bits += 8;
+            self.byte_pos += 1;
+        }
+    }
+
+    /// Drops the top `count` (`1..=63`) bits of the accumulator.
+    #[inline(always)]
+    fn consume(&mut self, count: u32) {
+        self.acc <<= count;
+        self.acc_bits -= count;
     }
 
     /// Reads `count` bits as an unsigned value.
@@ -246,7 +278,7 @@ impl<'a> BitReader<'a> {
             // check happens up front so a failed read consumes nothing
             // (same contract as the fast path).
             if self.consumed + count as usize > self.bytes.len() * 8 {
-                return Err(CodecError::Malformed { reason: "bitstream underrun".into() });
+                return Err(underrun());
             }
             let mut v = 0u32;
             for _ in 0..count {
@@ -259,12 +291,12 @@ impl<'a> BitReader<'a> {
         if self.acc_bits < count {
             self.refill();
             if self.acc_bits < count {
-                return Err(CodecError::Malformed { reason: "bitstream underrun".into() });
+                return Err(underrun());
             }
         }
-        self.acc_bits -= count;
-        self.consumed += count as usize;
-        Ok(((self.acc >> self.acc_bits) & ((1u64 << count) - 1)) as u32)
+        let v = (self.acc >> (64 - count)) as u32;
+        self.consume(count);
+        Ok(v)
     }
 
     /// Reads a single bit.
@@ -278,12 +310,41 @@ impl<'a> BitReader<'a> {
 
     /// Reads an unsigned Exp-Golomb code.
     ///
+    /// On the fast path the code's prefix length is the accumulator's
+    /// leading-zero count `z`, and the whole `2z + 1`-bit code is taken in
+    /// one step. A code that does not fit the loaded bits (at the end of
+    /// the input, or with a prefix longer than the 31 zeros a `u32`
+    /// allows) goes through the bit-by-bit loop, which fails exactly as
+    /// the reference reader does.
+    ///
     /// # Errors
     ///
-    /// Returns [`CodecError::Malformed`] at end of input or for a code
-    /// longer than 32 bits.
-    #[inline]
+    /// Returns [`CodecError::Malformed`] at end of input or for a prefix
+    /// of more than 31 zeros.
+    #[inline(always)]
     pub fn get_ue(&mut self) -> Result<u32, CodecError> {
+        if !self.bitwise {
+            let mut len = 2 * self.acc.leading_zeros() + 1;
+            if len > self.acc_bits {
+                self.refill();
+                len = 2 * self.acc.leading_zeros() + 1;
+            }
+            if len <= self.acc_bits {
+                // `len <= 63`, so the prefix has at most 31 zeros and the
+                // code's top `len` bits are `1 << z | rest` in 32 bits.
+                let v = (self.acc >> (64 - len)) as u32 - 1;
+                self.consume(len);
+                return Ok(v);
+            }
+        }
+        self.get_ue_bitwise()
+    }
+
+    /// The bit-at-a-time Exp-Golomb loop: the reference reader's only
+    /// path, and the fast reader's fallback for codes that do not fit its
+    /// loaded bits.
+    #[inline]
+    fn get_ue_bitwise(&mut self) -> Result<u32, CodecError> {
         let mut zeros = 0u8;
         while !self.get_bit()? {
             zeros += 1;
@@ -299,8 +360,9 @@ impl<'a> BitReader<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError::Malformed`] at end of input.
-    #[inline]
+    /// Returns [`CodecError::Malformed`] at end of input or for a prefix
+    /// of more than 31 zeros.
+    #[inline(always)]
     pub fn get_se(&mut self) -> Result<i32, CodecError> {
         let v = self.get_ue()?;
         if v % 2 == 1 {
@@ -312,8 +374,16 @@ impl<'a> BitReader<'a> {
 
     /// Current bit position (bits consumed so far).
     pub fn bit_pos(&self) -> usize {
-        self.consumed
+        if self.bitwise {
+            self.consumed
+        } else {
+            self.byte_pos * 8 - self.acc_bits as usize
+        }
     }
+}
+
+fn underrun() -> CodecError {
+    CodecError::Malformed { reason: "bitstream underrun".into() }
 }
 
 #[cfg(test)]
@@ -550,6 +620,52 @@ mod tests {
         assert_eq!(r.bit_pos(), 3);
         assert_eq!(r.get_bits(5).unwrap(), 0);
         assert!(r.get_bit().is_err());
+    }
+
+    #[test]
+    fn longest_codes_read_on_both_readers() {
+        // 31-zero prefixes (the longest legal codes) at every bit offset
+        // of the accumulator, then a 32-zero prefix, which is an error.
+        for offset in 0..8u8 {
+            let mut w = BitWriter::new();
+            w.put_bits(0, offset);
+            w.put_ue(u32::MAX - 1);
+            w.put_ue(u32::MAX / 2);
+            w.put_se(i32::MAX);
+            w.put_se(-i32::MAX);
+            w.put_bits(0, 32);
+            w.put_bit(true);
+            let bytes = w.into_bytes();
+            for mut r in [BitReader::new(&bytes), BitReader::new_reference(&bytes)] {
+                r.get_bits(offset).unwrap();
+                assert_eq!(r.get_ue().unwrap(), u32::MAX - 1);
+                assert_eq!(r.get_ue().unwrap(), u32::MAX / 2);
+                assert_eq!(r.get_se().unwrap(), i32::MAX);
+                assert_eq!(r.get_se().unwrap(), -i32::MAX);
+                assert_eq!(r.bit_pos(), usize::from(offset) + 4 * 63);
+                let err = r.get_ue().unwrap_err().to_string();
+                assert!(err.contains("exp-golomb code too long"), "{err}");
+                assert_eq!(r.bit_pos(), usize::from(offset) + 4 * 63 + 32);
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_code_fails_as_the_bitwise_loop_does() {
+        // The 13-bit code of 100 (six zeros, then 1100101) cut to its
+        // first byte: the prefix and its closing 1 are consumed, the
+        // short suffix read is not.
+        let mut w = BitWriter::new();
+        w.put_ue(100);
+        let mut bytes = w.into_bytes();
+        bytes.truncate(1); // 000000 1 1
+        for mut r in [BitReader::new(&bytes), BitReader::new_reference(&bytes)] {
+            let err = r.get_ue().unwrap_err().to_string();
+            assert!(err.contains("bitstream underrun"), "{err}");
+            assert_eq!(r.bit_pos(), 7);
+            assert!(r.get_bit().unwrap());
+            assert!(r.get_bit().is_err());
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::quant::{
     dequantize, dequantize_aan, fused_tables, quantize, quantize_aan, FusedTables, QBlock, QScale,
     INTER_MATRIX, INTRA_MATRIX,
 };
-use crate::zigzag::{decode_block, encode_block};
+use crate::zigzag::{decode_block_into, encode_block};
 use annolight_core::parallel::{chunked_map, ParallelConfig};
 use annolight_imgproc::Yuv420Frame;
 
@@ -877,35 +877,35 @@ pub(crate) fn decode_picture_into(
 }
 
 /// Serial parse stage: entropy-decodes every macroblock of a payload into
-/// `mbs` (cleared first). Bit positions are only known sequentially; the
-/// intra-DC prediction chain resolves here.
+/// `mbs`, in place: the vector is resized to `mb_count` (reusing its
+/// storage) and each block is zeroed and then written by
+/// [`decode_block_into`], so no level block is built and copied per block.
+/// Bit positions are only known sequentially; the intra-DC prediction
+/// chain resolves here.
 fn parse_picture(
     r: &mut BitReader<'_>,
     intra_picture: bool,
     mb_count: usize,
     mbs: &mut Vec<MbOut>,
 ) -> Result<(), CodecError> {
-    mbs.clear();
-    mbs.reserve(mb_count);
+    mbs.resize_with(mb_count, || MbOut {
+        mode: MbMode::Intra,
+        blocks: [[0; 64]; 6],
+    });
     let mut dc = [0i16; 3];
-    for _ in 0..mb_count {
-        let mut blocks = [[0i16; 64]; 6];
-        let mode = if intra_picture {
-            for blk in blocks.iter_mut().take(4) {
-                let (levels, d) = decode_block(r, dc[0])?;
-                *blk = levels;
-                dc[0] = d;
+    for mb in mbs.iter_mut() {
+        mb.blocks = [[0; 64]; 6];
+        if intra_picture {
+            mb.mode = MbMode::Intra;
+            let [y0, y1, y2, y3, u, v] = &mut mb.blocks;
+            for blk in [y0, y1, y2, y3] {
+                dc[0] = decode_block_into(r, dc[0], blk)?;
             }
-            let (lu, du) = decode_block(r, dc[1])?;
-            blocks[4] = lu;
-            dc[1] = du;
-            let (lv, dv) = decode_block(r, dc[2])?;
-            blocks[5] = lv;
-            dc[2] = dv;
-            MbMode::Intra
+            dc[1] = decode_block_into(r, dc[1], u)?;
+            dc[2] = decode_block_into(r, dc[2], v)?;
         } else {
             let inter = r.get_bit()?;
-            let mode = if inter {
+            mb.mode = if inter {
                 let dx2 = r.get_se()?;
                 let dy2 = r.get_se()?;
                 if dx2.abs() > 2 * motion::SEARCH_RANGE || dy2.abs() > 2 * motion::SEARCH_RANGE {
@@ -917,13 +917,10 @@ fn parse_picture(
             } else {
                 MbMode::Intra
             };
-            for blk in &mut blocks {
-                let (levels, _) = decode_block(r, 0)?;
-                *blk = levels;
+            for blk in &mut mb.blocks {
+                decode_block_into(r, 0, blk)?;
             }
-            mode
-        };
-        mbs.push(MbOut { mode, blocks });
+        }
     }
     Ok(())
 }

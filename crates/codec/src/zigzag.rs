@@ -23,19 +23,26 @@ const EOB_RUN: u32 = 63;
 /// (run, level) pairs over the zig-zag-ordered AC coefficients, terminated
 /// by an end-of-block code.
 ///
+/// The AC scan is branch-free: bit `k` of a 64-bit mask is set when scan
+/// position `k` holds a nonzero level, and the emitter walks the set bits
+/// with `trailing_zeros`, writing one fused run/level field per nonzero
+/// coefficient (the run is the gap since the previous set bit).
+///
 /// Returns the block's DC level so the caller can thread the predictor.
 pub fn encode_block(w: &mut BitWriter, block: &QBlock, dc_pred: i16) -> i16 {
     let dc = block[0];
     w.put_se(i32::from(dc) - i32::from(dc_pred));
-    let mut run = 0u32;
-    for &idx in ZIGZAG.iter().skip(1) {
-        let level = block[idx];
-        if level == 0 {
-            run += 1;
-        } else {
-            w.put_ue_then_se(run, i32::from(level));
-            run = 0;
-        }
+    let mut mask = 0u64;
+    for (k, &idx) in ZIGZAG.iter().enumerate().skip(1) {
+        mask |= u64::from(block[idx] != 0) << k;
+    }
+    // Scan position of the previous coded coefficient (the DC at 0).
+    let mut prev = 0u32;
+    while mask != 0 {
+        let k = mask.trailing_zeros();
+        w.put_ue_then_se(k - prev - 1, i32::from(block[ZIGZAG[k as usize]]));
+        prev = k;
+        mask &= mask - 1;
     }
     w.put_ue(EOB_RUN);
     dc
@@ -51,6 +58,25 @@ pub fn encode_block(w: &mut BitWriter, block: &QBlock, dc_pred: i16) -> i16 {
 /// runs, zero levels, or coefficient overflow.
 pub fn decode_block(r: &mut BitReader<'_>, dc_pred: i16) -> Result<(QBlock, i16), CodecError> {
     let mut block = [0i16; 64];
+    let dc = decode_block_into(r, dc_pred, &mut block)?;
+    Ok((block, dc))
+}
+
+/// [`decode_block`] writing the levels straight into `block`, which must
+/// be all zeros on entry (only the coded coefficients are stored).
+///
+/// Returns the block's DC level (the next predictor). On error `block`
+/// may hold a partial decode.
+///
+/// # Errors
+///
+/// As [`decode_block`].
+#[inline]
+pub fn decode_block_into(
+    r: &mut BitReader<'_>,
+    dc_pred: i16,
+    block: &mut QBlock,
+) -> Result<i16, CodecError> {
     let dc_diff = r.get_se()?;
     let dc = i32::from(dc_pred) + dc_diff;
     if !(-2048..=2047).contains(&dc) {
@@ -77,7 +103,7 @@ pub fn decode_block(r: &mut BitReader<'_>, dc_pred: i16) -> Result<(QBlock, i16)
         block[ZIGZAG[next]] = level as i16;
         pos = next + 1;
     }
-    Ok((block, block[0]))
+    Ok(block[0])
 }
 
 #[cfg(test)]
