@@ -647,10 +647,12 @@ impl Decoder {
                     return Err(CodecError::Malformed { reason: "packet length overflow".into() });
                 }
             }
-            let end = pos + len as usize;
-            if end > bytes.len() {
+            // Compare against the bytes left before adding: a forged
+            // length near 2^64 would overflow `pos + len`.
+            if len > (bytes.len() - pos) as u64 {
                 return Err(CodecError::Malformed { reason: "truncated packet payload".into() });
             }
+            let end = pos + len as usize;
             match kind {
                 PacketKind::UserData => user_data.push(Bytes::copy_from_slice(&bytes[pos..end])),
                 _ => pictures.push(PictureRef { kind, payload: pos..end }),

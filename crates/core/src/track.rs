@@ -302,7 +302,11 @@ impl AnnotationTrack {
             if i > 0 && delta == 0 {
                 return Err(CoreError::MalformedTrack { reason: "zero frame delta".into() });
             }
-            frame += delta;
+            frame = frame
+                .checked_add(delta)
+                .ok_or_else(|| CoreError::MalformedTrack {
+                    reason: "frame index overflow".into(),
+                })?;
             let backlight = r.u8()?;
             let k = r.u16()?;
             let eff = r.u8()?;

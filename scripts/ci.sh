@@ -20,6 +20,10 @@ cargo test -q -p annolight-serve --release --offline -- soak
 echo "== stream crate in isolation (offline) =="
 cargo test -q -p annolight-stream --offline
 
+echo "== wire decoders in release too (integer overflow panics in debug, wraps in release) =="
+cargo test -q --release --offline --test robustness
+cargo test -q --release --offline -p annolight-codec --lib
+
 # double_run NAME LOG_VAR [ENV=VALUE ...] -- CARGO_TEST_ARGS...
 #
 # Runs `cargo test -q --release --offline CARGO_TEST_ARGS` twice with

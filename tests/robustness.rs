@@ -129,6 +129,65 @@ fn client_rejects_stream_with_corrupted_track() {
     assert!(client.play(&corrupted, None).is_err());
 }
 
+/// An `ALV1` header (16×16, fps 12000, no pictures, gop 12) followed by
+/// one user-data packet whose 10-byte varint length is 2^64 − 1.
+#[test]
+fn forged_packet_length_is_rejected() {
+    let mut stream = Vec::new();
+    stream.extend_from_slice(b"ALV1");
+    stream.extend_from_slice(&16u16.to_le_bytes());
+    stream.extend_from_slice(&16u16.to_le_bytes());
+    stream.extend_from_slice(&12_000u32.to_le_bytes());
+    stream.extend_from_slice(&0u32.to_le_bytes());
+    stream.push(12);
+    stream.push(1); // user data
+    stream.extend_from_slice(&[0xFF; 9]);
+    stream.push(0x01);
+    assert_eq!(stream.len(), 28);
+    let err = Decoder::from_bytes(&stream[..]).expect_err("length past the end of the stream");
+    assert!(
+        err.to_string().contains("truncated packet payload"),
+        "{err}"
+    );
+}
+
+/// A wire track whose three frame deltas `0, 0xFFFF_FFF0, 0x100` add up
+/// past `u32::MAX`.
+#[test]
+fn forged_track_deltas_are_rejected() {
+    fn varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push((v as u8) | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    let mut bytes = AnnotationTrack::new(
+        "d",
+        QualityLevel::Q10,
+        annolight::core::track::AnnotationMode::PerScene,
+        12.0,
+        u32::MAX,
+        vec![annolight::core::track::AnnotationEntry {
+            start_frame: 0,
+            backlight: annolight::display::BacklightLevel(90),
+            compensation: 1.5,
+            effective_max_luma: 170,
+        }],
+    )
+    .unwrap()
+    .to_rle_bytes();
+    // Replace the one entry (count 1, delta 0, 4 bytes of levels) with three.
+    let entry = bytes.split_off(bytes.len() - 6)[2..].to_vec();
+    varint(&mut bytes, 3);
+    for delta in [0u64, 0xFFFF_FFF0, 0x100] {
+        varint(&mut bytes, delta);
+        bytes.extend_from_slice(&entry);
+    }
+    let err = AnnotationTrack::from_rle_bytes(&bytes).expect_err("frame index overflow");
+    assert!(err.to_string().contains("frame index overflow"), "{err}");
+}
+
 #[test]
 fn empty_and_header_only_streams() {
     assert!(Decoder::from_bytes(&[][..]).is_err());
