@@ -111,7 +111,7 @@ fn same_seed_same_digest_across_runs_and_worker_counts() {
 }
 
 #[test]
-fn zero_fault_reactor_sessions_match_threaded_reference_byte_for_byte() {
+fn zero_fault_reactor_sessions_match_blocking_runs_byte_for_byte() {
     let clip = test_clip();
     let plain = run_session(SessionConfig::new(clip.clone(), QualityLevel::Q10))
         .expect("plain session succeeds");
@@ -131,7 +131,7 @@ fn zero_fault_reactor_sessions_match_threaded_reference_byte_for_byte() {
 }
 
 #[test]
-fn faulty_reactor_sessions_match_threaded_reference_byte_for_byte() {
+fn faulty_reactor_sessions_match_blocking_runs_byte_for_byte() {
     let clip = test_clip();
     for seed in SEEDS {
         for config in faulty_configs(&clip, seed) {
@@ -212,7 +212,7 @@ fn governed_config(clip: &Clip, seed: u64, lossy: bool) -> GovernorSessionConfig
 }
 
 #[test]
-fn governed_reactor_sessions_match_threaded_reference_across_worker_counts() {
+fn governed_reactor_sessions_match_blocking_runs_across_worker_counts() {
     let clip = test_clip();
     for seed in SEEDS {
         // Lossless hop.
