@@ -184,8 +184,10 @@ pub fn run(preview_s: f64, reps: u32) -> CodecThroughput {
         &|workers| encode_pass(&frames, cfg, false, workers),
     );
 
-    // All encode configurations emit the same bytes; one stream feeds
-    // every decode and transcode row.
+    // Every fast-path encode row emits these bytes, whatever its worker
+    // count (the reference path's float kernels emit a close but
+    // different stream); this one stream feeds every decode and
+    // transcode row.
     let mut enc = Encoder::new(cfg).expect("valid bench encoder config");
     enc.push_yuv_frames(&frames).expect("bench frames match config");
     let stream = enc.finish();

@@ -20,7 +20,17 @@
 //! `sf(0) = 1` and `sf(k) = √2·cos(kπ/16)` ([`aan_scale`]). `inverse_aan`
 //! expects coefficients scaled by `sf(u)·sf(v)/8 · 2^IDCT_FRAC_BITS` —
 //! exactly what [`crate::quant::dequantize_aan`] produces.
+//!
+//! The fast path also has AVX2 forms ([`inverse_aan_with`], and the fused
+//! kernels in [`crate::quant`]) that run the same butterflies on eight
+//! lanes of `i32`. They are exact — every output bit equals the scalar
+//! kernel's — inside stated input bounds, which the tests derive by
+//! interval propagation through the butterflies below; inputs outside
+//! those bounds take the scalar kernel.
 
+use crate::simd::Avx2;
+use annolight_imgproc::KernelTier;
+use std::ops::{Add, Sub};
 use std::sync::OnceLock;
 
 /// An 8×8 block of spatial samples or transform coefficients, row-major.
@@ -137,14 +147,26 @@ const FIX: u32 = 13;
 const FIX_HALF: i64 = 1 << (FIX - 1);
 
 // round(c · 2^13) for each AAN butterfly constant.
-const F_0_7071: i32 = 5793; // 0.707106781  = cos(4π/16)
-const F_0_3827: i32 = 3135; // 0.382683433  = cos(6π/16)·√2 − …
-const F_0_5412: i32 = 4433; // 0.541196100
-const F_1_3066: i32 = 10703; // 1.306562965
-const F_1_4142: i32 = 11585; // 1.414213562 = √2
-const F_1_8478: i32 = 15137; // 1.847759065
-const F_1_0824: i32 = 8867; // 1.082392200
-const F_2_6131: i32 = 21407; // 2.613125930
+pub(crate) const F_0_7071: i32 = 5793; // 0.707106781  = cos(4π/16)
+pub(crate) const F_0_3827: i32 = 3135; // 0.382683433  = cos(6π/16)·√2 − …
+pub(crate) const F_0_5412: i32 = 4433; // 0.541196100
+pub(crate) const F_1_3066: i32 = 10703; // 1.306562965
+pub(crate) const F_1_4142: i32 = 11585; // 1.414213562 = √2
+pub(crate) const F_1_8478: i32 = 15137; // 1.847759065
+pub(crate) const F_1_0824: i32 = 8867; // 1.082392200
+pub(crate) const F_2_6131: i32 = 21407; // 2.613125930
+
+/// Largest `|coefficient|` the AVX2 inverse transform takes. Interval
+/// propagation through both [`idct_1d`] passes bounds every intermediate
+/// by 1283 × the largest input magnitude (plus the descale's rounding
+/// half), so at `2^20` each one stays inside `i32` (the `dct` tests derive
+/// the bound); blocks above it take the scalar `i64` kernel.
+pub(crate) const IDCT_I32_LIMIT: i32 = 1 << 20;
+
+/// Largest `|sample|` the AVX2 forward transform takes: every intra
+/// (`u8 − 128`) and residual (`u8 − u8`) block. Interval propagation
+/// bounds its `i32` products below `6.3·10^8`.
+pub(crate) const FDCT_I32_LIMIT: i32 = 255;
 
 #[inline]
 fn fmul(a: i32, c: i32) -> i32 {
@@ -156,9 +178,32 @@ fn fmul64(a: i64, c: i32) -> i64 {
     (a * i64::from(c) + FIX_HALF) >> FIX
 }
 
+/// The arithmetic the AAN butterflies use. The scalar kernels run them on
+/// `i32` (forward) and `i64` (inverse); the tests run the same code on
+/// intervals to bound every intermediate the AVX2 kernels hold in `i32`.
+trait Lane: Copy + Add<Output = Self> + Sub<Output = Self> {
+    /// `(self · c + 2^12) >> 13`: a multiply by a 13-bit fixed-point
+    /// butterfly constant.
+    fn fmul(self, c: i32) -> Self;
+}
+
+impl Lane for i32 {
+    #[inline]
+    fn fmul(self, c: i32) -> Self {
+        fmul(self, c)
+    }
+}
+
+impl Lane for i64 {
+    #[inline]
+    fn fmul(self, c: i32) -> Self {
+        fmul64(self, c)
+    }
+}
+
 #[inline]
 #[allow(clippy::many_single_char_names)]
-fn fdct_1d(d: [i32; 8]) -> [i32; 8] {
+fn fdct_1d<T: Lane>(d: [T; 8]) -> [T; 8] {
     let t0 = d[0] + d[7];
     let t7 = d[0] - d[7];
     let t1 = d[1] + d[6];
@@ -175,7 +220,7 @@ fn fdct_1d(d: [i32; 8]) -> [i32; 8] {
     let t12 = t1 - t2;
     let o0 = t10 + t11;
     let o4 = t10 - t11;
-    let z1 = fmul(t12 + t13, F_0_7071);
+    let z1 = (t12 + t13).fmul(F_0_7071);
     let o2 = t13 + z1;
     let o6 = t13 - z1;
 
@@ -183,10 +228,10 @@ fn fdct_1d(d: [i32; 8]) -> [i32; 8] {
     let t10 = t4 + t5;
     let t11 = t5 + t6;
     let t12 = t6 + t7;
-    let z5 = fmul(t10 - t12, F_0_3827);
-    let z2 = fmul(t10, F_0_5412) + z5;
-    let z4 = fmul(t12, F_1_3066) + z5;
-    let z3 = fmul(t11, F_0_7071);
+    let z5 = (t10 - t12).fmul(F_0_3827);
+    let z2 = t10.fmul(F_0_5412) + z5;
+    let z4 = t12.fmul(F_1_3066) + z5;
+    let z3 = t11.fmul(F_0_7071);
     let z11 = t7 + z3;
     let z13 = t7 - z3;
     let o5 = z13 + z2;
@@ -229,12 +274,12 @@ pub fn forward_aan(block: &IntBlock) -> IntBlock {
 
 #[inline]
 #[allow(clippy::many_single_char_names)]
-fn idct_1d(d: [i64; 8]) -> [i64; 8] {
+fn idct_1d<T: Lane>(d: [T; 8]) -> [T; 8] {
     // Even part.
     let t10 = d[0] + d[4];
     let t11 = d[0] - d[4];
     let t13 = d[2] + d[6];
-    let t12 = fmul64(d[2] - d[6], F_1_4142) - t13;
+    let t12 = (d[2] - d[6]).fmul(F_1_4142) - t13;
     let e0 = t10 + t13;
     let e3 = t10 - t13;
     let e1 = t11 + t12;
@@ -246,10 +291,10 @@ fn idct_1d(d: [i64; 8]) -> [i64; 8] {
     let z11 = d[1] + d[7];
     let z12 = d[1] - d[7];
     let o7 = z11 + z13;
-    let t11 = fmul64(z11 - z13, F_1_4142);
-    let z5 = fmul64(z10 + z12, F_1_8478);
-    let t10 = fmul64(z12, F_1_0824) - z5;
-    let t12 = z5 - fmul64(z10, F_2_6131);
+    let t11 = (z11 - z13).fmul(F_1_4142);
+    let z5 = (z10 + z12).fmul(F_1_8478);
+    let t10 = z12.fmul(F_1_0824) - z5;
+    let t12 = z5 - z10.fmul(F_2_6131);
     let o6 = t12 - o7;
     let o5 = t11 - o6;
     let o4 = t10 + o5;
@@ -291,6 +336,21 @@ pub fn inverse_aan(coeffs: &IntBlock) -> IntBlock {
         }
     }
     out
+}
+
+/// [`inverse_aan`] at a chosen [`KernelTier`]: the AVX2 tier runs both
+/// passes in `i32` lanes when every `|coefficient| ≤ 2^20`, and every
+/// other tier or block runs the scalar `i64` kernel. The output is
+/// bit-identical at every tier, for every input.
+#[must_use]
+pub fn inverse_aan_with(coeffs: &IntBlock, tier: KernelTier) -> IntBlock {
+    inverse_aan_in(coeffs, Avx2::detect(tier))
+}
+
+/// [`inverse_aan_with`] with the tier already resolved.
+#[inline]
+pub(crate) fn inverse_aan_in(coeffs: &IntBlock, avx2: Option<Avx2>) -> IntBlock {
+    avx2.and_then(|k| k.inverse(coeffs)).unwrap_or_else(|| inverse_aan(coeffs))
 }
 
 // ---------------------------------------------------------------------------
@@ -521,6 +581,101 @@ mod tests {
                 assert!(err <= 16, "seed {seed} sample {i}: {} vs {}", rec[i], ib[i]);
             }
         }
+    }
+
+    /// A value range `lo..=hi` carried through the butterflies, with the
+    /// largest magnitude of any intermediate it came from (`peak`) and of
+    /// any `a · c + 2^12` product a 32-bit multiply would hold
+    /// (`product_peak`).
+    #[derive(Debug, Clone, Copy)]
+    struct Interval {
+        lo: i64,
+        hi: i64,
+        peak: i64,
+        product_peak: i64,
+    }
+
+    impl Interval {
+        fn symmetric(m: i64) -> Self {
+            Self { lo: -m, hi: m, peak: m, product_peak: 0 }
+        }
+
+        fn with(self, other: Self, lo: i64, hi: i64) -> Self {
+            Self {
+                lo,
+                hi,
+                peak: self.peak.max(other.peak).max(lo.abs()).max(hi.abs()),
+                product_peak: self.product_peak.max(other.product_peak),
+            }
+        }
+    }
+
+    impl Add for Interval {
+        type Output = Self;
+        fn add(self, o: Self) -> Self {
+            self.with(o, self.lo + o.lo, self.hi + o.hi)
+        }
+    }
+
+    impl Sub for Interval {
+        type Output = Self;
+        fn sub(self, o: Self) -> Self {
+            self.with(o, self.lo - o.hi, self.hi - o.lo)
+        }
+    }
+
+    impl Lane for Interval {
+        fn fmul(self, c: i32) -> Self {
+            // Every butterfly constant is positive, so the rounded
+            // multiply is monotone in its input.
+            assert!(c > 0);
+            let product = self.lo.abs().max(self.hi.abs()) * i64::from(c) + FIX_HALF;
+            let out = self.with(self, fmul64(self.lo, c), fmul64(self.hi, c));
+            Self { product_peak: out.product_peak.max(product), ..out }
+        }
+    }
+
+    /// Both passes of a 2-D transform over blocks whose inputs all lie in
+    /// `input`: the 1-D pass on eight such values, then on each of its
+    /// eight outputs repeated (every column, or row, of the second pass
+    /// holds one first-pass output position per lane), then the inverse
+    /// transform's descale add. Returns the peaks over everything.
+    fn transform_peaks(input: Interval, pass: fn([Interval; 8]) -> [Interval; 8]) -> (i64, i64) {
+        let (mut peak, mut product_peak) = (0, 0);
+        for first in pass([input; 8]) {
+            for out in pass([first; 8]) {
+                let half = 1 << (IDCT_FRAC_BITS - 1);
+                let descaled = out + Interval { lo: half, hi: half, peak: 0, product_peak: 0 };
+                peak = peak.max(descaled.peak);
+                product_peak = product_peak.max(descaled.product_peak);
+            }
+        }
+        (peak, product_peak)
+    }
+
+    /// The AVX2 inverse holds every intermediate of both passes in `i32`
+    /// lanes (its products are 64-bit). Interval propagation through
+    /// `idct_1d` bounds them by about 1283 × the largest coefficient, so
+    /// at `IDCT_I32_LIMIT` every one fits, and twice the limit would not.
+    #[test]
+    fn idct_intermediates_fit_i32_up_to_the_limit() {
+        let bound = |m: i64| transform_peaks(Interval::symmetric(m), idct_1d).0;
+        let limit = i64::from(IDCT_I32_LIMIT);
+        let peak = bound(limit);
+        assert!(peak <= i64::from(i32::MAX), "peak {peak}");
+        assert_eq!(peak / limit, 1283, "peak {peak}");
+        assert!(bound(2 * limit) > i64::from(i32::MAX));
+    }
+
+    /// The AVX2 forward transform multiplies in 32 bits: for samples in
+    /// ±`FDCT_I32_LIMIT` (shifted by `FWD_EXTRA_BITS`) every product and
+    /// every intermediate stays inside `i32`.
+    #[test]
+    fn fdct_products_fit_i32_for_every_sample() {
+        let input = Interval::symmetric(i64::from(FDCT_I32_LIMIT) << FWD_EXTRA_BITS);
+        let (peak, product_peak) = transform_peaks(input, fdct_1d);
+        assert!(product_peak < 630_000_000, "products reach {product_peak}");
+        assert!(peak < product_peak, "intermediates reach {peak}");
     }
 
     #[test]

@@ -40,9 +40,18 @@
 //! # Ok::<(), annolight_codec::CodecError>(())
 //! ```
 
-// Unsafe is denied crate-wide; the only exemptions are the two SSE2 SAD
-// row kernels in [`motion`], which carry per-block safety comments
-// (bounds-checked slices, explicitly unaligned loads, baseline ISA).
+// Unsafe is denied crate-wide. The exemptions, each with per-block
+// safety comments:
+//
+// * [`motion`]: the four SSE2 sites — the full-pel and half-pel SAD row
+//   kernels, the half-pel row interpolator `interp16`, and the 16-wide
+//   half-pel prediction store. Baseline ISA, bounds-checked slices,
+//   explicitly unaligned loads and stores.
+// * `simd`: the AVX2 transform, quantiser and SAD kernels — the `Avx2`
+//   token methods that enter them (a token exists only on an AVX2 host)
+//   and the helpers that load and store bounds-checked block and row
+//   subslices (`load`, `store`, `quantize`, `dequantize`, `row_pair`,
+//   `cur_pair`), every access explicitly unaligned.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -54,6 +63,7 @@ pub mod motion;
 pub mod picture;
 pub mod quant;
 pub mod rate;
+mod simd;
 pub mod stream;
 pub mod zigzag;
 

@@ -20,6 +20,23 @@
 //!   pass a strict-less test. Each offset is therefore evaluated at most
 //!   once per search (the naive refinement re-scored the reigning best 8
 //!   times per descent step).
+//!
+//! The early-exit search reads an edge-padded copy of the reference
+//! (`PaddedPlane`, built once per picture): replicating the edge pixels
+//! reproduces the per-axis `clamp` of the per-pixel oracles exactly, so
+//! every candidate — border ones included — is plain rows through the
+//! `psadbw` row kernels, two rows per instruction at the AVX2
+//! [`annolight_imgproc::KernelTier`]. The exhaustive search keeps the clamped per-pixel
+//! oracles on the unpadded plane.
+//!
+//! The early-exit abort is exact whatever the rows between checks: a
+//! candidate whose true SAD is below the running best has every partial
+//! sum below it too, so the AVX2 kernels, which check after each row
+//! pair, accept and reject exactly the candidates the row-by-row loop
+//! does.
+
+use crate::simd::Avx2;
+use annolight_imgproc::kernel_tier;
 
 /// A full-pel motion vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
@@ -110,58 +127,151 @@ impl SearchMode {
             Self::Exhaustive => u32::MAX,
         }
     }
+}
 
-    /// Evaluates one 16×16 full-pel SAD candidate under this mode.
+/// Border width of a [`PaddedPlane`] on every side, in pixels. The search
+/// reads at most 8 px past the plane (±8 full-pel, and the half-pel taps
+/// of a ±7.5 vector); 16 keeps the padded rows 16-byte aligned.
+const PAD: usize = 16;
+
+/// A plane copied with a [`PAD`]-pixel edge-replicated border, so that a
+/// read up to `PAD` pixels outside the plane returns the pixel per-axis
+/// clamping would. The encoder fills one per P picture from the reference
+/// luma and reuses its buffer.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PaddedPlane {
+    data: Vec<u8>,
+    width: usize,
+}
+
+impl PaddedPlane {
+    /// Pads a `width`×`height` plane.
+    #[must_use]
+    pub(crate) fn new(plane: &[u8], width: usize, height: usize) -> Self {
+        let mut padded = Self::default();
+        padded.fill(plane, width, height);
+        padded
+    }
+
+    /// Refills this plane from a `width`×`height` plane, reusing the
+    /// buffer.
     ///
-    /// `EarlyExit` uses the interior fast loop (unclamped slice rows the
-    /// compiler can vectorise) with the running-best abort; `Exhaustive`
-    /// runs the retained per-pixel clamped evaluation to completion. Both
-    /// compute the identical sum for any candidate that can be accepted
-    /// (strict-less), so the two modes return bit-identical vectors.
-    #[allow(clippy::too_many_arguments)]
+    /// # Panics
+    ///
+    /// Panics if the plane is empty or shorter than `width * height`.
+    pub(crate) fn fill(&mut self, plane: &[u8], width: usize, height: usize) {
+        assert!(width > 0 && height > 0 && plane.len() >= width * height, "bad plane geometry");
+        let stride = width + 2 * PAD;
+        self.data.resize(stride * (height + 2 * PAD), 0);
+        for (y, row) in self.data.chunks_exact_mut(stride).enumerate() {
+            let src = &plane[y.saturating_sub(PAD).min(height - 1) * width..][..width];
+            row[..PAD].fill(src[0]);
+            row[PAD..PAD + width].copy_from_slice(src);
+            row[PAD + width..].fill(src[width - 1]);
+        }
+        self.width = width;
+    }
+
+    /// The padded data from pixel `(x, y)` on, and the row stride; both
+    /// coordinates are in plane coordinates, at most [`PAD`] outside the
+    /// plane.
     #[inline]
-    fn sad16(
-        self,
-        cur: &[u8],
-        reference: &[u8],
-        width: usize,
-        height: usize,
-        cx: usize,
-        cy: usize,
-        dx: i32,
-        dy: i32,
-        best: u32,
-    ) -> u32 {
-        match self {
-            Self::EarlyExit => sad16_fast(cur, reference, width, height, cx, cy, dx, dy, best),
-            Self::Exhaustive => {
-                sad_bounded(cur, reference, width, height, cx, cy, dx, dy, 16, u32::MAX)
+    fn window(&self, x: i32, y: i32) -> (&[u8], usize) {
+        let stride = self.width + 2 * PAD;
+        let start = (y + PAD as i32) as usize * stride + (x + PAD as i32) as usize;
+        (&self.data[start..], stride)
+    }
+}
+
+/// The reference plane of a search, in the form its [`SearchMode`]
+/// evaluates SADs on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SearchRef<'a> {
+    /// [`SearchMode::EarlyExit`]: plain rows of the edge-padded plane
+    /// through the row kernels (the AVX2 ones when `avx2` is set),
+    /// aborted at the running best.
+    Padded { plane: &'a PaddedPlane, avx2: Option<Avx2> },
+    /// [`SearchMode::Exhaustive`]: the per-pixel clamped oracles on the
+    /// unpadded `width`-wide plane, always run to completion.
+    Clamped { plane: &'a [u8], height: usize },
+}
+
+/// One macroblock's search: the current block and the reference it is
+/// matched against.
+struct Search<'a> {
+    cur: &'a [u8],
+    width: usize,
+    cx: usize,
+    cy: usize,
+    /// The current macroblock's 16 rows back to back, for the padded
+    /// evaluator's kernels.
+    block: [u8; 256],
+    reference: SearchRef<'a>,
+}
+
+impl Search<'_> {
+    fn mode(&self) -> SearchMode {
+        match self.reference {
+            SearchRef::Padded { .. } => SearchMode::EarlyExit,
+            SearchRef::Clamped { .. } => SearchMode::Exhaustive,
+        }
+    }
+
+    /// One 16×16 full-pel SAD candidate. Both evaluators compute the
+    /// identical sum for any candidate that can be accepted (strict-less),
+    /// so the two modes return bit-identical vectors.
+    #[inline]
+    fn sad16(&self, dx: i32, dy: i32, best: u32) -> u32 {
+        let (cur, w, cx, cy) = (self.cur, self.width, self.cx, self.cy);
+        match self.reference {
+            SearchRef::Padded { plane, avx2 } => {
+                let (r, stride) = plane.window(cx as i32 + dx, cy as i32 + dy);
+                if let Some(k) = avx2 {
+                    return k.sad16(&self.block, r, stride, best);
+                }
+                let mut acc = 0u32;
+                for y in 0..16 {
+                    acc += row_sad16(&self.block[y * 16..][..16], &r[y * stride..][..16]);
+                    if acc >= best {
+                        return acc;
+                    }
+                }
+                acc
+            }
+            SearchRef::Clamped { plane, height } => {
+                sad_bounded(cur, plane, w, height, cx, cy, dx, dy, 16, u32::MAX)
             }
         }
     }
 
-    /// Evaluates one 16×16 half-pel SAD candidate under this mode (same
-    /// contract as [`SearchMode::sad16`]).
-    #[allow(clippy::too_many_arguments)]
+    /// One 16×16 half-pel SAD candidate (same contract as
+    /// [`Search::sad16`]). The padded form interpolates with the same
+    /// rounding averages as [`sample_halfpel`], whose per-tap clamps the
+    /// border reproduces.
     #[inline]
-    fn sad16_halfpel(
-        self,
-        cur: &[u8],
-        reference: &[u8],
-        width: usize,
-        height: usize,
-        cx: usize,
-        cy: usize,
-        dx2: i32,
-        dy2: i32,
-        best: u32,
-    ) -> u32 {
-        match self {
-            Self::EarlyExit => {
-                sad16_halfpel_fast(cur, reference, width, height, cx, cy, dx2, dy2, best)
+    fn sad16_halfpel(&self, dx2: i32, dy2: i32, best: u32) -> u32 {
+        let (cur, w, cx, cy) = (self.cur, self.width, self.cx, self.cy);
+        match self.reference {
+            SearchRef::Padded { plane, avx2 } => {
+                let (fx, fy) = (dx2.rem_euclid(2) as usize, dy2.rem_euclid(2) as usize);
+                let (r, stride) =
+                    plane.window(cx as i32 + dx2.div_euclid(2), cy as i32 + dy2.div_euclid(2));
+                if let Some(k) = avx2 {
+                    return k.sad16_halfpel(&self.block, r, stride, (fx, fy), best);
+                }
+                let mut acc = 0u32;
+                for y in 0..16 {
+                    let r0 = &r[y * stride..][..16 + fx];
+                    let r1 = &r[(y + fy) * stride..][..16 + fx];
+                    acc += row_sad16_halfpel(&self.block[y * 16..][..16], r0, r1, fx, fy);
+                    if acc >= best {
+                        return acc;
+                    }
+                }
+                acc
             }
-            Self::Exhaustive => {
-                sad_halfpel_bounded(cur, reference, width, height, cx, cy, dx2, dy2, u32::MAX)
+            SearchRef::Clamped { plane, height } => {
+                sad_halfpel_bounded(cur, plane, w, height, cx, cy, dx2, dy2, u32::MAX)
             }
         }
     }
@@ -327,24 +437,6 @@ fn row_sad16_halfpel(c: &[u8], r0: &[u8], r1: &[u8], fx: usize, fy: usize) -> u3
     }
 }
 
-/// Materialises the edge-clamped displaced row `row[ox .. ox + buf.len()]`
-/// into `buf`: a left run of `row[0]`, a verbatim middle copy, and a right
-/// run of `row[width - 1]` — exactly what per-pixel
-/// `clamp(0, width - 1)` indexing produces, built with two fills and one
-/// `memcpy` so the SIMD row kernels apply at plane borders too.
-#[inline]
-fn clamped_row(row: &[u8], width: usize, ox: i32, buf: &mut [u8]) {
-    let n = buf.len() as i32;
-    let left = (-ox).clamp(0, n) as usize;
-    let right_start = (width as i32 - ox).clamp(0, n) as usize;
-    buf[..left].fill(row[0]);
-    buf[right_start..].fill(row[width - 1]);
-    if left < right_start {
-        let src = (ox + left as i32) as usize;
-        buf[left..right_start].copy_from_slice(&row[src..src + (right_start - left)]);
-    }
-}
-
 /// Sum of absolute deviations of a 16×16 block from its truncated mean —
 /// the encoder's intra-cost proxy — via the SAD row kernel: the block sum
 /// is Σ|v − 0| and the deviation Σ|v − mean| (`mean ≤ 255` always fits a
@@ -362,116 +454,6 @@ pub(crate) fn mean_deviation16(plane: &[u8], stride: usize, px: usize, py: usize
         dev += row_sad16(&plane[(py + y) * stride + px..][..16], &mean);
     }
     dev
-}
-
-/// Interior-specialised 16×16 SAD with running-best abort.
-///
-/// When the displaced block lies fully inside the reference plane the
-/// per-pixel edge clamps are no-ops, so each row is a [`row_sad16`]
-/// (`psadbw` on x86-64). Border candidates materialise each clamped row
-/// via [`clamped_row`] and run the same kernel. Either way the sum
-/// matches [`sad_bounded`] exactly.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn sad16_fast(
-    cur: &[u8],
-    reference: &[u8],
-    width: usize,
-    height: usize,
-    cx: usize,
-    cy: usize,
-    dx: i32,
-    dy: i32,
-    limit: u32,
-) -> u32 {
-    let ox = cx as i32 + dx;
-    let oy = cy as i32 + dy;
-    if ox < 0 || oy < 0 || ox + 16 > width as i32 || oy + 16 > height as i32 {
-        // Border candidate: clamp rows into a stack buffer, same kernel.
-        let mut buf = [0u8; 16];
-        let mut acc = 0u32;
-        for y in 0..16 {
-            let ry = (oy + y).clamp(0, height as i32 - 1) as usize;
-            clamped_row(&reference[ry * width..][..width], width, ox, &mut buf);
-            acc += row_sad16(&cur[(cy + y as usize) * width + cx..][..16], &buf);
-            if acc >= limit {
-                return acc;
-            }
-        }
-        return acc;
-    }
-    let (ox, oy) = (ox as usize, oy as usize);
-    let mut acc = 0u32;
-    for y in 0..16 {
-        let c = &cur[(cy + y) * width + cx..][..16];
-        let r = &reference[(oy + y) * width + ox..][..16];
-        acc += row_sad16(c, r);
-        if acc >= limit {
-            return acc;
-        }
-    }
-    acc
-}
-
-/// Interior-specialised 16×16 half-pel SAD with running-best abort.
-///
-/// Hoists the half-pel phase (`fx`, `fy`) and base offset out of the
-/// pixel loop and interpolates over plain slices when the (up to
-/// 17×17) source window lies fully inside the plane; border candidates
-/// fall back to the clamped per-pixel loop. The rounding averages are
-/// identical to [`sample_halfpel`], so the sum matches
-/// [`sad_halfpel_bounded`] exactly.
-#[allow(clippy::too_many_arguments)]
-fn sad16_halfpel_fast(
-    cur: &[u8],
-    reference: &[u8],
-    width: usize,
-    height: usize,
-    cx: usize,
-    cy: usize,
-    dx2: i32,
-    dy2: i32,
-    limit: u32,
-) -> u32 {
-    let fx = dx2.rem_euclid(2) as usize;
-    let fy = dy2.rem_euclid(2) as usize;
-    let bx = cx as i32 + dx2.div_euclid(2);
-    let by = cy as i32 + dy2.div_euclid(2);
-    if bx < 0
-        || by < 0
-        || bx + 16 + fx as i32 > width as i32
-        || by + 16 + fy as i32 > height as i32
-    {
-        // Border candidate: materialise both clamped source rows and run
-        // the same interpolating row kernel. Each tap coordinate clamps
-        // independently, exactly as [`sample_halfpel`] does.
-        let (mut b0, mut b1) = ([0u8; 17], [0u8; 17]);
-        let mut acc = 0u32;
-        for y in 0..16i32 {
-            let ry0 = (by + y).clamp(0, height as i32 - 1) as usize;
-            let ry1 = (by + y + fy as i32).clamp(0, height as i32 - 1) as usize;
-            clamped_row(&reference[ry0 * width..][..width], width, bx, &mut b0[..16 + fx]);
-            clamped_row(&reference[ry1 * width..][..width], width, bx, &mut b1[..16 + fx]);
-            let c = &cur[(cy + y as usize) * width + cx..][..16];
-            acc += row_sad16_halfpel(c, &b0, &b1, fx, fy);
-            if acc >= limit {
-                return acc;
-            }
-        }
-        return acc;
-    }
-    let (bx, by) = (bx as usize, by as usize);
-    let mut acc = 0u32;
-    for y in 0..16 {
-        let c = &cur[(cy + y) * width + cx..][..16];
-        let r0 = &reference[(by + y) * width + bx..][..16 + fx];
-        let r1 = &reference[(by + y + fy) * width + bx..][..16 + fx];
-        acc += row_sad16_halfpel(c, r0, r1, fx, fy);
-        if acc >= limit {
-            return acc;
-        }
-    }
-    acc
 }
 
 /// Bitset over the `(2·SEARCH_RANGE+1)²` = 17×17 offset window, tracking
@@ -519,6 +501,9 @@ pub fn estimate(
 /// vectors and SADs. With an empty seed list the search trajectory is
 /// exactly the historical [`estimate`] (three-step from zero plus
 /// unit-step descent), minus redundant re-evaluations.
+///
+/// `EarlyExit` pads `reference` into a fresh edge-padded copy on every
+/// call; the encoder pads once per picture instead.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_seeded(
     cur: &[u8],
@@ -530,88 +515,146 @@ pub fn estimate_seeded(
     seeds: &[MotionVector],
     mode: SearchMode,
 ) -> (MotionVector, u32) {
+    with_search_ref(reference, width, height, mode, |r| {
+        search(cur, width, mbx, mby, r).full_pel(seeds)
+    })
+}
+
+/// Runs `f` on the [`SearchRef`] that `mode` evaluates: a freshly padded
+/// copy of `reference`, or the plane itself.
+fn with_search_ref<T>(
+    reference: &[u8],
+    width: usize,
+    height: usize,
+    mode: SearchMode,
+    f: impl FnOnce(SearchRef<'_>) -> T,
+) -> T {
+    match mode {
+        SearchMode::EarlyExit => f(SearchRef::Padded {
+            plane: &PaddedPlane::new(reference, width, height),
+            avx2: Avx2::detect(kernel_tier()),
+        }),
+        SearchMode::Exhaustive => f(SearchRef::Clamped { plane: reference, height }),
+    }
+}
+
+fn search<'a>(
+    cur: &'a [u8],
+    width: usize,
+    mbx: usize,
+    mby: usize,
+    reference: SearchRef<'a>,
+) -> Search<'a> {
     let (cx, cy) = (mbx * 16, mby * 16);
-    let mut visited = Visited::default();
-    visited.first_visit(0, 0);
-    let mut best = (0i32, 0i32);
-    let mut best_sad = mode.sad16(cur, reference, width, height, cx, cy, 0, 0, u32::MAX);
-    // Zero SAD can never be beaten under strict-less acceptance, so
-    // stopping here is exact. Only the fast path takes the shortcut: the
-    // exhaustive reference keeps the historical full trajectory (whose
-    // extra candidates provably change nothing).
-    let done = |s: u32| mode == SearchMode::EarlyExit && s == 0;
-    if done(best_sad) {
-        return (MotionVector::default(), 0);
+    let mut block = [0u8; 256];
+    for (y, row) in block.chunks_exact_mut(16).enumerate() {
+        row.copy_from_slice(&cur[(cy + y) * width + cx..][..16]);
     }
-    // Predictor seeds: motion fields are spatially coherent, so a
-    // neighbour's vector usually lands near the optimum and tightens the
-    // early-exit limit for everything that follows.
-    for seed in seeds {
-        let (nx, ny) = (i32::from(seed.dx), i32::from(seed.dy));
-        if nx.abs() > SEARCH_RANGE
-            || ny.abs() > SEARCH_RANGE
-            || (mode == SearchMode::EarlyExit && !visited.first_visit(nx, ny))
-        {
-            continue;
+    Search { cur, width, cx, cy, block, reference }
+}
+
+impl Search<'_> {
+    /// The full-pel search behind [`estimate_seeded`].
+    fn full_pel(&self, seeds: &[MotionVector]) -> (MotionVector, u32) {
+        let mode = self.mode();
+        let mut visited = Visited::default();
+        visited.first_visit(0, 0);
+        let mut best = (0i32, 0i32);
+        let mut best_sad = self.sad16(0, 0, u32::MAX);
+        // Zero SAD can never be beaten under strict-less acceptance, so
+        // stopping here is exact. Only the fast path takes the shortcut:
+        // the exhaustive reference keeps the historical full trajectory
+        // (whose extra candidates provably change nothing).
+        let done = |s: u32| mode == SearchMode::EarlyExit && s == 0;
+        if done(best_sad) {
+            return (MotionVector::default(), 0);
         }
-        let s = mode.sad16(cur, reference, width, height, cx, cy, nx, ny, mode.limit(best_sad));
-        if s < best_sad {
-            best_sad = s;
-            best = (nx, ny);
-        }
-    }
-    let mut step = SEARCH_RANGE / 2;
-    while step >= 1 && !done(best_sad) {
-        let (bx, by) = best;
-        for (dx, dy) in [
-            (-step, -step), (0, -step), (step, -step),
-            (-step, 0),                 (step, 0),
-            (-step, step),  (0, step),  (step, step),
-        ] {
-            let (nx, ny) = (bx + dx, by + dy);
+        let mut try_offset = |nx: i32, ny: i32, best: &mut (i32, i32), best_sad: &mut u32| -> bool {
             if nx.abs() > SEARCH_RANGE
                 || ny.abs() > SEARCH_RANGE
                 || (mode == SearchMode::EarlyExit && !visited.first_visit(nx, ny))
             {
-                continue;
+                return false;
             }
-            let s = mode.sad16(cur, reference, width, height, cx, cy, nx, ny, mode.limit(best_sad));
-            if s < best_sad {
-                best_sad = s;
-                best = (nx, ny);
+            let s = self.sad16(nx, ny, mode.limit(*best_sad));
+            if s < *best_sad {
+                *best_sad = s;
+                *best = (nx, ny);
+                return true;
+            }
+            false
+        };
+        // Predictor seeds: motion fields are spatially coherent, so a
+        // neighbour's vector usually lands near the optimum and tightens
+        // the early-exit limit for everything that follows.
+        for seed in seeds {
+            try_offset(i32::from(seed.dx), i32::from(seed.dy), &mut best, &mut best_sad);
+        }
+        let mut step = SEARCH_RANGE / 2;
+        while step >= 1 && !done(best_sad) {
+            let (bx, by) = best;
+            for (dx, dy) in [
+                (-step, -step), (0, -step), (step, -step),
+                (-step, 0),                 (step, 0),
+                (-step, step),  (0, step),  (step, step),
+            ] {
+                try_offset(bx + dx, by + dy, &mut best, &mut best_sad);
+            }
+            step /= 2;
+        }
+        // Unit-step descent until a local minimum (bounded by the window
+        // perimeter, so it always terminates quickly).
+        while !done(best_sad) {
+            let (bx, by) = best;
+            let mut improved = false;
+            for (dx, dy) in [
+                (-1, -1), (0, -1), (1, -1),
+                (-1, 0),           (1, 0),
+                (-1, 1),  (0, 1),  (1, 1),
+            ] {
+                improved |= try_offset(bx + dx, by + dy, &mut best, &mut best_sad);
+            }
+            if !improved || best_sad == 0 {
+                break;
             }
         }
-        step /= 2;
+        (MotionVector { dx: best.0 as i8, dy: best.1 as i8 }, best_sad)
     }
-    // Unit-step descent until a local minimum (bounded by the window
-    // perimeter, so it always terminates quickly).
-    while !done(best_sad) {
-        let (bx, by) = best;
-        let mut improved = false;
-        for (dx, dy) in [
-            (-1, -1), (0, -1), (1, -1),
-            (-1, 0),           (1, 0),
+
+    /// The full-pel search plus the half-pel refinement behind
+    /// [`estimate_halfpel_seeded`].
+    fn half_pel(&self, seeds: &[MotionVector]) -> (HalfPelVector, u32) {
+        let mode = self.mode();
+        let (full, full_sad) = self.full_pel(seeds);
+        let base = HalfPelVector::from_full_pel(full);
+        // A perfect full-pel match can never be beaten under strict-less
+        // acceptance (SADs are non-negative), so the fast path skips the
+        // half-pel refinement entirely — exact, and a large win on static
+        // content where most macroblocks match their reference perfectly.
+        if mode == SearchMode::EarlyExit && full_sad == 0 {
+            return (base, 0);
+        }
+        let mut best = base;
+        let mut best_sad = full_sad;
+        for (ddx, ddy) in [
+            (-1i16, -1i16), (0, -1), (1, -1),
+            (-1, 0),                 (1, 0),
             (-1, 1),  (0, 1),  (1, 1),
         ] {
-            let (nx, ny) = (bx + dx, by + dy);
-            if nx.abs() > SEARCH_RANGE
-                || ny.abs() > SEARCH_RANGE
-                || (mode == SearchMode::EarlyExit && !visited.first_visit(nx, ny))
+            let cand = HalfPelVector { dx2: base.dx2 + ddx, dy2: base.dy2 + ddy };
+            if i32::from(cand.dx2).unsigned_abs() > 2 * SEARCH_RANGE as u32
+                || i32::from(cand.dy2).unsigned_abs() > 2 * SEARCH_RANGE as u32
             {
                 continue;
             }
-            let s = mode.sad16(cur, reference, width, height, cx, cy, nx, ny, mode.limit(best_sad));
+            let s = self.sad16_halfpel(cand.dx2.into(), cand.dy2.into(), mode.limit(best_sad));
             if s < best_sad {
                 best_sad = s;
-                best = (nx, ny);
-                improved = true;
+                best = cand;
             }
         }
-        if !improved || best_sad == 0 {
-            break;
-        }
+        (best, best_sad)
     }
-    (MotionVector { dx: best.0 as i8, dy: best.1 as i8 }, best_sad)
 }
 
 /// Copies the motion-compensated prediction of a `size`×`size` block at
@@ -836,7 +879,8 @@ pub fn estimate_halfpel(
 
 /// [`estimate_halfpel`] with predictor seeds for the full-pel stage and an
 /// explicit [`SearchMode`] (also applied to the half-pel refinement SADs —
-/// strict-less acceptance keeps both modes bit-identical).
+/// strict-less acceptance keeps both modes bit-identical). Like
+/// [`estimate_seeded`], `EarlyExit` pads `reference` on every call.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_halfpel_seeded(
     cur: &[u8],
@@ -848,51 +892,29 @@ pub fn estimate_halfpel_seeded(
     seeds: &[MotionVector],
     mode: SearchMode,
 ) -> (HalfPelVector, u32) {
-    let (full, full_sad) = estimate_seeded(cur, reference, width, height, mbx, mby, seeds, mode);
-    let (cx, cy) = (mbx * 16, mby * 16);
-    let base = HalfPelVector::from_full_pel(full);
-    // A perfect full-pel match can never be beaten under strict-less
-    // acceptance (SADs are non-negative), so the fast path skips the
-    // half-pel refinement entirely — exact, and a large win on static
-    // content where most macroblocks match their reference perfectly.
-    if mode == SearchMode::EarlyExit && full_sad == 0 {
-        return (base, 0);
-    }
-    let mut best = base;
-    let mut best_sad = full_sad;
-    for (ddx, ddy) in [
-        (-1i16, -1i16), (0, -1), (1, -1),
-        (-1, 0),                 (1, 0),
-        (-1, 1),  (0, 1),  (1, 1),
-    ] {
-        let cand = HalfPelVector { dx2: base.dx2 + ddx, dy2: base.dy2 + ddy };
-        if i32::from(cand.dx2).unsigned_abs() > 2 * SEARCH_RANGE as u32
-            || i32::from(cand.dy2).unsigned_abs() > 2 * SEARCH_RANGE as u32
-        {
-            continue;
-        }
-        let s = mode.sad16_halfpel(
-            cur,
-            reference,
-            width,
-            height,
-            cx,
-            cy,
-            cand.dx2.into(),
-            cand.dy2.into(),
-            mode.limit(best_sad),
-        );
-        if s < best_sad {
-            best_sad = s;
-            best = cand;
-        }
-    }
-    (best, best_sad)
+    with_search_ref(reference, width, height, mode, |r| {
+        search(cur, width, mbx, mby, r).half_pel(seeds)
+    })
+}
+
+/// [`estimate_halfpel_seeded`] against a reference already in the form
+/// its mode evaluates — the encoder's entry point, which pads each P
+/// picture's reference once.
+pub(crate) fn estimate_halfpel_in(
+    cur: &[u8],
+    width: usize,
+    mbx: usize,
+    mby: usize,
+    seeds: &[MotionVector],
+    reference: SearchRef<'_>,
+) -> (HalfPelVector, u32) {
+    search(cur, width, mbx, mby, reference).half_pel(seeds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use annolight_imgproc::KernelTier;
 
     /// A 32×32 test plane with a bright square at `(ox, oy)`.
     fn plane_with_square(ox: usize, oy: usize) -> Vec<u8> {
@@ -1073,6 +1095,118 @@ mod tests {
                         &cur, &reference, w, w, mbx, mby, seeds, SearchMode::Exhaustive,
                     );
                     assert_eq!(hfast, hslow, "halfpel mb ({mbx},{mby}) seeds {seeds:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padded_plane_reads_what_clamping_reads() {
+        let (w, h) = (32usize, 16usize);
+        let plane = textured_plane(w, h, 5);
+        let padded = PaddedPlane::new(&plane, w, h);
+        let p = PAD as i32;
+        for y in -p..h as i32 + p {
+            let row = &padded.window(-p, y).0[..w + 2 * PAD];
+            for (x, &v) in (-p..).zip(row) {
+                let cx = x.clamp(0, w as i32 - 1) as usize;
+                let cy = y.clamp(0, h as i32 - 1) as usize;
+                assert_eq!(v, plane[cy * w + cx], "({x}, {y})");
+            }
+        }
+    }
+
+    /// On planes where every macroblock touches the border, the padded
+    /// early-exit search returns exactly the exhaustive oracle's vectors
+    /// and SADs, full-pel and half-pel, with seeds at the window corners,
+    /// at every kernel tier.
+    #[test]
+    fn padded_search_equals_exhaustive_at_the_border() {
+        let corners: Vec<MotionVector> = [(-8, -8), (8, -8), (-8, 8), (8, 8)]
+            .into_iter()
+            .map(|(dx, dy)| MotionVector { dx, dy })
+            .collect();
+        for (w, h) in [(16usize, 16usize), (32, 16), (48, 32)] {
+            for seed in 0..6u32 {
+                let reference = textured_plane(w, h, seed);
+                // Smooth and noisy current pictures: a shifted, perturbed
+                // copy of the reference, and unrelated texture.
+                let cur: Vec<u8> = if seed % 2 == 0 {
+                    (0..w * h)
+                        .map(|i| {
+                            let (x, y) = (i % w, i / w);
+                            let src = reference[y * w + (x + seed as usize) % w];
+                            src.wrapping_add((i % 5) as u8)
+                        })
+                        .collect()
+                } else {
+                    textured_plane(w, h, seed + 100)
+                };
+                let padded = PaddedPlane::new(&reference, w, h);
+                let oracle = SearchRef::Clamped { plane: &reference, height: h };
+                let seed_lists: [&[MotionVector]; 4] =
+                    [&[], &corners[..1], &corners[1..3], &corners];
+                let cases: Vec<_> =
+                    macroblocks(w, h).flat_map(|(x, y)| seed_lists.map(|s| (x, y, s))).collect();
+                for tier in KernelTier::ALL {
+                    let fast = SearchRef::Padded { plane: &padded, avx2: Avx2::detect(tier) };
+                    for &(mbx, mby, seeds) in &cases {
+                        let at = |r| search(&cur, w, mbx, mby, r);
+                        assert_eq!(
+                            at(fast).full_pel(seeds),
+                            at(oracle).full_pel(seeds),
+                            "{w}x{h} {tier:?} seed {seed} mb ({mbx},{mby}) seeds {seeds:?}"
+                        );
+                        assert_eq!(
+                            estimate_halfpel_in(&cur, w, mbx, mby, seeds, fast),
+                            estimate_halfpel_in(&cur, w, mbx, mby, seeds, oracle),
+                            "half-pel {w}x{h} {tier:?} seed {seed} mb ({mbx},{mby}) seeds {seeds:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn macroblocks(w: usize, h: usize) -> impl Iterator<Item = (usize, usize)> {
+        (0..h / 16).flat_map(move |y| (0..w / 16).map(move |x| (x, y)))
+    }
+
+    /// The AVX2 SAD kernels keep the evaluator contract at every phase:
+    /// below the limit the exact sum, otherwise a partial sum no smaller
+    /// than the limit and no larger than the exact one.
+    #[test]
+    fn avx2_sad_kernels_keep_the_early_exit_contract() {
+        let Some(k) = Avx2::detect(KernelTier::Avx2) else { return };
+        let (w, h) = (48usize, 48usize);
+        for seed in 0..8u32 {
+            let reference = textured_plane(w, h, seed);
+            let cur = textured_plane(w, h, seed * 7 + 1);
+            let padded = PaddedPlane::new(&reference, w, h);
+            for (mbx, mby) in [(0, 0), (1, 1), (2, 2), (2, 0)] {
+                let oracle = SearchRef::Clamped { plane: &reference, height: h };
+                let s = search(&cur, w, mbx, mby, oracle);
+                for (dx2, dy2) in [(0, 0), (1, 0), (0, 1), (1, 1), (-16, -16), (15, -3), (-7, 16)] {
+                    let exact = s.sad16_halfpel(dx2, dy2, u32::MAX);
+                    let (r, stride) = padded.window(
+                        (mbx * 16) as i32 + dx2.div_euclid(2),
+                        (mby * 16) as i32 + dy2.div_euclid(2),
+                    );
+                    let phase = (dx2.rem_euclid(2) as usize, dy2.rem_euclid(2) as usize);
+                    for limit in [u32::MAX, exact + 1, exact, exact / 2, 1] {
+                        let got = k.sad16_halfpel(&s.block, r, stride, phase, limit);
+                        if exact < limit {
+                            assert_eq!(got, exact, "({dx2},{dy2}) limit {limit}");
+                        } else {
+                            assert!(
+                                (limit..=exact).contains(&got),
+                                "({dx2},{dy2}) limit {limit}: {got}"
+                            );
+                        }
+                    }
+                    if phase == (0, 0) {
+                        assert_eq!(k.sad16(&s.block, r, stride, u32::MAX), exact);
+                    }
                 }
             }
         }

@@ -34,18 +34,25 @@
 //! ([`crate::dct::forward_aan`] with fused tables) and the retained float
 //! matrix reference. Encoder reconstruction and decoder always run the
 //! *same* kernels, so encode→decode round-trip identity holds for both.
+//! The fast path runs at the process's [`annolight_imgproc::kernel_tier`],
+//! read once per picture; every tier emits the same bytes.
+//!
+//! P pictures searched with [`SearchMode::EarlyExit`] pad the reference
+//! luma once (into a buffer kept in the codec's scratch) and every
+//! macroblock's search reads that copy.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::dct::{self, IntBlock};
 use crate::error::CodecError;
-use crate::motion::{self, HalfPelVector, MotionVector, SearchMode};
+use crate::motion::{self, HalfPelVector, MotionVector, PaddedPlane, SearchMode, SearchRef};
 use crate::quant::{
-    dequantize, dequantize_aan, fused_tables, quantize, quantize_aan, FusedTables, QBlock, QScale,
-    INTER_MATRIX, INTRA_MATRIX,
+    dequantize, dequantize_inverse_in, forward_quantize_in, fused_tables, quantize, FusedTables,
+    QBlock, QScale, INTER_MATRIX, INTRA_MATRIX,
 };
+use crate::simd::Avx2;
 use crate::zigzag::{decode_block_into, encode_block};
 use annolight_core::parallel::{chunked_map, ParallelConfig};
-use annolight_imgproc::Yuv420Frame;
+use annolight_imgproc::{kernel_tier, Yuv420Frame};
 
 /// Macroblock rows per compute band. Motion predictors are band-local, so
 /// this fixed constant (not the chunk size) is what guarantees identical
@@ -95,13 +102,16 @@ fn plane_dims(frame: &Yuv420Frame) -> (PlaneDims, PlaneDims) {
 // Block kernels (fast fixed-point AAN path + float reference path).
 // ---------------------------------------------------------------------------
 
-/// Kernel dispatch for one picture: qscale-bound fused tables plus the
-/// reference/fast selector.
+/// Kernel dispatch for one picture: qscale-bound fused tables, the
+/// reference/fast selector and the fast path's kernel tier.
 struct Kernels {
     qscale: QScale,
     reference: bool,
     intra_t: &'static FusedTables,
     inter_t: &'static FusedTables,
+    /// The AVX2 kernels' token, resolved once per picture from
+    /// [`kernel_tier`].
+    avx2: Option<Avx2>,
 }
 
 impl Kernels {
@@ -111,6 +121,7 @@ impl Kernels {
             reference,
             intra_t: fused_tables(qscale, true),
             inter_t: fused_tables(qscale, false),
+            avx2: Avx2::detect(kernel_tier()),
         }
     }
 
@@ -123,7 +134,7 @@ impl Kernels {
             }
             quantize(&dct::forward_reference(&f), &INTRA_MATRIX, self.qscale, true)
         } else {
-            quantize_aan(&dct::forward_aan(src), self.intra_t)
+            forward_quantize_in(src, self.intra_t, self.avx2)
         }
     }
 
@@ -138,7 +149,7 @@ impl Kernels {
                 out[i] = (rec[i] + 128.0).round().clamp(0.0, 255.0) as u8;
             }
         } else {
-            let rec = dct::inverse_aan(&dequantize_aan(levels, self.intra_t));
+            let rec = dequantize_inverse_in(levels, self.intra_t, self.avx2);
             for i in 0..64 {
                 out[i] = (rec[i] + 128).clamp(0, 255) as u8;
             }
@@ -162,7 +173,7 @@ impl Kernels {
             if residual.iter().all(|&v| v == 0) {
                 return [0i16; 64];
             }
-            quantize_aan(&dct::forward_aan(residual), self.inter_t)
+            forward_quantize_in(residual, self.inter_t, self.avx2)
         }
     }
 
@@ -198,7 +209,7 @@ impl Kernels {
                 }
                 return out;
             }
-            let rec = dct::inverse_aan(&dequantize_aan(levels, self.inter_t));
+            let rec = dequantize_inverse_in(levels, self.inter_t, self.avx2);
             for y in 0..8 {
                 for x in 0..8 {
                     let p = i32::from(pred[(oy + y) * pred_stride + ox + x]);
@@ -310,14 +321,18 @@ struct RowSink<'a> {
 }
 
 /// Reusable per-codec working memory for the `*_into` entry points:
-/// quantised macroblock levels, the motion-predictor rows and the
-/// entropy writer's output buffer all persist across pictures, so a
-/// steady-state encode/decode loop performs no per-picture allocations.
+/// quantised macroblock levels, the motion-predictor rows, the padded
+/// search reference and the entropy writer's output buffer all persist
+/// across pictures, so a steady-state encode/decode loop performs no
+/// per-picture allocations.
 #[derive(Debug, Default)]
 pub(crate) struct CodecScratch {
     mbs: Vec<MbOut>,
     up_mvs: Vec<Option<MotionVector>>,
     cur_mvs: Vec<Option<MotionVector>>,
+    /// The edge-padded reference luma of the last P picture searched with
+    /// [`SearchMode::EarlyExit`].
+    padded: PaddedPlane,
     /// Encoded payload of the last picture (qscale byte + entropy bits);
     /// doubles as the recycled [`BitWriter`] buffer.
     pub(crate) payload: Vec<u8>,
@@ -460,6 +475,15 @@ pub(crate) fn encode_picture_into(
     let mbs_y = luma.h / 16;
     let kernels = Kernels::new(qscale, opts.reference_kernels);
     let intra_picture = reference.is_none();
+    // What the motion search reads: the reference luma padded once for
+    // this picture, or the plane itself for the exhaustive oracle.
+    let search = reference.map(|r| match opts.search {
+        SearchMode::EarlyExit => {
+            scratch.padded.fill(r.y_plane(), luma.w, luma.h);
+            SearchRef::Padded { plane: &scratch.padded, avx2: kernels.avx2 }
+        }
+        SearchMode::Exhaustive => SearchRef::Clamped { plane: r.y_plane(), height: luma.h },
+    });
 
     // Recycled entropy writer: the first (byte-aligned) write emits
     // exactly the leading qscale byte the payload format starts with.
@@ -491,8 +515,8 @@ pub(crate) fn encode_picture_into(
                 mby,
                 frame,
                 reference,
+                search,
                 &kernels,
-                opts.search,
                 &luma,
                 &chroma,
                 mbs_x,
@@ -506,7 +530,7 @@ pub(crate) fn encode_picture_into(
         write_entropy(&mut w, scratch.mbs.iter(), intra_picture);
     } else {
         let bands = map_bands(mbs_y, &opts.parallel, |b| {
-            encode_band(b, frame, reference, &kernels, opts.search, &luma, &chroma, mbs_x, mbs_y)
+            encode_band(b, frame, reference, search, &kernels, &luma, &chroma, mbs_x, mbs_y)
         });
         stitch_bands(&bands, recon, mbs_y);
         write_entropy(&mut w, bands.iter().flat_map(|b| b.mbs.iter()), intra_picture);
@@ -554,8 +578,8 @@ fn encode_band(
     band: usize,
     frame: &Yuv420Frame,
     reference: Option<&Yuv420Frame>,
+    search: Option<SearchRef<'_>>,
     kernels: &Kernels,
-    search: SearchMode,
     luma: &PlaneDims,
     chroma: &PlaneDims,
     mbs_x: usize,
@@ -581,8 +605,8 @@ fn encode_band(
             mby,
             frame,
             reference,
-            kernels,
             search,
+            kernels,
             luma,
             chroma,
             mbs_x,
@@ -599,18 +623,19 @@ fn encode_band(
 /// Encodes one macroblock row: mode decisions, transforms and
 /// reconstruction writes into `sink`; quantised levels appended to `mbs`.
 ///
-/// `up_mvs` carries the predictor row above (all-`None` at a band
-/// boundary), `cur_mvs` receives this row's vectors, and `left` is
-/// row-local. Shared verbatim by the banded parallel path and the serial
-/// direct-write path, which is what makes their bitstreams identical by
-/// construction.
+/// `search` is `Some` exactly when `reference` is: the form of the
+/// reference luma the motion search reads. `up_mvs` carries the
+/// predictor row above (all-`None` at a band boundary), `cur_mvs`
+/// receives this row's vectors, and `left` is row-local. Shared verbatim
+/// by the banded parallel path and the serial direct-write path, which is
+/// what makes their bitstreams identical by construction.
 #[allow(clippy::too_many_arguments)]
 fn encode_mb_row(
     mby: usize,
     frame: &Yuv420Frame,
     reference: Option<&Yuv420Frame>,
+    search: Option<SearchRef<'_>>,
     kernels: &Kernels,
-    search: SearchMode,
     luma: &PlaneDims,
     chroma: &PlaneDims,
     mbs_x: usize,
@@ -622,9 +647,9 @@ fn encode_mb_row(
     let local = mby - sink.mb_row0;
     let mut left: Option<MotionVector> = None;
     for mbx in 0..mbs_x {
-        let mode = match reference {
+        let mode = match search {
             None => MbMode::Intra,
-            Some(r) => {
+            Some(search) => {
                 let mut seeds = [MotionVector::default(); 2];
                 let mut n = 0;
                 if let Some(mv) = left {
@@ -635,11 +660,9 @@ fn encode_mb_row(
                     seeds[n] = mv;
                     n += 1;
                 }
-                let (mv, mc_sad) = motion::estimate_halfpel_seeded(
+                let (mv, mc_sad) = motion::estimate_halfpel_in(
                     frame.y_plane(),
-                    r.y_plane(),
                     luma.w,
-                    luma.h,
                     mbx,
                     mby,
                     &seeds[..n],

@@ -16,8 +16,17 @@
 //!   [`crate::dct::inverse_aan`] input convention
 //!   (`sf(v)·sf(u)/8 · 2^IDCT_FRAC_BITS`), so the inverse transform needs
 //!   no per-coefficient multiplies of its own.
+//!
+//! The fast pair also runs fused with the transforms —
+//! [`forward_quantize_with`] (fDCT → quantise) and
+//! [`dequantize_inverse_with`] (dequantise → iDCT) — at a chosen
+//! [`KernelTier`]. The AVX2 tier is bit-identical to the scalar kernels for
+//! every input; see [`FusedTables`] for why one 32-bit multiply per
+//! coefficient suffices.
 
 use crate::dct::{self, Block, IntBlock};
+use crate::simd::Avx2;
+use annolight_imgproc::KernelTier;
 use std::sync::OnceLock;
 
 /// The MPEG-1 default intra quantisation matrix (zig-zag-free, row-major).
@@ -102,28 +111,42 @@ pub fn dequantize(levels: &QBlock, matrix: &[u16; 64], qscale: QScale, intra: bo
 // ---------------------------------------------------------------------------
 
 /// Fraction bits of the fused quantiser reciprocals.
-const RBITS: u32 = 20;
-const RHALF: i64 = 1 << (RBITS - 1);
+pub(crate) const RBITS: u32 = 20;
+pub(crate) const RHALF: i64 = 1 << (RBITS - 1);
+/// The largest level magnitude the quantiser emits (the entropy coder's
+/// range).
+const MAX_LEVEL: i64 = 2047;
 
 /// Per-`(qscale, intra)` fused tables: one reciprocal multiplier per
 /// coefficient on the quantise side, one step multiplier on the dequantise
 /// side, both with the AAN scale factors and the forward transform's
 /// `2^FWD_EXTRA_BITS` prescale folded in.
+///
+/// `sat` lets the AVX2 quantiser multiply in 32 bits: clamping `|c|` to
+/// `sat[i]` changes no level (every magnitude from `sat[i]` up quantises
+/// to 2047), and afterwards
+/// `min(|c|, sat)·quant + RHALF < 2047·2^20 + quant < 2^31` because every
+/// `quant[i] < 2^20`. So one `mullo_epi32` is exact for every `i32`
+/// coefficient, `i32::MIN` and `i32::MAX` included.
 #[derive(Debug, Clone)]
 pub struct FusedTables {
     /// `round(2^RBITS / div[i])` where
     /// `div[i] = step[i] · 8·sf(v)·sf(u) · 2^FWD_EXTRA_BITS` — dividing an
     /// [`crate::dct::forward_aan`] output by `div` yields the float-path
     /// quantised level.
-    quant: [i32; 64],
+    pub(crate) quant: [i32; 64],
+    /// The smallest magnitude whose level reaches 2047:
+    /// `ceil((2047·2^RBITS − RHALF) / quant[i])`.
+    pub(crate) sat: [i32; 64],
     /// `round(step[i] · sf(v)·sf(u)/8 · 2^IDCT_FRAC_BITS)` — multiplying a
     /// level by this produces [`crate::dct::inverse_aan`]'s expected input.
-    dequant: [i32; 64],
+    pub(crate) dequant: [i32; 64],
 }
 
 impl FusedTables {
     fn build(matrix: &[u16; 64], qscale: QScale, intra: bool) -> Self {
         let mut quant = [0i32; 64];
+        let mut sat = [0i32; 64];
         let mut dequant = [0i32; 64];
         for i in 0..64 {
             let (r, c) = (i / 8, i % 8);
@@ -136,8 +159,16 @@ impl FusedTables {
             let div = step * 8.0 * sf * f64::from(1u32 << dct::FWD_EXTRA_BITS);
             quant[i] = (((1u64 << RBITS) as f64) / div).round() as i32;
             dequant[i] = (step * sf / 8.0 * f64::from(1u32 << dct::IDCT_FRAC_BITS)).round() as i32;
+            assert!(
+                (1..1 << RBITS).contains(&quant[i]),
+                "quantiser reciprocal {} outside 1..2^20",
+                quant[i]
+            );
+            let q = i64::from(quant[i]);
+            sat[i] = i32::try_from(((MAX_LEVEL << RBITS) - RHALF + q - 1) / q)
+                .expect("saturation magnitude fits i32");
         }
-        Self { quant, dequant }
+        Self { quant, sat, dequant }
     }
 }
 
@@ -159,17 +190,31 @@ pub fn fused_tables(qscale: QScale, intra: bool) -> &'static FusedTables {
 
 /// Quantises an [`crate::dct::forward_aan`] output block with a single
 /// reciprocal multiply per coefficient. Round-to-nearest on the magnitude
-/// (sign restored afterwards), clamped to the ±2047 level range the
-/// entropy coder enforces.
+/// (sign restored afterwards with a mask: a branch would mispredict on
+/// noisy residual signs), clamped to the ±2047 level range the entropy
+/// coder enforces.
 pub fn quantize_aan(coeffs: &IntBlock, tables: &FusedTables) -> QBlock {
     let mut out = [0i16; 64];
     for i in 0..64 {
         let c = coeffs[i];
         let mag = i64::from(c.unsigned_abs());
-        let level = ((mag * i64::from(tables.quant[i]) + RHALF) >> RBITS).min(2047) as i16;
-        out[i] = if c < 0 { -level } else { level };
+        let level = ((mag * i64::from(tables.quant[i]) + RHALF) >> RBITS).min(MAX_LEVEL) as i32;
+        // `s` is −1 for a negative coefficient and 0 otherwise, so
+        // `(level ^ s) − s` is `−level` or `level`.
+        let s = c >> 31;
+        out[i] = ((level ^ s) - s) as i16;
     }
     out
+}
+
+/// [`quantize_aan`] at a chosen [`KernelTier`]; bit-identical at every
+/// tier, for every `i32` coefficient.
+#[must_use]
+pub fn quantize_aan_with(coeffs: &IntBlock, tables: &FusedTables, tier: KernelTier) -> QBlock {
+    match Avx2::detect(tier) {
+        Some(k) => k.quantize(coeffs, tables),
+        None => quantize_aan(coeffs, tables),
+    }
 }
 
 /// Reconstructs [`crate::dct::inverse_aan`]-convention coefficients from
@@ -184,10 +229,55 @@ pub fn dequantize_aan(levels: &QBlock, tables: &FusedTables) -> IntBlock {
     out
 }
 
+/// The fused forward kernel: [`crate::dct::forward_aan`] then
+/// [`quantize_aan`], at a chosen [`KernelTier`]. The AVX2 tier takes
+/// blocks whose samples lie in ±255 (every intra and residual block);
+/// others take the scalar kernels. Bit-identical at every tier.
+#[must_use]
+pub fn forward_quantize_with(block: &IntBlock, tables: &FusedTables, tier: KernelTier) -> QBlock {
+    forward_quantize_in(block, tables, Avx2::detect(tier))
+}
+
+/// [`forward_quantize_with`] with the tier already resolved.
+#[inline]
+pub(crate) fn forward_quantize_in(
+    block: &IntBlock,
+    tables: &FusedTables,
+    avx2: Option<Avx2>,
+) -> QBlock {
+    avx2.and_then(|k| k.forward_quantize(block, tables))
+        .unwrap_or_else(|| quantize_aan(&dct::forward_aan(block), tables))
+}
+
+/// The fused inverse kernel: [`dequantize_aan`] then
+/// [`crate::dct::inverse_aan`], at a chosen [`KernelTier`]. The AVX2 tier
+/// takes blocks whose dequantised coefficients lie in ±2^20; others take
+/// the scalar kernels. Bit-identical at every tier, for every input.
+#[must_use]
+pub fn dequantize_inverse_with(
+    levels: &QBlock,
+    tables: &FusedTables,
+    tier: KernelTier,
+) -> IntBlock {
+    dequantize_inverse_in(levels, tables, Avx2::detect(tier))
+}
+
+/// [`dequantize_inverse_with`] with the tier already resolved.
+#[inline]
+pub(crate) fn dequantize_inverse_in(
+    levels: &QBlock,
+    tables: &FusedTables,
+    avx2: Option<Avx2>,
+) -> IntBlock {
+    avx2.and_then(|k| k.dequantize_inverse(levels, tables))
+        .unwrap_or_else(|| dct::inverse_aan(&dequantize_aan(levels, tables)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dct;
+    use annolight_support::rng::SmallRng;
 
     #[test]
     fn qscale_bounds() {
@@ -332,6 +422,160 @@ mod tests {
                 assert!(err <= tol,
                     "q{q} intra={intra} coeff {i}: {descaled} vs {} (tol {tol})",
                     float_coeffs[i]);
+            }
+        }
+    }
+
+    /// All 62 fused tables with their `(qscale, intra)`.
+    fn all_tables() -> impl Iterator<Item = (u8, bool, &'static FusedTables)> {
+        (1..=31u8).flat_map(|q| {
+            [true, false].map(move |intra| (q, intra, fused_tables(QScale::new(q), intra)))
+        })
+    }
+
+    /// The quantiser as it was before the mask sign restore.
+    fn quantize_aan_branchy(coeffs: &IntBlock, tables: &FusedTables) -> QBlock {
+        let mut out = [0i16; 64];
+        for i in 0..64 {
+            let c = coeffs[i];
+            let mag = i64::from(c.unsigned_abs());
+            let level = ((mag * i64::from(tables.quant[i]) + RHALF) >> RBITS).min(2047) as i16;
+            out[i] = if c < 0 { -level } else { level };
+        }
+        out
+    }
+
+    /// Blocks over `-lim..=lim`: uniform noise, plus the extreme patterns
+    /// (flat, checkerboard, stripes, random signs at full magnitude) that
+    /// drive transform coefficients to their largest values.
+    fn sample_blocks(rng: &mut SmallRng, lim: i32, noisy: usize) -> Vec<IntBlock> {
+        let mut blocks: Vec<IntBlock> = (0..noisy)
+            .map(|_| std::array::from_fn(|_| rng.gen_range(-lim..=lim)))
+            .collect();
+        for sign in [1, -1] {
+            blocks.push([sign * lim; 64]);
+            let alternate = |on: fn(usize) -> bool| -> IntBlock {
+                std::array::from_fn(|i| sign * if on(i) { lim } else { -lim })
+            };
+            blocks.push(alternate(|i| (i / 8 + i % 8) % 2 == 0));
+            blocks.push(alternate(|i| (i / 8) % 2 == 0));
+            blocks.push(alternate(|i| i % 2 == 0));
+        }
+        for _ in 0..noisy {
+            blocks.push(std::array::from_fn(|_| if rng.gen_bool(0.5) { lim } else { -lim }));
+        }
+        blocks
+    }
+
+    #[test]
+    fn fused_forward_kernel_matches_scalar_at_every_tier() {
+        let mut rng = SmallRng::seed_from_u64(0xF0D);
+        // Intra blocks are `u8 − 128`, residuals `u8 − u8`.
+        let intra: Vec<IntBlock> = sample_blocks(&mut rng, 128, 24)
+            .into_iter()
+            .map(|b| b.map(|v| v.min(127)))
+            .collect();
+        let residual = sample_blocks(&mut rng, 255, 24);
+        for (q, is_intra, t) in all_tables() {
+            for block in if is_intra { &intra } else { &residual } {
+                let scalar = quantize_aan(&dct::forward_aan(block), t);
+                for tier in KernelTier::ALL {
+                    assert_eq!(
+                        forward_quantize_with(block, t, tier),
+                        scalar,
+                        "q{q} intra={is_intra} {tier:?} {block:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantiser_matches_scalar_at_every_tier_for_every_i32() {
+        let mut rng = SmallRng::seed_from_u64(0x5A7);
+        for (q, intra, t) in all_tables() {
+            let mut random = |range: std::ops::RangeInclusive<i32>| -> IntBlock {
+                std::array::from_fn(|_| rng.gen_range(range.clone()))
+            };
+            let mut blocks: Vec<IntBlock> = (0..16).map(|_| random(i32::MIN..=i32::MAX)).collect();
+            // Small magnitudes, where most levels are decided.
+            blocks.extend((0..16).map(|_| random(-1 << 16..=1 << 16)));
+            for edge in [i32::MIN, i32::MIN + 1, i32::MAX, 0, 1, -1] {
+                blocks.push([edge; 64]);
+            }
+            // Both sides of every coefficient's saturation magnitude.
+            for delta in [-1, 0] {
+                for sign in [1, -1] {
+                    blocks.push(std::array::from_fn(|i| sign * (t.sat[i] + delta)));
+                }
+            }
+            for block in &blocks {
+                let scalar = quantize_aan(block, t);
+                assert_eq!(scalar, quantize_aan_branchy(block, t), "q{q} intra={intra}");
+                for tier in KernelTier::ALL {
+                    let got = quantize_aan_with(block, t, tier);
+                    assert_eq!(got, scalar, "q{q} intra={intra} {tier:?}");
+                }
+            }
+            // `sat` is exactly where the level reaches 2047.
+            let at_sat = quantize_aan(&t.sat, t);
+            let below: IntBlock = std::array::from_fn(|i| t.sat[i] - 1);
+            let below = quantize_aan(&below, t);
+            for i in 0..64 {
+                assert_eq!(at_sat[i], 2047, "q{q} intra={intra} coeff {i}");
+                assert!(below[i] < 2047, "q{q} intra={intra} coeff {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_inverse_kernel_matches_scalar_at_every_tier() {
+        let mut rng = SmallRng::seed_from_u64(0x1DC7);
+        for (q, intra, t) in all_tables() {
+            let mut blocks: Vec<QBlock> = (0..8)
+                .map(|_| std::array::from_fn(|_| rng.gen_range(-2048i16..=2048)))
+                .collect();
+            // Sparse small levels, as real blocks are: these take the
+            // AVX2 kernel.
+            blocks.extend((0..16).map(|_| {
+                std::array::from_fn(|_| {
+                    if rng.gen_bool(0.3) {
+                        rng.gen_range(-40i16..=40)
+                    } else {
+                        0
+                    }
+                })
+            }));
+            blocks.extend([[2048; 64], [-2048; 64], [0; 64]]);
+            for levels in &blocks {
+                let scalar = dct::inverse_aan(&dequantize_aan(levels, t));
+                for tier in KernelTier::ALL {
+                    let got = dequantize_inverse_with(levels, t, tier);
+                    assert_eq!(got, scalar, "q{q} intra={intra} {tier:?}");
+                }
+            }
+        }
+        // Coefficient blocks on both sides of the AVX2 limit: at 2^20 the
+        // AVX2 kernel runs, at 2^20 + 1 the scalar one; both match.
+        let avx2 = Avx2::detect(KernelTier::Avx2);
+        for lim in [dct::IDCT_I32_LIMIT, dct::IDCT_I32_LIMIT + 1] {
+            let mut blocks: Vec<IntBlock> = (0..64)
+                .map(|_| std::array::from_fn(|_| if rng.gen_bool(0.5) { lim } else { -lim }))
+                .collect();
+            blocks.extend((0..64).map(|k| {
+                let mut b: IntBlock = std::array::from_fn(|_| rng.gen_range(-lim..=lim));
+                b[k] = if k % 2 == 0 { lim } else { -lim };
+                b
+            }));
+            for block in &blocks {
+                let scalar = dct::inverse_aan(block);
+                for tier in KernelTier::ALL {
+                    assert_eq!(dct::inverse_aan_with(block, tier), scalar, "limit {lim} {tier:?}");
+                }
+                if let Some(k) = avx2 {
+                    let ran = k.inverse(block).is_some();
+                    assert_eq!(ran, lim == dct::IDCT_I32_LIMIT, "limit {lim}");
+                }
             }
         }
     }

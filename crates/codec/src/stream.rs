@@ -19,7 +19,7 @@
 
 use crate::error::CodecError;
 use crate::motion::SearchMode;
-use crate::picture::{self, CodecOptions, CodedPicture};
+use crate::picture::{self, CodecOptions};
 use crate::quant::QScale;
 use annolight_core::parallel::{chunked_map, ParallelConfig};
 use annolight_imgproc::{Frame, Yuv420Frame};
@@ -183,7 +183,7 @@ impl Header {
         }
         let width = u32::from(u16::from_le_bytes([bytes[4], bytes[5]]));
         let height = u32::from(u16::from_le_bytes([bytes[6], bytes[7]]));
-        let fps = f64::from(u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]])) / 1000.0;
+        let fps_millihertz = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
         let frame_count = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
         let gop_size = bytes[16];
         if width == 0 || height == 0 || width % 16 != 0 || height % 16 != 0 {
@@ -194,8 +194,24 @@ impl Header {
                 reason: format!("dimensions {width}x{height} exceed the {MAX_DIM} cap"),
             });
         }
+        if fps_millihertz == 0 {
+            return Err(CodecError::Malformed { reason: "zero frame rate in header".into() });
+        }
+        let fps = fps_from_millihertz(fps_millihertz);
         Ok(Self { width, height, fps, frame_count, gop_size, body_offset: Self::LEN })
     }
+}
+
+/// The header's frame-rate field for `fps`: `round(fps · 1000)`, or
+/// `None` when that is 0 or does not fit a `u32` (the header cannot carry
+/// the rate).
+fn fps_millihertz(fps: f64) -> Option<u32> {
+    let mhz = (fps * 1000.0).round();
+    (mhz >= 1.0 && mhz <= f64::from(u32::MAX)).then_some(mhz as u32)
+}
+
+fn fps_from_millihertz(mhz: u32) -> f64 {
+    f64::from(mhz) / 1000.0
 }
 
 /// The streaming encoder.
@@ -242,6 +258,11 @@ impl Encoder {
         }
         if !config.fps.is_finite() || config.fps <= 0.0 {
             return Err(CodecError::BadConfig { reason: format!("fps {}", config.fps) });
+        }
+        if fps_millihertz(config.fps).is_none() {
+            return Err(CodecError::BadConfig {
+                reason: format!("fps {} does not fit the header's millihertz field", config.fps),
+            });
         }
         if config.gop_size == 0 {
             return Err(CodecError::BadConfig { reason: "gop_size must be >= 1".into() });
@@ -503,13 +524,19 @@ impl Encoder {
         };
         let results = chunked_map(groups.len(), &schedule, encode_group);
         for out in results.into_iter().flatten() {
-            for (kind, payload) in &out.packets {
-                self.put_packet(*kind, payload);
-            }
-            self.frame_count += out.packets.len() as u32;
-            self.reference = Some(out.last_reconstruction);
+            self.append_gop(out);
         }
         Ok(())
+    }
+
+    /// Appends a GOP job's packets and takes its last reconstruction as
+    /// the live reference.
+    fn append_gop(&mut self, out: GopOut) {
+        for (kind, range) in &out.packets {
+            self.put_packet(*kind, &out.payloads[range.clone()]);
+        }
+        self.frame_count += out.packets.len() as u32;
+        self.reference = Some(out.last_reconstruction);
     }
 
     fn put_packet(&mut self, kind: PacketKind, payload: &[u8]) {
@@ -527,13 +554,17 @@ impl Encoder {
         self.body.put_slice(payload);
     }
 
-    /// Finalises and returns the stream.
+    /// Finalises and returns the stream. Its [`EncodedStream::fps`] is the
+    /// rate the header carries (millihertz precision), so it equals what
+    /// [`EncodedStream::from_bytes`] reads back.
     pub fn finish(self) -> EncodedStream {
+        let fps_millihertz =
+            fps_millihertz(self.config.fps).expect("Encoder::new checked the frame rate");
         let mut out = ByteBuf::with_capacity(Header::LEN + self.body.len());
         out.put_slice(MAGIC);
         out.put_u16_le(self.config.width as u16);
         out.put_u16_le(self.config.height as u16);
-        out.put_u32_le((self.config.fps * 1000.0).round() as u32);
+        out.put_u32_le(fps_millihertz);
         out.put_u32_le(self.frame_count);
         out.put_u8(self.config.gop_size);
         out.put_slice(&self.body);
@@ -541,37 +572,46 @@ impl Encoder {
             bytes: out.freeze(),
             width: self.config.width,
             height: self.config.height,
-            fps: self.config.fps,
+            fps: fps_from_millihertz(fps_millihertz),
             frame_count: self.frame_count,
         }
     }
 }
 
-/// One closed GOP's worth of encoded output, produced by a worker.
+/// One closed GOP's worth of encoded output, produced by a worker: every
+/// picture payload back to back in `payloads`, indexed by `packets`.
 struct GopOut {
-    packets: Vec<(PacketKind, Vec<u8>)>,
+    packets: Vec<(PacketKind, std::ops::Range<usize>)>,
+    payloads: Vec<u8>,
     last_reconstruction: Yuv420Frame,
 }
 
-/// Encodes one closed GOP (first frame intra, rest predicted) serially.
+/// Encodes one closed GOP (first frame intra, rest predicted) serially,
+/// with one [`picture::CodecScratch`] for the whole job and the
+/// reconstruction ping-ponged with the reference, as
+/// [`Encoder::push_yuv_frame`] does.
 fn encode_gop(frames: &[Yuv420Frame], qscale: QScale, opts: &CodecOptions) -> GopOut {
+    let (first, rest) = frames.split_first().expect("encode_gop called with at least one frame");
+    let new_frame = || {
+        Yuv420Frame::new(first.width(), first.height()).expect("source frame dimensions are valid")
+    };
+    let mut scratch = picture::CodecScratch::default();
     let mut packets = Vec::with_capacity(frames.len());
-    let mut reference: Option<Yuv420Frame> = None;
-    for yuv in frames {
-        let coded: CodedPicture = match &reference {
-            None => picture::encode_intra_opts(yuv, qscale, opts),
-            Some(r) => picture::encode_inter_opts(yuv, r, qscale, opts),
-        };
-        let kind = if reference.is_none() {
-            PacketKind::IntraPicture
-        } else {
-            PacketKind::PredictedPicture
-        };
-        packets.push((kind, coded.bytes));
-        reference = Some(coded.reconstruction);
+    let mut payloads = Vec::new();
+    let mut reference = new_frame();
+    picture::encode_picture_into(first, None, qscale, opts, &mut scratch, &mut reference);
+    let mut push = |kind, payload: &[u8]| {
+        packets.push((kind, payloads.len()..payloads.len() + payload.len()));
+        payloads.extend_from_slice(payload);
+    };
+    push(PacketKind::IntraPicture, &scratch.payload);
+    let mut recon = new_frame();
+    for yuv in rest {
+        picture::encode_picture_into(yuv, Some(&reference), qscale, opts, &mut scratch, &mut recon);
+        push(PacketKind::PredictedPicture, &scratch.payload);
+        std::mem::swap(&mut reference, &mut recon);
     }
-    let last_reconstruction = reference.expect("encode_gop called with at least one frame");
-    GopOut { packets, last_reconstruction }
+    GopOut { packets, payloads, last_reconstruction: reference }
 }
 
 /// The streaming decoder.
@@ -892,7 +932,9 @@ impl Decoder {
 }
 
 /// Decodes one closed GOP (first packet intra, rest predicted) serially,
-/// returning the mapped display frames and the final reconstruction.
+/// returning the mapped display frames and the final reconstruction. One
+/// [`picture::CodecScratch`] serves the whole job, and each picture
+/// decodes into the frame the reference before last occupied.
 fn decode_gop<T>(
     stream: &[u8],
     pictures: &[PictureRef],
@@ -901,22 +943,28 @@ fn decode_gop<T>(
     opts: &CodecOptions,
     map: impl Fn(&Yuv420Frame) -> T,
 ) -> Result<(Vec<T>, Yuv420Frame), CodecError> {
+    let new_frame = || {
+        Yuv420Frame::new(width, height).map_err(|e| CodecError::Malformed { reason: e.to_string() })
+    };
+    let mut scratch = picture::CodecScratch::default();
     let mut frames = Vec::with_capacity(pictures.len());
     let mut reference: Option<Yuv420Frame> = None;
+    let mut cur = new_frame()?;
     for p in pictures {
         let payload = &stream[p.payload.clone()];
-        let yuv = match p.kind {
-            PacketKind::IntraPicture => picture::decode_intra_opts(payload, width, height, opts)?,
-            PacketKind::PredictedPicture => {
-                let r = reference.as_ref().ok_or_else(|| CodecError::Malformed {
-                    reason: "P picture before any I picture".into(),
-                })?;
-                picture::decode_inter_opts(payload, r, opts)?
-            }
+        let predicted_from = match p.kind {
+            PacketKind::IntraPicture => None,
+            PacketKind::PredictedPicture => Some(reference.as_ref().ok_or_else(|| {
+                CodecError::Malformed { reason: "P picture before any I picture".into() }
+            })?),
             PacketKind::UserData => unreachable!("user data filtered at parse time"),
         };
-        frames.push(map(&yuv));
-        reference = Some(yuv);
+        picture::decode_picture_into(payload, predicted_from, &mut cur, opts, &mut scratch)?;
+        frames.push(map(&cur));
+        cur = match reference.replace(cur) {
+            Some(spare) => spare,
+            None => new_frame()?,
+        };
     }
     let last = reference.expect("decode_gop called with at least one packet");
     Ok((frames, last))
@@ -1009,12 +1057,7 @@ pub fn encode_yuv_batched(
     };
     let results = chunked_map(units.len(), &schedule, encode_unit);
     for (&(job, _), out) in units.iter().zip(results.into_iter().flatten()) {
-        let enc = &mut encoders[job];
-        for (kind, payload) in &out.packets {
-            enc.put_packet(*kind, payload);
-        }
-        enc.frame_count += out.packets.len() as u32;
-        enc.reference = Some(out.last_reconstruction);
+        encoders[job].append_gop(out);
     }
     Ok(())
 }
@@ -1200,6 +1243,21 @@ mod tests {
         assert!(Encoder::new(EncoderConfig { width: 30, ..cfg(32, 32) }).is_err());
         assert!(Encoder::new(EncoderConfig { fps: 0.0, ..cfg(32, 32) }).is_err());
         assert!(Encoder::new(EncoderConfig { gop_size: 0, ..cfg(32, 32) }).is_err());
+    }
+
+    #[test]
+    fn frame_rate_is_what_the_header_carries() {
+        // The millihertz field's extremes are accepted and reported as
+        // carried; just past either end is rejected.
+        for (fps, carried) in [(0.0005, 0.001), (4_294_967.295, 4_294_967.295), (23.976, 23.976)] {
+            let stream = Encoder::new(EncoderConfig { fps, ..cfg(32, 32) }).unwrap().finish();
+            assert_eq!(stream.fps(), carried, "fps {fps}");
+            assert_eq!(EncodedStream::from_bytes(stream.as_bytes().to_vec()).unwrap(), stream);
+        }
+        for fps in [0.000_499, 4_294_967.295_5] {
+            let err = Encoder::new(EncoderConfig { fps, ..cfg(32, 32) });
+            assert!(matches!(err, Err(CodecError::BadConfig { .. })), "fps {fps}");
+        }
     }
 
     #[test]

@@ -66,6 +66,15 @@ echo "== codec fast-path identity guard (same seed twice, diff digest logs) =="
 double_run codec ANNOLIGHT_CODEC_LOG ANNOLIGHT_CHECK_SEED=0xC0DE -- \
   -p annolight-codec --test fastpath_identity -- --test-threads=1
 
+echo "== codec kernel-tier guard (scalar tier must write the default tier's digest log) =="
+# The transform, quantiser and search kernels are chosen by
+# ANNOLIGHT_KERNEL_TIER; every tier must emit the same bytes and planes.
+env ANNOLIGHT_CHECK_SEED=0xC0DE ANNOLIGHT_KERNEL_TIER=scalar \
+  ANNOLIGHT_CODEC_LOG="$LOG_DIR/codec.scalar" \
+  cargo test -q --release --offline -p annolight-codec --test fastpath_identity -- --test-threads=1
+cmp "$LOG_DIR/codec.a" "$LOG_DIR/codec.scalar" \
+  || { echo "codec digest log differs between the scalar and default kernel tiers"; exit 1; }
+
 echo "== workload SLO determinism guard (same seed twice, diff summary logs) =="
 double_run workload-slo ANNOLIGHT_SLO_LOG -- --test workload_slo
 

@@ -188,6 +188,33 @@ fn forged_track_deltas_are_rejected() {
     assert!(err.to_string().contains("frame index overflow"), "{err}");
 }
 
+/// Frame rates whose millihertz header field would round to 0 or exceed
+/// `u32::MAX`: the header would carry 0 or 4294967.295 fps while the
+/// encoder reported the configured rate.
+#[test]
+fn frame_rates_the_header_cannot_carry_are_rejected() {
+    for fps in [0.0004, 5e6] {
+        let err = Encoder::new(EncoderConfig { fps, ..EncoderConfig::default() })
+            .expect_err("unrepresentable frame rate");
+        assert!(err.to_string().contains("millihertz"), "fps {fps}: {err}");
+    }
+}
+
+/// An `ALV1` header (16×16, fps 0, no pictures, gop 12).
+#[test]
+fn zero_frame_rate_header_is_rejected() {
+    let mut stream = Vec::new();
+    stream.extend_from_slice(b"ALV1");
+    stream.extend_from_slice(&16u16.to_le_bytes());
+    stream.extend_from_slice(&16u16.to_le_bytes());
+    stream.extend_from_slice(&0u32.to_le_bytes());
+    stream.extend_from_slice(&0u32.to_le_bytes());
+    stream.push(12);
+    let err = Decoder::from_bytes(&stream[..]).expect_err("zero frame rate");
+    assert!(err.to_string().contains("zero frame rate"), "{err}");
+    assert!(EncodedStream::from_bytes(stream).is_err());
+}
+
 #[test]
 fn empty_and_header_only_streams() {
     assert!(Decoder::from_bytes(&[][..]).is_err());
