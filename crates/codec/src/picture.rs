@@ -16,9 +16,9 @@
 //!    compensation) produce quantised levels plus reconstruction strips.
 //!    Bands are self-contained — motion-vector predictors (left, and up
 //!    *within the band*) never cross a band boundary, so the result is
-//!    identical for every worker count and chunking. Fan-out goes through
-//!    [`annolight_core::parallel::chunked_map`]; `workers == 0` is the
-//!    inline serial reference.
+//!    identical for every worker count. Fan-out goes through
+//!    [`annolight_support::par::fan_out`] (one band per work item);
+//!    `workers == 0` is the inline serial reference.
 //! 2. **Entropy** (serial): Exp-Golomb coding and the intra-DC prediction
 //!    chain, which is inherently sequential (every bit position depends on
 //!    all previous symbols), runs over the precomputed levels in raster
@@ -51,8 +51,8 @@ use crate::quant::{
 };
 use crate::simd::Avx2;
 use crate::zigzag::{decode_block_into, encode_block};
-use annolight_core::parallel::{chunked_map, ParallelConfig};
 use annolight_imgproc::{kernel_tier, Yuv420Frame};
+use annolight_support::par::{fan_out, ParallelConfig};
 
 /// Macroblock rows per compute band. Motion predictors are band-local, so
 /// this fixed constant (not the chunk size) is what guarantees identical
@@ -355,17 +355,14 @@ fn band_rows(band: usize, mbs_y: usize) -> std::ops::Range<usize> {
     band * BAND_MB_ROWS..((band + 1) * BAND_MB_ROWS).min(mbs_y)
 }
 
-/// Maps `compute` over all bands through [`chunked_map`] (one band per
-/// chunk; the band structure, not the chunking, carries the determinism).
+/// Runs `compute` on every band through [`fan_out`], one band per work
+/// item (the band structure, not the scheduling, carries the
+/// determinism).
 fn map_bands<F>(mbs_y: usize, parallel: &ParallelConfig, compute: F) -> Vec<BandOut>
 where
     F: Fn(usize) -> BandOut + Sync,
 {
-    let cfg = parallel.with_chunk_frames(1);
-    chunked_map(band_count(mbs_y), &cfg, |range| range.map(&compute).collect::<Vec<_>>())
-        .into_iter()
-        .flatten()
-        .collect()
+    fan_out(parallel.workers, 0..band_count(mbs_y), compute)
 }
 
 /// Copies band reconstruction strips back into a full frame.

@@ -21,9 +21,9 @@ use crate::error::CodecError;
 use crate::motion::SearchMode;
 use crate::picture::{self, CodecOptions};
 use crate::quant::QScale;
-use annolight_core::parallel::{chunked_map, ParallelConfig};
 use annolight_imgproc::{Frame, Yuv420Frame};
 use annolight_support::bytes::{ByteBuf, Bytes};
+use annolight_support::par::{fan_out, ParallelConfig};
 
 const MAGIC: &[u8; 4] = b"ALV1";
 
@@ -448,37 +448,21 @@ impl Encoder {
                 });
             }
         }
-        // Convert up front (fanning the per-frame conversions over the
-        // worker pool — conversion is per-frame deterministic, so the
-        // order of work does not affect the output), then run the batch
-        // through the YUV-domain path.
-        let yuv: Vec<Yuv420Frame> = if self.opts.parallel.workers > 1 && frames.len() >= 2 {
-            let schedule = self.opts.parallel.with_chunk_frames(1);
-            let convert = |range: std::ops::Range<usize>| -> Vec<Result<Yuv420Frame, CodecError>> {
-                range
-                    .map(|i| {
-                        frames[i]
-                            .to_yuv420()
-                            .map_err(|e| CodecError::Malformed { reason: e.to_string() })
-                    })
-                    .collect()
-            };
-            chunked_map(frames.len(), &schedule, convert)
-                .into_iter()
-                .flatten()
-                .collect::<Result<_, _>>()?
-        } else {
-            frames
-                .iter()
-                .map(|f| f.to_yuv420().map_err(|e| CodecError::Malformed { reason: e.to_string() }))
-                .collect::<Result<_, _>>()?
-        };
+        // Convert up front, one frame per work item (conversion is
+        // per-frame deterministic, so the order of work does not affect
+        // the output), then run the batch through the YUV-domain path.
+        let yuv = fan_out(self.opts.parallel.workers, frames, |f| {
+            f.to_yuv420().map_err(|e| CodecError::Malformed { reason: e.to_string() })
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         self.push_yuv_frames(&yuv)
     }
 
     /// [`Encoder::push_frames`] for frames already in planar 4:2:0: the
     /// same closed-GOP fan-out without any RGB→YUV conversion in the
-    /// pipeline. The emitted stream is byte-identical to an equivalent
+    /// pipeline ([`encode_yuv_batched`] with this encoder as the one
+    /// job). The emitted stream is byte-identical to an equivalent
     /// sequence of [`Encoder::push_yuv_frame`] calls for every worker
     /// count.
     ///
@@ -488,45 +472,8 @@ impl Encoder {
     /// match the configured dimensions (checked up front: no frame is
     /// consumed on error).
     pub fn push_yuv_frames(&mut self, frames: &[Yuv420Frame]) -> Result<(), CodecError> {
-        for yuv in frames {
-            if (yuv.width(), yuv.height()) != (self.config.width, self.config.height) {
-                return Err(CodecError::FrameSizeMismatch {
-                    expected: (self.config.width, self.config.height),
-                    actual: (yuv.width(), yuv.height()),
-                });
-            }
-        }
-        if self.rate.is_some() || self.opts.parallel.workers <= 1 || frames.len() < 2 {
-            for yuv in frames {
-                self.push_yuv_frame(yuv)?;
-            }
-            return Ok(());
-        }
-        // Frames extending the currently open GOP chain off the live
-        // reference: encode them serially first.
-        let mut idx = 0;
-        while idx < frames.len() && !self.next_is_intra() {
-            self.push_yuv_frame(&frames[idx])?;
-            idx += 1;
-        }
-        let rest = &frames[idx..];
-        if rest.is_empty() {
-            return Ok(());
-        }
-        // From here every `gop_size` frames form a closed GOP.
-        let gop = usize::from(self.config.gop_size);
-        let groups: Vec<&[Yuv420Frame]> = rest.chunks(gop).collect();
-        let qscale = self.config.qscale;
-        let inner = CodecOptions { parallel: ParallelConfig::serial(), ..self.opts };
-        let schedule = self.opts.parallel.with_chunk_frames(1);
-        let encode_group = |range: std::ops::Range<usize>| -> Vec<GopOut> {
-            range.map(|g| encode_gop(groups[g], qscale, &inner)).collect()
-        };
-        let results = chunked_map(groups.len(), &schedule, encode_group);
-        for out in results.into_iter().flatten() {
-            self.append_gop(out);
-        }
-        Ok(())
+        let parallel = self.opts.parallel;
+        encode_yuv_batched(std::slice::from_mut(self), &[frames], &parallel)
     }
 
     /// Appends a GOP job's packets and takes its last reconstruction as
@@ -846,19 +793,21 @@ impl Decoder {
     }
 
     /// Decodes every remaining picture, fanning **closed GOPs** out across
-    /// the configured worker pool.
+    /// the configured worker pool ([`decode_all_batched`] with this
+    /// decoder as the one stream).
     ///
     /// Each intra picture resets the prediction chain, so the pictures
     /// from one I packet up to (excluding) the next are an independent
     /// job. Inside a GOP job the per-picture band fan-out is forced serial
-    /// to avoid nested thread spawning. Results are reassembled in display
-    /// order: every worker count returns byte-identical frames.
+    /// to avoid nested thread spawning, and each picture converts to RGB
+    /// inside its job. Results are reassembled in display order: every
+    /// worker count returns byte-identical frames.
     ///
     /// # Errors
     ///
     /// Returns the first decode error encountered (in display order).
     pub fn decode_all(&mut self) -> Result<Vec<Frame>, CodecError> {
-        self.decode_all_with(Yuv420Frame::to_rgb)
+        self.decode_all_as(Yuv420Frame::to_rgb)
     }
 
     /// [`Decoder::decode_all`] in the codec's native planar 4:2:0
@@ -868,66 +817,19 @@ impl Decoder {
     ///
     /// Returns the first decode error encountered (in display order).
     pub fn decode_all_yuv(&mut self) -> Result<Vec<Yuv420Frame>, CodecError> {
-        self.decode_all_with(Yuv420Frame::clone)
+        self.decode_all_as(Yuv420Frame::clone)
     }
 
-    /// Shared body of [`Decoder::decode_all`] / [`Decoder::decode_all_yuv`]:
-    /// decodes every remaining picture and maps each reconstruction
-    /// through `map` (inside the worker jobs, so per-frame output
-    /// conversion parallelises with the decode itself).
-    fn decode_all_with<T, F>(&mut self, map: F) -> Result<Vec<T>, CodecError>
+    /// [`decode_all_batched`] over this decoder alone, at its own
+    /// parallelism.
+    fn decode_all_as<T, F>(&mut self, map: F) -> Result<Vec<T>, CodecError>
     where
         T: Send,
         F: Fn(&Yuv420Frame) -> T + Sync,
     {
-        let mut out = Vec::with_capacity(self.pictures.len() - self.next);
-        if self.opts.parallel.workers <= 1 {
-            while let Some(yuv) = self.decode_next_yuv()? {
-                out.push(map(&yuv));
-            }
-            return Ok(out);
-        }
-        // Pictures continuing the currently open GOP decode serially off
-        // the live reference.
-        while self
-            .pictures
-            .get(self.next)
-            .is_some_and(|p| p.kind != PacketKind::IntraPicture)
-        {
-            match self.decode_next_yuv()? {
-                Some(yuv) => out.push(map(&yuv)),
-                None => return Ok(out),
-            }
-        }
-        if self.next >= self.pictures.len() {
-            return Ok(out);
-        }
-        // Remaining pictures split into closed GOPs at I packets.
-        let start = self.next;
-        let mut bounds: Vec<usize> = (start..self.pictures.len())
-            .filter(|&i| self.pictures[i].kind == PacketKind::IntraPicture)
-            .collect();
-        bounds.push(self.pictures.len());
-        let groups: Vec<std::ops::Range<usize>> =
-            bounds.windows(2).map(|w| w[0]..w[1]).collect();
-        let inner = CodecOptions { parallel: ParallelConfig::serial(), ..self.opts };
-        let (width, height) = (self.width, self.height);
-        let (stream, pictures) = (&self.stream, &self.pictures);
-        let map = &map;
-        let decode_group = |range: std::ops::Range<usize>| {
-            range
-                .map(|g| decode_gop(stream, &pictures[groups[g].clone()], width, height, &inner, map))
-                .collect::<Vec<Result<(Vec<T>, Yuv420Frame), CodecError>>>()
-        };
-        let schedule = self.opts.parallel.with_chunk_frames(1);
-        let results = chunked_map(groups.len(), &schedule, decode_group);
-        for (g, result) in results.into_iter().flatten().enumerate() {
-            let (frames, last) = result?;
-            out.extend(frames);
-            self.reference = Some(last);
-            self.next = groups[g].end;
-        }
-        Ok(out)
+        let parallel = self.opts.parallel;
+        let mut outs = decode_all_batched(std::slice::from_mut(self), &parallel, map)?;
+        Ok(outs.pop().expect("one decoder, one output"))
     }
 }
 
@@ -973,17 +875,18 @@ fn decode_gop<T>(
 /// Encodes `clips[i]` through `encoders[i]` for every job, fanning the
 /// **closed GOPs of all jobs** out over one shared worker pool.
 ///
-/// Byte-identical to calling [`Encoder::push_yuv_frames`] per encoder:
-/// each job's open-GOP prefix is encoded serially off its live reference
-/// first, then every closed GOP — across *all* jobs — becomes one unit
-/// of a single [`chunked_map`] dispatch. A fleet of short sessions
-/// therefore saturates the pool even when no single clip carries enough
-/// GOPs to, and short straggler clips overlap with long ones instead of
-/// serialising behind per-clip dispatches.
+/// Byte-identical to pushing every frame through
+/// [`Encoder::push_yuv_frame`]: each job's open-GOP prefix is encoded
+/// serially off its live reference first, then every closed GOP — across
+/// *all* jobs — becomes one work item of a single [`fan_out`]. A fleet of
+/// short sessions therefore saturates the pool even when no single clip
+/// carries enough GOPs to, and short straggler clips overlap with long
+/// ones instead of serialising behind per-clip dispatches.
 ///
-/// Rate-controlled jobs fall back to their serial per-frame chain (the
-/// controller's qscale feedback makes GOPs dependent), and a serial
-/// `parallel` falls back entirely.
+/// With `parallel.workers ≤ 1` every frame goes through
+/// [`Encoder::push_yuv_frame`], and so does every frame of a
+/// rate-controlled job (the controller's qscale feedback makes GOPs
+/// dependent).
 ///
 /// # Panics
 ///
@@ -1010,131 +913,112 @@ pub fn encode_yuv_batched(
             }
         }
     }
-    if parallel.workers <= 1 {
-        for (enc, clip) in encoders.iter_mut().zip(clips) {
-            enc.push_yuv_frames(clip)?;
-        }
-        return Ok(());
-    }
-    // Serial prefixes: frames extending each job's open GOP chain, plus
-    // the whole-job fallback for rate-controlled encoders.
-    let mut tails: Vec<&[Yuv420Frame]> = Vec::with_capacity(encoders.len());
-    for (enc, clip) in encoders.iter_mut().zip(clips) {
-        if enc.rate.is_some() {
-            enc.push_yuv_frames(clip)?;
-            tails.push(&[]);
-            continue;
-        }
+    // Serial prefixes (frames extending each job's open GOP chain, or the
+    // whole job when it runs serially); every `gop_size` frames after
+    // that form a closed GOP, one work item each.
+    let mut units: Vec<(usize, &[Yuv420Frame])> = Vec::new();
+    for (job, (enc, &clip)) in encoders.iter_mut().zip(clips).enumerate() {
+        let serial = parallel.workers <= 1 || enc.rate.is_some();
         let mut idx = 0;
-        while idx < clip.len() && !enc.next_is_intra() {
+        while idx < clip.len() && (serial || !enc.next_is_intra()) {
             enc.push_yuv_frame(&clip[idx])?;
             idx += 1;
         }
-        tails.push(&clip[idx..]);
+        let gop = usize::from(enc.config.gop_size);
+        units.extend(clip[idx..].chunks(gop).map(|frames| (job, frames)));
     }
-    // Flatten every job's closed GOPs into one shared unit list.
-    let mut units: Vec<(usize, &[Yuv420Frame])> = Vec::new();
-    for (job, tail) in tails.iter().enumerate() {
-        let gop = usize::from(encoders[job].config.gop_size);
-        units.extend(tail.chunks(gop).map(|frames| (job, frames)));
-    }
-    if units.is_empty() {
-        return Ok(());
-    }
-    let params: Vec<(QScale, CodecOptions)> = encoders
-        .iter()
-        .map(|e| (e.config.qscale, CodecOptions { parallel: ParallelConfig::serial(), ..e.opts }))
-        .collect();
-    let schedule = parallel.with_chunk_frames(1);
-    let encode_unit = |range: std::ops::Range<usize>| -> Vec<GopOut> {
-        range
-            .map(|u| {
-                let (job, frames) = units[u];
-                let (qscale, opts) = params[job];
-                encode_gop(frames, qscale, &opts)
-            })
-            .collect()
-    };
-    let results = chunked_map(units.len(), &schedule, encode_unit);
-    for (&(job, _), out) in units.iter().zip(results.into_iter().flatten()) {
+    let shared: &[Encoder] = encoders;
+    let outs = fan_out(parallel.workers, &units, |&(job, frames)| {
+        let enc = &shared[job];
+        let inner = CodecOptions { parallel: ParallelConfig::serial(), ..enc.opts };
+        encode_gop(frames, enc.config.qscale, &inner)
+    });
+    for (&(job, _), out) in units.iter().zip(outs) {
         encoders[job].append_gop(out);
     }
     Ok(())
 }
 
 /// Decodes every remaining picture of every decoder, fanning the closed
-/// GOPs of **all streams** out over one shared worker pool.
+/// GOPs of **all streams** out over one shared worker pool, and maps each
+/// picture through `map` inside its job (so a per-frame output
+/// conversion runs in parallel with the decode).
 ///
-/// The streaming dual of [`encode_yuv_batched`], byte-identical to
-/// calling [`Decoder::decode_all_yuv`] per decoder: open-GOP prefixes
-/// decode serially off each stream's live reference, then every closed
-/// GOP across all streams is one unit of a single [`chunked_map`]
-/// dispatch. `frames[i]` holds stream `i`'s pictures in display order.
+/// Byte-identical to mapping every [`Decoder::decode_next_yuv`] picture:
+/// open-GOP prefixes decode serially off each stream's live reference,
+/// then every closed GOP across all streams is one work item of a single
+/// [`fan_out`]. With `parallel.workers ≤ 1` every picture decodes
+/// through [`Decoder::decode_next_yuv`]. `frames[i]` holds stream `i`'s
+/// pictures in display order.
 ///
 /// # Errors
 ///
-/// Returns the first decode error in unit order; decoders whose units
-/// completed before the failing one retain their advanced state.
-pub fn decode_all_yuv_batched(
+/// Returns the first decode error in stream order for the serial
+/// prefixes, then in GOP order; decoders whose GOPs completed before
+/// the failing one retain their advanced state.
+pub fn decode_all_batched<T, F>(
     decoders: &mut [Decoder],
     parallel: &ParallelConfig,
-) -> Result<Vec<Vec<Yuv420Frame>>, CodecError> {
-    if parallel.workers <= 1 {
-        return decoders.iter_mut().map(Decoder::decode_all_yuv).collect();
-    }
-    let mut outs: Vec<Vec<Yuv420Frame>> = decoders
+    map: F,
+) -> Result<Vec<Vec<T>>, CodecError>
+where
+    T: Send,
+    F: Fn(&Yuv420Frame) -> T + Sync,
+{
+    let mut outs: Vec<Vec<T>> = decoders
         .iter()
         .map(|d| Vec::with_capacity(d.pictures.len() - d.next))
         .collect();
-    // Serial prefixes: pictures continuing each stream's open GOP.
+    // Serial prefixes: pictures continuing each stream's open GOP, or the
+    // whole stream when there is no pool to fan out to.
     for (d, out) in decoders.iter_mut().zip(&mut outs) {
         while d
             .pictures
             .get(d.next)
-            .is_some_and(|p| p.kind != PacketKind::IntraPicture)
+            .is_some_and(|p| parallel.workers <= 1 || p.kind != PacketKind::IntraPicture)
         {
             match d.decode_next_yuv()? {
-                Some(yuv) => out.push(yuv),
+                Some(yuv) => out.push(map(&yuv)),
                 None => break,
             }
         }
     }
-    // Flatten every stream's closed GOPs into one shared unit list.
+    // Every stream's closed GOPs, one work item each.
     let mut units: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
     for (job, d) in decoders.iter().enumerate() {
-        if d.next >= d.pictures.len() {
-            continue;
-        }
         let mut bounds: Vec<usize> = (d.next..d.pictures.len())
             .filter(|&i| d.pictures[i].kind == PacketKind::IntraPicture)
             .collect();
         bounds.push(d.pictures.len());
         units.extend(bounds.windows(2).map(|w| (job, w[0]..w[1])));
     }
-    if units.is_empty() {
-        return Ok(outs);
-    }
-    let dref: &[Decoder] = decoders;
-    let schedule = parallel.with_chunk_frames(1);
-    let decode_unit = |range: std::ops::Range<usize>| {
-        range
-            .map(|u| {
-                let (job, ref pics) = units[u];
-                let d = &dref[job];
-                let inner = CodecOptions { parallel: ParallelConfig::serial(), ..d.opts };
-                decode_gop(&d.stream, &d.pictures[pics.clone()], d.width, d.height, &inner, Yuv420Frame::clone)
-            })
-            .collect::<Vec<_>>()
-    };
-    let results = chunked_map(units.len(), &schedule, decode_unit);
-    for ((job, pics), result) in units.iter().cloned().zip(results.into_iter().flatten()) {
+    let shared: &[Decoder] = decoders;
+    let results = fan_out(parallel.workers, &units, |(job, pics)| {
+        let d = &shared[*job];
+        let inner = CodecOptions { parallel: ParallelConfig::serial(), ..d.opts };
+        decode_gop(&d.stream, &d.pictures[pics.clone()], d.width, d.height, &inner, &map)
+    });
+    for ((job, pics), result) in units.into_iter().zip(results) {
         let (frames, last) = result?;
-        let d = &mut decoders[job];
         outs[job].extend(frames);
-        d.reference = Some(last);
-        d.next = pics.end;
+        decoders[job].reference = Some(last);
+        decoders[job].next = pics.end;
     }
     Ok(outs)
+}
+
+/// [`decode_all_batched`] in the codec's native planar 4:2:0
+/// representation: byte-identical to calling [`Decoder::decode_all_yuv`]
+/// per decoder.
+///
+/// # Errors
+///
+/// As [`decode_all_batched`].
+pub fn decode_all_yuv_batched(
+    decoders: &mut [Decoder],
+    parallel: &ParallelConfig,
+) -> Result<Vec<Vec<Yuv420Frame>>, CodecError> {
+    decode_all_batched(decoders, parallel, Yuv420Frame::clone)
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ impl AnnotationDelta {
             .collect()
     }
 
-    /// Serialises to the compact wire form (13 bytes).
+    /// Serialises to the compact wire form (16 bytes).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
@@ -125,7 +125,10 @@ pub enum DeltaStatus {
 /// Client-side sequence/staleness bookkeeping over a delta stream.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaTracker {
-    next_seq: u32,
+    /// One past the highest sequence applied. It reaches `2^32` when
+    /// `u32::MAX` is applied, and every later sequence number is then a
+    /// duplicate.
+    next_seq: u64,
     applied: u32,
     duplicates: u32,
     stale: u32,
@@ -143,7 +146,8 @@ impl DeltaTracker {
     /// Offers an arrived delta at playback position `now_frame`,
     /// returning its classification and updating the counters.
     pub fn offer(&mut self, delta: &AnnotationDelta, now_frame: u32) -> DeltaStatus {
-        if delta.seq < self.next_seq {
+        let seq = u64::from(delta.seq);
+        if seq < self.next_seq {
             self.duplicates += 1;
             return DeltaStatus::Duplicate;
         }
@@ -152,20 +156,22 @@ impl DeltaTracker {
             self.stale += 1;
             self.max_late_frames = self.max_late_frames.max(late);
             DeltaStatus::Stale { late_frames: late }
-        } else if delta.seq > self.next_seq {
+        } else if seq > self.next_seq {
             self.gaps += 1;
-            DeltaStatus::Gap { expected: self.next_seq }
+            // `next_seq < seq ≤ u32::MAX`, so the expected number fits.
+            DeltaStatus::Gap { expected: self.next_seq as u32 }
         } else {
             DeltaStatus::Applied
         };
         self.applied += 1;
-        self.next_seq = delta.seq + 1;
+        self.next_seq = seq + 1;
         status
     }
 
-    /// The next sequence number the tracker expects.
+    /// The next sequence number the tracker expects (`2^32` once
+    /// sequence `u32::MAX` has been applied).
     #[must_use]
-    pub fn next_seq(&self) -> u32 {
+    pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
 

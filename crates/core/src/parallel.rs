@@ -2,9 +2,9 @@
 //!
 //! The offline pipeline — per-frame luminance histograms, scene-level
 //! planning, per-frame compensation — is embarrassingly parallel across
-//! frames and scenes. This module chunks that work across a scoped
-//! worker pool built on [`annolight_support::channel`] and
-//! `std::thread::scope`, with one headline guarantee:
+//! frames and scenes. This module chunks that work over
+//! [`annolight_support::par`]'s scoped fan-out, with one headline
+//! guarantee:
 //!
 //! > **Parallel output is byte-identical to serial output** for every
 //! > clip, quality level, chunk size and worker count.
@@ -14,147 +14,28 @@
 //! * every unit of work (a frame's [`FrameStats`], a scene's plan, a
 //!   frame's compensation) is a pure function of its inputs — exact
 //!   integer/fixed-point kernels, no shared mutable state;
-//! * chunks are claimed from an atomic cursor in any order, but results
-//!   are **reassembled by chunk index**, so the merged output is a pure
-//!   function of the input regardless of scheduling;
+//! * the fan-out returns chunk results **in chunk order**, whatever order
+//!   the workers finished in, so the merged output is a pure function of
+//!   the input regardless of scheduling;
 //! * histogram merging is an unsigned integer sum per bin — an
 //!   order- and partitioning-independent reduction
 //!   ([`annolight_imgproc::Histogram::merged`]).
 //!
-//! `workers == 0` selects the inline serial path, which is the
-//! deterministic reference the differential suite
-//! (`tests/parallel_identity.rs`) compares every other configuration
-//! against.
+//! Each stage has one body, its batched form; the per-clip entry points
+//! are batches of one. `workers == 0` runs that body inline on the
+//! calling thread over the serial primitives ([`FrameStats::of_frame`],
+//! [`compensate_frame`]) — the deterministic reference the differential
+//! suite (`tests/parallel_identity.rs`) compares every other
+//! configuration against.
 
 use crate::apply::compensate_frame;
 use crate::error::CoreError;
 use crate::profile::{FrameStats, LuminanceProfile};
 use crate::track::AnnotationTrack;
-use annolight_imgproc::{ClipStats, CompensationLut, Frame};
-use annolight_support::channel;
-use annolight_support::sync::Mutex;
+use annolight_imgproc::{ClipStats, Frame};
+use annolight_support::par::fan_out;
+pub use annolight_support::par::{chunk_ranges, chunked_map, ParallelConfig};
 use annolight_video::Clip;
-use std::collections::VecDeque;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// How much intra-clip parallelism to use.
-///
-/// The default (`workers == 0`) is the serial reference: all work runs
-/// inline, in order, on the calling thread. Any `workers > 0` spawns
-/// that many scoped threads which claim fixed-size frame chunks from a
-/// shared cursor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker threads; `0` = inline serial reference.
-    pub workers: usize,
-    /// Frames (or scenes) per work chunk. Chunking granularity never
-    /// affects output bytes, only load balance.
-    pub chunk_frames: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        Self::serial()
-    }
-}
-
-impl ParallelConfig {
-    /// Default chunk granularity: one chunk ≈ one scene's worth of
-    /// frames at the library's 12 fps.
-    pub const DEFAULT_CHUNK_FRAMES: usize = 16;
-
-    /// The deterministic inline reference configuration.
-    #[must_use]
-    pub fn serial() -> Self {
-        Self { workers: 0, chunk_frames: Self::DEFAULT_CHUNK_FRAMES }
-    }
-
-    /// `workers` threads with the default chunk size (`0` = serial).
-    #[must_use]
-    pub fn with_workers(workers: usize) -> Self {
-        Self { workers, ..Self::serial() }
-    }
-
-    /// Overrides the chunk granularity (clamped to ≥ 1 at use sites).
-    #[must_use]
-    pub fn with_chunk_frames(mut self, chunk_frames: usize) -> Self {
-        self.chunk_frames = chunk_frames;
-        self
-    }
-
-    /// Whether this configuration runs inline on the calling thread.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.workers == 0
-    }
-}
-
-/// Splits `0..n` into contiguous chunks of at most `chunk` items.
-#[must_use]
-pub fn chunk_ranges(n: usize, chunk: usize) -> Vec<Range<usize>> {
-    let chunk = chunk.max(1);
-    let mut out = Vec::with_capacity(n.div_ceil(chunk));
-    let mut start = 0;
-    while start < n {
-        let end = (start + chunk).min(n);
-        out.push(start..end);
-        start = end;
-    }
-    out
-}
-
-/// Maps `f` over the chunk ranges of `0..n`, returning results in chunk
-/// order.
-///
-/// Serial configurations (or single-chunk inputs) evaluate inline and
-/// in order. Parallel configurations claim chunk indices from an atomic
-/// cursor, stream `(index, result)` pairs back over a channel, and
-/// reassemble by index — so the returned vector is identical for every
-/// worker count.
-pub fn chunked_map<T, F>(n: usize, cfg: &ParallelConfig, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    let ranges = chunk_ranges(n, cfg.chunk_frames);
-    let threads = if cfg.workers == 0 { 0 } else { cfg.workers.min(ranges.len()) };
-    if threads <= 1 {
-        // Serial reference (also taken when one worker would just add
-        // thread hand-off latency for an identical, in-order result).
-        return ranges.into_iter().map(f).collect();
-    }
-    let n_chunks = ranges.len();
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n_chunks);
-    slots.resize_with(n_chunks, || None);
-    std::thread::scope(|s| {
-        let (tx, rx) = channel::unbounded::<(usize, T)>();
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let ranges = &ranges;
-            let f = &f;
-            s.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(range) = ranges.get(i) else { break };
-                let value = f(range.clone());
-                if tx.send((i, value)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for _ in 0..n_chunks {
-            let (i, value) = rx.recv().expect("every chunk produces one result");
-            slots[i] = Some(value);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|v| v.expect("chunk index delivered exactly once"))
-        .collect()
-}
 
 /// Profiles every frame of `clip`, chunked across `cfg`'s workers.
 ///
@@ -179,7 +60,7 @@ pub fn profile_clip(clip: &Clip, cfg: &ParallelConfig) -> Result<LuminanceProfil
 }
 
 /// Profiles a decoded frame slice at `fps`, chunked across `cfg`'s
-/// workers. Byte-identical to
+/// workers: [`profile_frames_batched`] with one job. Byte-identical to
 /// [`LuminanceProfile::of_frames`] over the same frames.
 ///
 /// # Errors
@@ -190,21 +71,15 @@ pub fn profile_frames(
     frames: &[Frame],
     cfg: &ParallelConfig,
 ) -> Result<LuminanceProfile, CoreError> {
-    if frames.is_empty() {
-        return Err(CoreError::EmptyClip);
-    }
-    let chunks = chunked_map(frames.len(), cfg, |range| {
-        range
-            .map(|i| FrameStats::of_frame(i as u32, &frames[i]))
-            .collect::<Vec<_>>()
-    });
-    LuminanceProfile::from_stats(fps, chunks.into_iter().flatten().collect())
+    let mut profiles = profile_frames_batched(&[(fps, frames)], cfg)?;
+    Ok(profiles.pop().expect("one job, one profile"))
 }
 
 /// Profiles several decoded clips in **one** chunked dispatch.
 ///
 /// Each job is `(fps, frames)`; the result holds one profile per job,
-/// byte-identical to calling [`profile_frames`] per job. The frames of
+/// byte-identical to [`LuminanceProfile::of_frames`] over that job's
+/// frames. The frames of
 /// all jobs are flattened into a single global index space so one
 /// worker pool load-balances across every clip at once — short clips no
 /// longer leave workers idle while a long clip finishes, which is the
@@ -251,10 +126,11 @@ pub fn profile_frames_batched(
 /// chunked dispatch, in place, returning per-job clipping statistics in
 /// frame order.
 ///
-/// Byte-identical (frames *and* stats) to calling
-/// [`compensate_frames`] per job, for every chunk size and worker
-/// count; like [`profile_frames_batched`], all jobs share one worker
-/// pool so mixed-length batches load-balance.
+/// Every job's frames are cut into disjoint `&mut` chunks of
+/// `cfg.chunk_frames` and all chunks of all jobs share one fan-out, so
+/// mixed-length batches load-balance. Each frame runs
+/// [`compensate_frame`], so frames *and* stats are byte-identical to
+/// compensating serially, for every chunk size and worker count.
 ///
 /// # Errors
 ///
@@ -272,81 +148,34 @@ pub fn compensate_frames_batched(
             track.entry_at((frames.len() - 1) as u32)?;
         }
     }
+    let mut stats: Vec<Vec<ClipStats>> =
+        jobs.iter().map(|(frames, _)| Vec::with_capacity(frames.len())).collect();
     let chunk = cfg.chunk_frames.max(1);
-    let chunk_counts: Vec<usize> =
-        jobs.iter().map(|(frames, _)| frames.len().div_ceil(chunk)).collect();
-    let n_chunks: usize = chunk_counts.iter().sum();
-    let threads = if cfg.workers == 0 { 0 } else { cfg.workers.min(n_chunks) };
-    if threads <= 1 {
-        return jobs
+    let mut chunks = Vec::new();
+    for (job, (frames, track)) in jobs.iter_mut().enumerate() {
+        for (i, slice) in frames.chunks_mut(chunk).enumerate() {
+            chunks.push((job, i * chunk, *track, slice));
+        }
+    }
+    let done = fan_out(cfg.workers, chunks, |(job, first, track, slice)| {
+        let chunk_stats: Vec<ClipStats> = slice
             .iter_mut()
-            .map(|(frames, track)| {
-                frames
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, frame)| compensate_frame(frame, track, i as u32))
-                    .collect()
+            .zip(first as u32..)
+            .map(|(frame, i)| {
+                compensate_frame(frame, track, i).expect("range validated before dispatch")
             })
             .collect();
-    }
-    let queue: Mutex<VecDeque<(usize, usize, &AnnotationTrack, &mut [Frame])>> = {
-        let mut q = VecDeque::with_capacity(n_chunks);
-        let mut slot = 0usize;
-        for (frames, track) in jobs.iter_mut() {
-            for (ci, slice) in frames.chunks_mut(chunk).enumerate() {
-                q.push_back((slot, ci * chunk, *track, slice));
-                slot += 1;
-            }
-        }
-        Mutex::new(q)
-    };
-    let mut slots: Vec<Option<Vec<ClipStats>>> = Vec::with_capacity(n_chunks);
-    slots.resize_with(n_chunks, || None);
-    std::thread::scope(|s| {
-        let (tx, rx) = channel::unbounded::<(usize, Vec<ClipStats>)>();
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let queue = &queue;
-            s.spawn(move || loop {
-                let item = queue.lock().pop_front();
-                let Some((slot, base, track, slice)) = item else { break };
-                let stats: Vec<ClipStats> = slice
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(j, frame)| {
-                        let entry = track
-                            .entry_at((base + j) as u32)
-                            .expect("range validated before dispatch");
-                        CompensationLut::new(entry.compensation).apply(frame)
-                    })
-                    .collect();
-                if tx.send((slot, stats)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for _ in 0..n_chunks {
-            let (slot, stats) = rx.recv().expect("every chunk produces one result");
-            slots[slot] = Some(stats);
-        }
+        (job, chunk_stats)
     });
-    let mut flat = slots.into_iter().map(|v| v.expect("chunk index delivered exactly once"));
-    Ok(chunk_counts
-        .iter()
-        .map(|&c| flat.by_ref().take(c).flatten().collect())
-        .collect())
+    for (job, chunk_stats) in done {
+        stats[job].extend(chunk_stats);
+    }
+    Ok(stats)
 }
 
 /// Compensates `frames[i]` against `track` entry `i` for every frame,
 /// in place, returning the per-frame clipping statistics in frame
-/// order. Frame `i`'s compensation factor builds one 256-entry
-/// [`CompensationLut`] (the fixed-point `k·Y` table), applied as table
-/// look-ups.
-///
-/// Byte-identical (frames *and* stats) to calling
-/// [`compensate_frame`] serially, for every chunk size and worker
-/// count.
+/// order: [`compensate_frames_batched`] with one job.
 ///
 /// # Errors
 ///
@@ -358,65 +187,8 @@ pub fn compensate_frames(
     track: &AnnotationTrack,
     cfg: &ParallelConfig,
 ) -> Result<Vec<ClipStats>, CoreError> {
-    let n = frames.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    // Validate the whole range before touching any pixels so a partial
-    // failure can't leave a half-compensated buffer.
-    track.entry_at((n - 1) as u32)?;
-    let chunk = cfg.chunk_frames.max(1);
-    let n_chunks = n.div_ceil(chunk);
-    let threads = if cfg.workers == 0 { 0 } else { cfg.workers.min(n_chunks) };
-    if threads <= 1 {
-        let mut stats = Vec::with_capacity(n);
-        for (i, frame) in frames.iter_mut().enumerate() {
-            stats.push(compensate_frame(frame, track, i as u32)?);
-        }
-        return Ok(stats);
-    }
-    let queue: Mutex<VecDeque<(usize, usize, &mut [Frame])>> = Mutex::new(
-        frames
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, slice)| (ci, ci * chunk, slice))
-            .collect(),
-    );
-    let mut slots: Vec<Option<Vec<ClipStats>>> = Vec::with_capacity(n_chunks);
-    slots.resize_with(n_chunks, || None);
-    std::thread::scope(|s| {
-        let (tx, rx) = channel::unbounded::<(usize, Vec<ClipStats>)>();
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let queue = &queue;
-            s.spawn(move || loop {
-                let item = queue.lock().pop_front();
-                let Some((ci, base, slice)) = item else { break };
-                let stats: Vec<ClipStats> = slice
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(j, frame)| {
-                        let entry = track
-                            .entry_at((base + j) as u32)
-                            .expect("range validated before dispatch");
-                        CompensationLut::new(entry.compensation).apply(frame)
-                    })
-                    .collect();
-                if tx.send((ci, stats)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for _ in 0..n_chunks {
-            let (ci, stats) = rx.recv().expect("every chunk produces one result");
-            slots[ci] = Some(stats);
-        }
-    });
-    Ok(slots
-        .into_iter()
-        .flat_map(|v| v.expect("chunk index delivered exactly once"))
-        .collect())
+    let mut stats = compensate_frames_batched(&mut [(frames, track)], cfg)?;
+    Ok(stats.pop().expect("one job, one result"))
 }
 
 #[cfg(test)]
@@ -429,29 +201,6 @@ mod tests {
 
     fn test_clip() -> Clip {
         ClipLibrary::paper_clip("themovie").unwrap().preview(2.0)
-    }
-
-    #[test]
-    fn chunk_ranges_tile_exactly() {
-        assert_eq!(chunk_ranges(0, 4), Vec::<Range<usize>>::new());
-        assert_eq!(chunk_ranges(10, 4), vec![0..4, 4..8, 8..10]);
-        assert_eq!(chunk_ranges(8, 4), vec![0..4, 4..8]);
-        assert_eq!(chunk_ranges(3, 100), vec![0..3]);
-        // Degenerate chunk size clamps to 1.
-        assert_eq!(chunk_ranges(2, 0), vec![0..1, 1..2]);
-    }
-
-    #[test]
-    fn chunked_map_orders_results_for_every_worker_count() {
-        let reference: Vec<Vec<usize>> =
-            chunked_map(23, &ParallelConfig::serial().with_chunk_frames(5), |r| {
-                r.collect::<Vec<_>>()
-            });
-        for workers in [1, 2, 3, 4, 7, 16] {
-            let cfg = ParallelConfig::with_workers(workers).with_chunk_frames(5);
-            let got = chunked_map(23, &cfg, |r| r.collect::<Vec<_>>());
-            assert_eq!(got, reference, "workers={workers}");
-        }
     }
 
     #[test]
@@ -536,7 +285,7 @@ mod tests {
     #[test]
     fn profile_frames_batched_matches_per_job_serial() {
         // Mixed lengths and geometries: batched output must equal the
-        // per-job serial reference profile for every pool shape.
+        // per-job serial profile for every pool shape.
         let clips =
             [small_clip(3, 32, 32, 2.0), small_clip(9, 48, 32, 0.5), small_clip(5, 16, 16, 1.5)];
         let frames: Vec<Vec<Frame>> = clips.iter().map(|c| c.frames().collect()).collect();
@@ -544,7 +293,7 @@ mod tests {
             clips.iter().zip(&frames).map(|(c, f)| (c.fps(), f.as_slice())).collect();
         let reference: Vec<LuminanceProfile> = jobs
             .iter()
-            .map(|(fps, f)| profile_frames(*fps, f, &ParallelConfig::serial()).unwrap())
+            .map(|(fps, f)| LuminanceProfile::of_frames(*fps, f.iter().cloned()).unwrap())
             .collect();
         for workers in [0usize, 1, 2, 4, 7] {
             for chunk in [1usize, 5, 16] {
@@ -583,8 +332,11 @@ mod tests {
         let mut reference = original.clone();
         let mut ref_stats = Vec::new();
         for (frames, ann) in reference.iter_mut().zip(&annotated) {
-            ref_stats
-                .push(compensate_frames(frames, ann.track(), &ParallelConfig::serial()).unwrap());
+            let stats: Vec<ClipStats> = (0u32..)
+                .zip(frames.iter_mut())
+                .map(|(i, f)| compensate_frame(f, ann.track(), i).unwrap())
+                .collect();
+            ref_stats.push(stats);
         }
         for workers in [0usize, 1, 2, 4, 7] {
             for chunk in [1usize, 5, 16] {

@@ -38,7 +38,9 @@
 use crate::client::DECODE_CPU_BUSY;
 use crate::faults::{AnnotationArrivals, LossyDelivery};
 use crate::message::StreamPacket;
-use crate::session::{negotiate_and_serve_at, retransmit_energy_j, SessionConfig, SessionError};
+use crate::session::{
+    burst_wnic_duty, negotiate_and_serve_at, retransmit_energy_j, SessionConfig, SessionError,
+};
 use annolight_codec::{Decoder, EncodedStream};
 use annolight_core::extensions::DvfsHint;
 use annolight_core::governor::{
@@ -274,13 +276,7 @@ impl GovernedPrep {
 
         let fps = stream.fps().max(f64::EPSILON);
         let frames = stream.frame_count();
-        let stream_bytes = stream.as_bytes().len();
-        let wnic_duty = if config.burst_prefetch && frames > 0 {
-            let duration = f64::from(frames) / fps;
-            (config.channel.transfer_time_s(stream_bytes) / duration).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
+        let wnic_duty = burst_wnic_duty(stream, &config.channel, config.burst_prefetch);
         let requested_knob = control
             .levels
             .iter()
@@ -298,7 +294,7 @@ impl GovernedPrep {
             scene_seq,
             hints: if config.dvfs { hints } else { None },
             wnic_duty,
-            stream_bytes,
+            stream_bytes: stream.as_bytes().len(),
         })
     }
 

@@ -21,7 +21,7 @@
 //! [`crate::server::MediaServer`].
 
 use annolight_codec::{
-    decode_all_yuv_batched, encode_yuv_batched, CodecError, Decoder, EncodedStream, Encoder,
+    decode_all_batched, encode_yuv_batched, CodecError, Decoder, EncodedStream, Encoder,
     EncoderConfig,
 };
 use annolight_core::digest::Digester;
@@ -31,6 +31,7 @@ use annolight_core::{CoreError, HebsRemapSet, LuminanceProfile, PolicyKind, Qual
 use annolight_imgproc::{Frame, Yuv420Frame};
 use annolight_display::DeviceProfile;
 use annolight_serve::{AnnotationService, ServiceConfig};
+use annolight_support::par::fan_out;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -201,7 +202,7 @@ impl Proxy {
     }
 
     /// Transcodes `input` into an annotated, compensated stream for
-    /// `device` at `quality`.
+    /// `device` at `quality`: [`Proxy::transcode_batch`] with one request.
     ///
     /// # Errors
     ///
@@ -214,68 +215,42 @@ impl Proxy {
         quality: QualityLevel,
         mode: AnnotationMode,
     ) -> Result<EncodedStream, ProxyError> {
-        let mut dec = Decoder::new(input)?.with_parallelism(self.parallel);
-        let mut frames = dec.decode_all()?;
-        let profile =
-            parallel::profile_frames(input.fps(), &frames, &self.parallel).map_err(ProxyError::Core)?;
-        let track =
-            self.annotate(Self::stream_digest(input, 0), &profile, device, quality, mode)?;
-
-        let mut enc = Encoder::new(EncoderConfig {
-            width: input.width(),
-            height: input.height(),
-            fps: input.fps(),
-            ..self.encoder_template
-        })?
-        .with_parallelism(self.parallel);
-        enc.push_user_data(&track.to_rle_bytes());
-        self.compensate(&mut frames, &track, &profile, quality, mode)?;
-        enc.push_frames(&frames)?;
-        Ok(enc.finish())
+        let request = TranscodeRequest { input, device, quality, mode };
+        let mut outs = self.transcode_batch(&[request])?;
+        Ok(outs.pop().expect("one request, one stream"))
     }
 
     /// Transcodes a whole batch of streams, scheduling the work of all
     /// of them onto **one** worker pool per stage.
     ///
-    /// [`Proxy::transcode`] fans each clip out on its own: a short clip
-    /// leaves most of the pool idle while a long clip's last GOP
-    /// finishes. This entry point instead batches across clips — one
-    /// [`decode_all_yuv_batched`] dispatch decodes every closed GOP of
-    /// every stream, one [`parallel::profile_frames_batched`] dispatch
-    /// profiles every frame, one
-    /// [`parallel::compensate_frames_batched`] dispatch compensates
-    /// them, and one [`encode_yuv_batched`] dispatch re-encodes — so
-    /// mixed-length batches load-balance across the whole pool.
+    /// One [`decode_all_batched`] dispatch decodes every closed GOP of
+    /// every stream (converting to RGB inside the GOP jobs), one
+    /// [`parallel::profile_frames_batched`] dispatch profiles every
+    /// frame, one [`parallel::compensate_frames_batched`] dispatch
+    /// compensates them, and one [`encode_yuv_batched`] dispatch
+    /// re-encodes — so a short clip does not leave the pool idle while a
+    /// long clip's last GOP finishes. Annotation still goes through the
+    /// shared service cache per clip.
     ///
-    /// Every output stream is byte-identical to what
-    /// [`Proxy::transcode`] produces for the same request, for every
-    /// worker count (`workers <= 1` literally runs the per-clip serial
-    /// reference). Annotation still goes through the shared service
-    /// cache per clip.
+    /// Every output stream is byte-identical for every worker count;
+    /// `workers <= 1` runs each stage inline over the codec's and core's
+    /// serial primitives.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ProxyError`] encountered, in request order.
+    /// Returns the first [`ProxyError`] encountered, stage by stage and
+    /// in request order within a stage.
     pub fn transcode_batch(
         &self,
         requests: &[TranscodeRequest<'_>],
     ) -> Result<Vec<EncodedStream>, ProxyError> {
-        if self.parallel.workers <= 1 {
-            return requests
-                .iter()
-                .map(|r| self.transcode(r.input, r.device, r.quality, r.mode))
-                .collect();
-        }
         // Stage 1: one batched decode across every stream's closed GOPs,
-        // then the same per-frame RGB mapping `decode_all` applies.
+        // straight to RGB.
         let mut decoders = requests
             .iter()
             .map(|r| Decoder::new(r.input))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut frames: Vec<Vec<Frame>> = decode_all_yuv_batched(&mut decoders, &self.parallel)?
-            .into_iter()
-            .map(|clip| clip.iter().map(Yuv420Frame::to_rgb).collect())
-            .collect();
+        let mut frames = decode_all_batched(&mut decoders, &self.parallel, Yuv420Frame::to_rgb)?;
         drop(decoders);
 
         // Stage 2: one batched profiling dispatch over every frame of
@@ -319,8 +294,9 @@ impl Proxy {
                 .map_err(ProxyError::Core)?;
         }
 
-        // Stage 5: one batched re-encode across every stream's GOPs,
-        // after the same RGB→YUV mapping `push_frames` applies.
+        // Stage 5: the same RGB→YUV mapping `push_frames` applies (one
+        // fan-out over every frame of every clip), then one batched
+        // re-encode across every stream's GOPs.
         let mut encoders = requests
             .iter()
             .map(|r| {
@@ -336,18 +312,15 @@ impl Proxy {
         for (enc, track) in encoders.iter_mut().zip(&tracks) {
             enc.push_user_data(&track.to_rle_bytes());
         }
+        let rgb: Vec<&Frame> = frames.iter().flatten().collect();
+        let mut yuv = fan_out(self.parallel.workers, rgb, |f| {
+            f.to_yuv420().map_err(|e| CodecError::Malformed { reason: e.to_string() })
+        })
+        .into_iter();
         let yuv_clips: Vec<Vec<Yuv420Frame>> = frames
             .iter()
-            .map(|clip| {
-                clip.iter()
-                    .map(|f| {
-                        f.to_yuv420()
-                            .map_err(|e| CodecError::Malformed { reason: e.to_string() })
-                    })
-                    .collect::<Result<_, _>>()
-            })
-            .collect::<Result<_, _>>()
-            .map_err(ProxyError::Codec)?;
+            .map(|clip| yuv.by_ref().take(clip.len()).collect())
+            .collect::<Result<_, _>>()?;
         let clip_refs: Vec<&[Yuv420Frame]> = yuv_clips.iter().map(Vec::as_slice).collect();
         encode_yuv_batched(&mut encoders, &clip_refs, &self.parallel)?;
         Ok(encoders.into_iter().map(Encoder::finish).collect())

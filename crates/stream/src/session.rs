@@ -346,6 +346,24 @@ pub(crate) fn retransmit_energy_j(
     system.retransmit_energy_j(retransmits, slot)
 }
 
+/// The WNIC receive duty while `stream` plays. With burst prefetch the
+/// client knows the stream layout up front (from its annotations) and
+/// fetches it in bursts, so the radio only receives for the fraction of
+/// playback the transfer takes; otherwise, or for an empty stream, it
+/// receives throughout (1).
+pub(crate) fn burst_wnic_duty(
+    stream: &EncodedStream,
+    channel: &WirelessChannel,
+    burst_prefetch: bool,
+) -> f64 {
+    let frames = stream.frame_count();
+    if !burst_prefetch || frames == 0 {
+        return 1.0;
+    }
+    let duration = f64::from(frames) / stream.fps().max(f64::EPSILON);
+    (channel.transfer_time_s(stream.as_bytes().len()) / duration).clamp(0.0, 1.0)
+}
+
 /// The client-side end of a play session: degraded playback,
 /// retransmission energy accounting, and report assembly.
 pub(crate) fn finish_faulty(
@@ -355,16 +373,8 @@ pub(crate) fn finish_faulty(
     let total = lossy.stream.as_bytes().len();
     let transfer_time = tail.channel.transfer_time_s(total);
     let meter = EnergyMeter::new();
-    let mut client = PlaybackClient::new(tail.device, tail.system);
-    if tail.burst_prefetch && lossy.stream.frame_count() > 0 {
-        // With annotations the client knows the stream layout up front and
-        // can fetch it in bursts: the radio only needs to receive for the
-        // fraction of playback the transfer actually takes.
-        let duration =
-            f64::from(lossy.stream.frame_count()) / lossy.stream.fps().max(f64::EPSILON);
-        let duty = (transfer_time / duration).clamp(0.0, 1.0);
-        client = client.with_wnic_duty(duty);
-    }
+    let duty = burst_wnic_duty(&lossy.stream, &tail.channel, tail.burst_prefetch);
+    let client = PlaybackClient::new(tail.device, tail.system).with_wnic_duty(duty);
     let degraded = client
         .play_degraded(&lossy.stream, &lossy.arrivals, DegradationConfig::default(), Some(&meter))
         .map_err(SessionError::Playback)?;

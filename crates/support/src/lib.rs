@@ -21,7 +21,7 @@
 //! | [`bench`] | `criterion` | wall-clock median-of-N harness |
 //! | [`wheel`] | `tokio-util` timers | hierarchical virtual-time [`wheel::TimerWheel`] |
 //! | [`reactor`] | `tokio`/`mio` | deterministic cooperative [`reactor::Reactor`] |
-//! | [`pool`] | `object-pool`/`bytes` arenas | free-list [`pool::BytePool`] with reuse stats |
+//! | [`par`] | `rayon::scope` | scoped [`par::fan_out`] returning results in item order |
 //!
 //! All modules are `std`-only. Determinism is a design goal throughout:
 //! the PRNG is seedable, the property runner prints a replayable seed on
@@ -32,7 +32,7 @@ pub mod bytes;
 pub mod channel;
 pub mod check;
 pub mod json;
-pub mod pool;
+pub mod par;
 pub mod reactor;
 pub mod retry;
 pub mod rng;

@@ -20,9 +20,9 @@
 //!   to the wheel's next deadline; expiry order is `(deadline,
 //!   insertion-seq)`.
 //! * Parked waiters are re-polled in ascending task-id order.
-//! * With `workers > 1` the batch is stepped by scoped threads in
-//!   disjoint chunks, but step *results* are recorded and applied in
-//!   batch order — so the trace digest is invariant across
+//! * With `workers > 1` the batch is stepped in disjoint chunks on
+//!   [`crate::par::fan_out`], but step *results* are recorded and applied
+//!   in batch order — so the trace digest is invariant across
 //!   `workers ∈ {1, N}` for tasks that don't share mutable state
 //!   (sessions are independent by construction). Tasks that do interact
 //!   through a shared service must run with `workers ≤ 1`.
@@ -32,6 +32,7 @@
 //! double-run guard compares.
 
 use crate::channel::{Receiver, TryRecvError};
+use crate::par;
 use crate::rng::SmallRng;
 use crate::sync::Mutex;
 use crate::wheel::{secs_from_ticks, TimerWheel};
@@ -255,8 +256,8 @@ pub struct ReactorConfig {
     /// Seed of the schedule-shuffle RNG stream.
     pub seed: u64,
     /// Step workers: `0` or `1` steps batches on the caller thread; `N`
-    /// steps disjoint chunks on scoped threads (results still applied in
-    /// batch order).
+    /// steps disjoint chunks on [`crate::par::fan_out`] (results still
+    /// applied in batch order).
     pub workers: usize,
     /// `true` when parked sources are fed by *external* OS threads (e.g.
     /// a serve worker pool): the idle loop then parks with a timeout and
@@ -434,41 +435,26 @@ impl Reactor {
             batch.swap(i, j);
         }
 
-        let mut taken: Vec<(TaskId, Box<dyn Task>)> = batch
+        // Each task travels with the slot its step result lands in;
+        // `Step::Yield` is only a placeholder until the task is stepped.
+        let mut taken: Vec<(TaskId, Box<dyn Task>, Step)> = batch
             .iter()
-            .map(|&id| (id, self.slots[id].task.take().expect("ready task present")))
+            .map(|&id| (id, self.slots[id].task.take().expect("ready task present"), Step::Yield))
             .collect();
 
-        let workers = self.config.workers.max(1);
-        let results: Vec<Step> = if workers > 1 && taken.len() >= 2 * workers {
-            let chunk = taken.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = taken
-                    .chunks_mut(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            part.iter_mut()
-                                .map(|(id, task)| {
-                                    task.step(&Context { now_ticks: now, task: *id, round })
-                                })
-                                .collect::<Vec<Step>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("reactor step worker panicked"))
-                    .collect()
-            })
-        } else {
-            taken
-                .iter_mut()
-                .map(|(id, task)| task.step(&Context { now_ticks: now, task: *id, round }))
-                .collect()
-        };
+        // Disjoint chunks on the shared fan-out; one chunk (inline) unless
+        // every worker gets at least two tasks.
+        let workers = self.config.workers;
+        let parts = if workers > 1 && taken.len() >= 2 * workers { workers } else { 1 };
+        let chunk = taken.len().div_ceil(parts);
+        par::fan_out(parts, taken.chunks_mut(chunk), |part| {
+            for (id, task, step) in part {
+                *step = task.step(&Context { now_ticks: now, task: *id, round });
+            }
+        });
 
         // Apply in batch order — identical regardless of worker count.
-        for ((id, task), step) in taken.into_iter().zip(results) {
+        for (id, task, step) in taken {
             self.steps += 1;
             self.record(round, id, &step, now);
             self.slots[id].task = Some(task);

@@ -20,6 +20,9 @@ cargo test -q -p annolight-serve --release --offline -- soak
 echo "== stream crate in isolation (offline) =="
 cargo test -q -p annolight-stream --offline
 
+echo "== codec crate in isolation (offline; annolight-core is not in its dependency graph) =="
+cargo test -q -p annolight-codec --offline
+
 echo "== wire decoders in release too (integer overflow panics in debug, wraps in release) =="
 cargo test -q --release --offline --test robustness
 cargo test -q --release --offline -p annolight-codec --lib

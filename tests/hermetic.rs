@@ -193,3 +193,24 @@ fn workspace_table_is_path_only() {
         );
     }
 }
+
+#[test]
+fn codec_manifests_never_list_core() {
+    // The codec sits below the paper's crate: it fans out through
+    // `annolight_support::par`, so no dependency table under
+    // `crates/codec` may name `annolight-core`.
+    let codec = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/codec");
+    let manifests = manifests(&codec);
+    assert!(!manifests.is_empty(), "no manifest under {}", codec.display());
+    let offences: Vec<String> = manifests
+        .iter()
+        .flat_map(|m| dependencies(m))
+        .filter(|d| d.name == "annolight-core")
+        .map(|d| format!("{} [{}] {} = {}", d.manifest, d.section, d.name, d.spec))
+        .collect();
+    assert!(
+        offences.is_empty(),
+        "the codec must not depend on annolight-core:\n  {}",
+        offences.join("\n  ")
+    );
+}

@@ -3,7 +3,7 @@
 
 use annolight::codec::{Decoder, EncodedStream, Encoder, EncoderConfig};
 use annolight::core::track::AnnotationTrack;
-use annolight::core::QualityLevel;
+use annolight::core::{AnnotationDelta, DeltaStatus, DeltaTracker, QualityLevel};
 use annolight::display::DeviceProfile;
 use annolight::power::SystemPowerModel;
 use annolight::stream::PlaybackClient;
@@ -186,6 +186,31 @@ fn forged_track_deltas_are_rejected() {
     }
     let err = AnnotationTrack::from_rle_bytes(&bytes).expect_err("frame index overflow");
     assert!(err.to_string().contains("frame index overflow"), "{err}");
+}
+
+/// A well-formed `ALD1` delta carrying the last sequence number,
+/// `u32::MAX`: the tracker must not overflow its expected sequence, and
+/// every sequence number offered after it is a duplicate.
+#[test]
+fn delta_with_the_last_sequence_number_leaves_only_duplicates() {
+    let delta = AnnotationDelta {
+        seq: u32::MAX,
+        entry: annolight::core::track::AnnotationEntry {
+            start_frame: 0,
+            backlight: annolight::display::BacklightLevel(90),
+            compensation: 1.5,
+            effective_max_luma: 170,
+        },
+    };
+    let wire = AnnotationDelta::from_bytes(&delta.to_bytes()).expect("well-formed delta");
+    assert_eq!(wire.seq, u32::MAX);
+    let mut tracker = DeltaTracker::new();
+    assert_eq!(tracker.offer(&wire, 0), DeltaStatus::Gap { expected: 0 });
+    for seq in [0, u32::MAX] {
+        let replay = AnnotationDelta { seq, ..wire };
+        assert_eq!(tracker.offer(&replay, 0), DeltaStatus::Duplicate, "seq {seq}");
+    }
+    assert_eq!((tracker.applied(), tracker.duplicates()), (1, 2));
 }
 
 /// Frame rates whose millihertz header field would round to 0 or exceed
