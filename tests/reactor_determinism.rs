@@ -14,11 +14,15 @@
 //!   and bursty hops share one reactor.
 //! * **Scale-tier replay** — a mixed lossy/bursty [`ScaleSession`]
 //!   fleet replays identical per-session outcome digests.
+//! * **Pinned digests** — a mixed fleet's schedule digest and a
+//!   64-session [`ScaleSession`] fleet's schedule and outcome digests
+//!   equal values frozen from an earlier build, at workers 1 and 4.
 //!
 //! Set `ANNOLIGHT_REACTOR_LOG=/path` to export the canonical schedule +
 //! outcome log as JSON (the CI script runs the suite twice and `cmp`s
 //! the two files).
 
+use annolight::core::digest::Digester;
 use annolight::core::QualityLevel;
 use annolight::stream::machine::{ScaleOutcome, ScaleSession, ScaleSpec};
 use annolight::stream::{
@@ -309,7 +313,7 @@ fn mixed_fleet_sessions_match_their_blocking_runs_across_worker_counts() {
     assert_eq!(digests[0], digests[1], "schedule digest must be invariant under workers=4");
 }
 
-fn scale_fleet(seed: u64, workers: usize) -> (Vec<ScaleOutcome>, u64) {
+fn scale_fleet(n: usize, seed: u64, workers: usize) -> (Vec<ScaleOutcome>, u64) {
     let clip = test_clip();
     let spec = Arc::new(
         ScaleSpec::negotiate(SessionConfig::new(clip, QualityLevel::Q10))
@@ -317,7 +321,6 @@ fn scale_fleet(seed: u64, workers: usize) -> (Vec<ScaleOutcome>, u64) {
     );
     let (tx, rx) = channel::unbounded();
     let mut reactor = Reactor::with_config(reactor_config(seed, workers));
-    let n = 48usize;
     for i in 0..n {
         let faults = if i % 2 == 0 {
             FaultConfig::lossy(seed ^ i as u64, 0.15)
@@ -338,15 +341,55 @@ fn scale_fleet(seed: u64, workers: usize) -> (Vec<ScaleOutcome>, u64) {
 
 #[test]
 fn scale_fleet_replays_identically_across_runs_and_workers() {
-    let (a, da) = scale_fleet(7, 1);
-    let (b, db) = scale_fleet(7, 1);
+    let (a, da) = scale_fleet(48, 7, 1);
+    let (b, db) = scale_fleet(48, 7, 1);
     assert_eq!(a, b, "same-seed scale fleets must produce identical outcomes");
     assert_eq!(da, db);
-    let (c, dc) = scale_fleet(7, 4);
+    let (c, dc) = scale_fleet(48, 7, 4);
     assert_eq!(a, c, "outcomes must be invariant under workers=4");
     assert_eq!(da, dc, "digest must be invariant under workers=4");
     assert!(a.iter().any(|o| o.dropped > 0), "a lossy fleet must drop packets");
     assert!(a.iter().all(|o| o.undeliverable == 0), "reliable retries must deliver pictures");
+}
+
+/// Schedule digest of [`mixed_fleet`] at seed 7, at every worker count.
+const PINNED_MIXED_SCHEDULE: &str = "e2a0a1241977fc9c";
+/// Schedule digest of a 64-session [`scale_fleet`] at seed 7.
+const PINNED_SCALE_SCHEDULE: &str = "6a162c59e5572e07";
+/// FNV-1a fold of that fleet's 64 outcome digests, in session order.
+const PINNED_SCALE_OUTCOMES: &str = "3b431a077c15df15";
+
+/// The CI double-run compares two runs of one build; these rows compare
+/// against values frozen from an earlier build, so a scheduler change
+/// that moves any interleaving or arrival fails here.
+#[test]
+fn schedule_and_outcome_digests_match_their_pinned_values() {
+    let clip = test_clip();
+    for workers in [1usize, 4] {
+        let (_, reactor) = run_sessions_on_reactor(mixed_fleet(&clip), reactor_config(7, workers));
+        assert_eq!(
+            reactor.digest.to_hex(),
+            PINNED_MIXED_SCHEDULE,
+            "workers {workers}: mixed-fleet schedule digest"
+        );
+    }
+    for workers in [1usize, 4] {
+        let (fleet, schedule) = scale_fleet(64, 7, workers);
+        let mut outcomes = Digester::new();
+        for o in &fleet {
+            outcomes.write_u64(o.digest);
+        }
+        assert_eq!(
+            format!("{schedule:016x}"),
+            PINNED_SCALE_SCHEDULE,
+            "workers {workers}: scale-fleet schedule digest"
+        );
+        assert_eq!(
+            format!("{:016x}", outcomes.finish()),
+            PINNED_SCALE_OUTCOMES,
+            "workers {workers}: scale-fleet outcome digests"
+        );
+    }
 }
 
 /// The canonical deterministic artefact: per-seed schedule digests and
@@ -362,7 +405,7 @@ fn reactor_log() -> String {
             reactor_config(seed, 1),
         );
         let sessions: Vec<FaultySessionReport> = reports.into_iter().map(play_report).collect();
-        let (fleet, fleet_digest) = scale_fleet(seed, 1);
+        let (fleet, fleet_digest) = scale_fleet(48, seed, 1);
         let scale_digests: Vec<String> =
             fleet.iter().map(|o| format!("{:016x}", o.digest)).collect();
         let entry = annolight_support::json_obj!({
