@@ -14,6 +14,7 @@ use annolight_stream::machine::{ScaleOutcome, ScaleSession, ScaleSpec};
 use annolight_stream::session::SessionConfig;
 use annolight_stream::FaultConfig;
 use annolight_support::channel;
+use annolight_support::fnv::Digester;
 use annolight_support::reactor::Reactor;
 use annolight_video::ClipLibrary;
 use std::sync::Arc;
@@ -117,14 +118,6 @@ pub fn fleet_spec() -> Result<Arc<ScaleSpec>, String> {
     ScaleSpec::negotiate(config).map(Arc::new).map_err(|e| e.to_string())
 }
 
-fn fnv_fold(mut hash: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Peak resident set size of this process in bytes (`VmHWM`), or `None`
 /// off Linux.
 #[must_use]
@@ -169,11 +162,11 @@ pub fn run_point(spec: &Arc<ScaleSpec>, seed: u64, sessions: usize) -> ScalePoin
     for (i, outcome) in rx.iter() {
         outcomes[i] = Some(outcome);
     }
-    let mut fleet_digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fleet_digest = Digester::new();
     let (mut dropped, mut retransmits, mut degraded, mut undeliverable) = (0u64, 0u64, 0u64, 0u64);
     for (i, slot) in outcomes.iter().enumerate() {
         let o = slot.as_ref().unwrap_or_else(|| panic!("session {i} never reported"));
-        fleet_digest = fnv_fold(fleet_digest, o.digest);
+        fleet_digest.write_u64(o.digest);
         dropped += o.dropped;
         retransmits += o.retransmits;
         degraded += u64::from(o.degraded_frames);
@@ -188,7 +181,7 @@ pub fn run_point(spec: &Arc<ScaleSpec>, seed: u64, sessions: usize) -> ScalePoin
         rounds: report.rounds,
         steps: report.steps,
         schedule_digest: report.digest.to_hex(),
-        fleet_digest: format!("{fleet_digest:016x}"),
+        fleet_digest: format!("{:016x}", fleet_digest.finish()),
         dropped,
         retransmits,
         degraded_frames: degraded,

@@ -29,6 +29,7 @@ use annolight_codec::zigzag::{encode_block, ZIGZAG};
 use annolight_codec::{Decoder, EncodedStream, Encoder, EncoderConfig};
 use annolight_imgproc::{Frame, Yuv420Frame};
 use annolight_support::check;
+use annolight_support::fnv::Digester;
 use annolight_support::par::ParallelConfig;
 use annolight_video::ClipLibrary;
 
@@ -54,11 +55,12 @@ fn clip_frames(name: &str) -> (Vec<Frame>, EncoderConfig) {
 fn log_digest(clip: &str, q: u8, workers: usize, stream: &EncodedStream, frames: &[Yuv420Frame]) {
     let Ok(path) = std::env::var("ANNOLIGHT_CODEC_LOG") else { return };
     // FNV-1a over the stream bytes, then every plane in display order.
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let planes = frames.iter().flat_map(|f| [f.y_plane(), f.u_plane(), f.v_plane()]);
-    for &b in std::iter::once(stream.as_bytes()).chain(planes).flatten() {
-        digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut digester = Digester::new();
+    digester.write(stream.as_bytes());
+    for f in frames {
+        digester.write(f.y_plane()).write(f.u_plane()).write(f.v_plane());
     }
+    let digest = digester.finish();
     use std::io::Write as _;
     let mut f = std::fs::OpenOptions::new()
         .create(true)

@@ -1,10 +1,9 @@
 //! Incremental annotation delivery: sequence-numbered track deltas.
 //!
-//! The full [`AnnotationTrack`](crate::track::AnnotationTrack) rides
-//! ahead of the pictures when the whole stream is fetched at once, but a
-//! live session over a lossy hop streams the track *incrementally*: one
-//! [`AnnotationDelta`] per scene, sent just ahead of the frames it
-//! governs. Deltas are hints — losing one must never stall playback —
+//! The full [`AnnotationTrack`] rides ahead of the pictures when the
+//! whole stream is fetched at once, but a live session over a lossy hop
+//! streams the track *incrementally*: one [`AnnotationDelta`] per scene,
+//! sent just ahead of the frames it governs. Deltas are hints — losing one must never stall playback —
 //! so each carries a sequence number and the receiving client runs a
 //! [`DeltaTracker`] that classifies every arrival:
 //!

@@ -13,9 +13,10 @@
 //! rendered and strided-sampled. For the synthetic, deterministic clips
 //! this workspace generates, identical specs give identical digests and
 //! any content edit shows up in the sampled frames with overwhelming
-//! probability. The hash is FNV-1a/64 — deterministic across runs and
-//! platforms (unlike `DefaultHasher`, whose algorithm is unspecified).
+//! probability. The hash is [`annolight_support::fnv`]'s FNV-1a/64,
+//! re-exported here as [`fnv1a_64`] and [`Digester`].
 
+pub use annolight_support::fnv::{fnv1a_64, Digester};
 use annolight_video::Clip;
 
 /// Frames sampled (evenly spaced, always including first and last) by
@@ -24,71 +25,6 @@ pub const DIGEST_FRAMES: u32 = 5;
 
 /// Pixels sampled per digested frame (strided across the RGB buffer).
 pub const DIGEST_PIXELS_PER_FRAME: usize = 256;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a/64 over a byte slice: the workspace's deterministic,
-/// dependency-free hash for cache addressing.
-#[must_use]
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// An incremental FNV-1a/64 hasher for mixing heterogeneous fields.
-#[derive(Debug, Clone)]
-pub struct Digester {
-    state: u64,
-}
-
-impl Default for Digester {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Digester {
-    /// Fresh hasher at the FNV offset basis.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { state: FNV_OFFSET }
-    }
-
-    /// Mixes raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    /// Mixes a `u32` (little-endian).
-    pub fn write_u32(&mut self, v: u32) -> &mut Self {
-        self.write(&v.to_le_bytes())
-    }
-
-    /// Mixes a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write(&v.to_le_bytes())
-    }
-
-    /// Mixes an `f64` by its exact bit pattern.
-    pub fn write_f64(&mut self, v: f64) -> &mut Self {
-        self.write(&v.to_bits().to_le_bytes())
-    }
-
-    /// The digest so far.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
 
 /// A cheap, deterministic content digest of a clip.
 ///
@@ -155,14 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a/64 test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn digest_is_deterministic() {
         assert_eq!(clip_digest(&clip(7, 40)), clip_digest(&clip(7, 40)));
     }
@@ -182,14 +110,5 @@ mod tests {
         spec.name = "renamed".into();
         let b = Clip::new(spec).unwrap();
         assert_eq!(clip_digest(&a), clip_digest(&b));
-    }
-
-    #[test]
-    fn digester_mixes_field_order() {
-        let mut a = Digester::new();
-        a.write_u32(1).write_u32(2);
-        let mut b = Digester::new();
-        b.write_u32(2).write_u32(1);
-        assert_ne!(a.finish(), b.finish());
     }
 }

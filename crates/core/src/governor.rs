@@ -27,24 +27,11 @@
 
 use crate::error::CoreError;
 use crate::quality::QualityLevel;
+use annolight_support::fnv::Digester;
 
 /// Wire magic for a governor feedback packet (`ALG1`: AnnoLight
 /// Governor v1).
 pub const GOVERNOR_MAGIC: &[u8; 4] = b"ALG1";
-
-/// FNV-1a offset basis (the digest the trace fold starts from).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut hash: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 // ---------------------------------------------------------------------------
 // Knob search.
@@ -420,23 +407,25 @@ annolight_support::impl_json!(struct GovernorEvent { scene, start_frame, knob, q
 /// bit-identical.
 #[must_use]
 pub fn trace_digest(events: &[GovernorEvent]) -> u64 {
-    let mut hash = FNV_OFFSET;
+    let mut d = Digester::new();
     for e in events {
-        hash = fnv_fold(hash, u64::from(e.scene));
-        hash = fnv_fold(hash, u64::from(e.start_frame));
-        hash = fnv_fold(hash, u64::from(e.knob));
-        hash = fnv_fold(hash, e.quality.clip_fraction().to_bits());
-        hash = fnv_fold(hash, e.action as u64);
-        hash = fnv_fold(hash, u64::from(e.fits) | (u64::from(e.throttled) << 1) | (u64::from(e.hint_missing) << 2));
-        hash = fnv_fold(hash, u64::from(e.probes));
-        hash = fnv_fold(hash, e.projected_j.to_bits());
-        hash = fnv_fold(hash, e.scene_j.to_bits());
-        hash = fnv_fold(hash, e.remaining_j.to_bits());
-        hash = fnv_fold(hash, e.battery_j.to_bits());
-        hash = fnv_fold(hash, e.temp_c.to_bits());
-        hash = fnv_fold(hash, e.ambient_lux.to_bits());
+        d.write_u64(u64::from(e.scene))
+            .write_u64(u64::from(e.start_frame))
+            .write_u64(u64::from(e.knob))
+            .write_f64(e.quality.clip_fraction())
+            .write_u64(e.action as u64)
+            .write_u64(
+                u64::from(e.fits) | (u64::from(e.throttled) << 1) | (u64::from(e.hint_missing) << 2),
+            )
+            .write_u64(u64::from(e.probes))
+            .write_f64(e.projected_j)
+            .write_f64(e.scene_j)
+            .write_f64(e.remaining_j)
+            .write_f64(e.battery_j)
+            .write_f64(e.temp_c)
+            .write_f64(e.ambient_lux);
     }
-    hash
+    d.finish()
 }
 
 // ---------------------------------------------------------------------------

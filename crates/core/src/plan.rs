@@ -165,20 +165,6 @@ impl BacklightPlan {
             .sum::<f64>()
             / f64::from(total)
     }
-
-    /// Duration-weighted mean clipped-pixel fraction (the realised quality
-    /// degradation; always ≤ the requested quality level).
-    pub fn mean_clipped_fraction(&self) -> f64 {
-        let total: u32 = self.scenes.iter().map(|s| s.span.len()).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.scenes
-            .iter()
-            .map(|s| s.clipped_fraction * f64::from(s.span.len()))
-            .sum::<f64>()
-            / f64::from(total)
-    }
 }
 
 /// The paper's peak-clipping scene planner, extracted verbatim from the

@@ -135,9 +135,9 @@ annolight_support::impl_json!(struct ResolutionDecision { use_half, full_energy_
 ///
 /// Implementations must be pure functions of their arguments (no
 /// interior state, no RNG, no floats whose order of evaluation depends
-/// on chunking) so that [`BacklightPlan::compute_policy`]
-/// (crate::plan::BacklightPlan::compute_policy) stays byte-identical
-/// across worker counts.
+/// on chunking) so that
+/// [`BacklightPlan::compute_policy`](crate::plan::BacklightPlan::compute_policy)
+/// stays byte-identical across worker counts.
 pub trait AnnotationPolicy: Send + Sync + std::fmt::Debug {
     /// Which [`PolicyKind`] this backend implements.
     fn kind(&self) -> PolicyKind;
@@ -279,7 +279,7 @@ impl AnnotationPolicy for SpatialScale {
 /// brighter backlight than peak-clip for the same scene**, which is the
 /// ordering the conformance tier asserts. The compensation factor is
 /// derived from the achieved discrete level exactly like
-/// [`plan_levels`].
+/// [`plan_levels`](crate::plan::plan_levels).
 pub fn hebs_levels(
     device: &DeviceProfile,
     hist: &Histogram,

@@ -50,11 +50,6 @@ impl Rgb8 {
         luma_u8(self.r, self.g, self.b)
     }
 
-    /// Luminance normalised to `[0, 1]`.
-    pub fn luma_norm(self) -> f32 {
-        f32::from(self.luma()) / 255.0
-    }
-
     /// Converts to BT.601 YUV (full-range, i.e. Y ∈ [0, 255], U/V offset
     /// by 128).
     pub fn to_yuv(self) -> Yuv8 {

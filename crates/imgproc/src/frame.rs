@@ -174,27 +174,6 @@ impl Frame {
         LumaFrame { width: self.width, height: self.height, data }
     }
 
-    /// Recomputes the luminance plane into an existing [`LumaFrame`],
-    /// reusing its buffer — the allocation-free form of [`Self::to_luma`]
-    /// for pooled steady-state loops.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImageError::BufferSizeMismatch`] when `out`'s plane size
-    /// differs from this frame's pixel count.
-    pub fn to_luma_into(&self, out: &mut LumaFrame) -> Result<(), ImageError> {
-        let expected = self.pixel_count();
-        if out.data.len() != expected {
-            return Err(ImageError::BufferSizeMismatch { expected, actual: out.data.len() });
-        }
-        out.width = self.width;
-        out.height = self.height;
-        for (c, l) in self.data.chunks_exact(3).zip(out.data.iter_mut()) {
-            *l = luma_u8(c[0], c[1], c[2]);
-        }
-        Ok(())
-    }
-
     /// Builds the 256-bin luminance histogram of the frame.
     ///
     /// Dispatches to the widest SIMD accumulator the host supports (see

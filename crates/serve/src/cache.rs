@@ -173,12 +173,6 @@ impl AnnotationCache {
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
         &self.shards[(key.digest() % self.shards.len() as u64) as usize]
     }

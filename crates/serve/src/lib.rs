@@ -13,11 +13,11 @@
 //! | [`service`] | admission/backpressure front-end: bounded per-tenant queues, round-robin fairness, typed [`ServeError::Overloaded`] |
 //! | [`counters`] | hit/miss/overload counters + profile-latency histogram (exact-quantile reservoir mode), exported as JSON |
 //! | [`workload`] | trace-driven planetary workload model (Zipf popularity, diurnal/flash-crowd curves, tenant churn) + SLO replay harness |
-//! | [`reactor`] | admission flows as resumable tasks on the deterministic reactor ([`AdmissionDriver`]): overload backoff as virtual-time sleeps, pending tickets as channel waits |
 //!
 //! Everything is hermetic: the only dependencies are sibling workspace
-//! crates, and concurrency is built on [`annolight_support::sync`] and
-//! [`annolight_support::channel`].
+//! crates. [`pool`] runs jobs on OS threads built on
+//! [`annolight_support::sync`], and each pending [`Ticket`] is answered
+//! on an [`annolight_support::channel`].
 //!
 //! ## Example
 //!
@@ -50,14 +50,12 @@
 pub mod cache;
 pub mod counters;
 pub mod pool;
-pub mod reactor;
 pub mod service;
 pub mod workload;
 
 pub use cache::{AnnotationCache, CacheKey, CacheStats};
 pub use counters::{Counters, CountersReport, Exactness, LatencyHistogram};
 pub use pool::{PoolStats, WorkerPool};
-pub use reactor::{AdmissionDriver, AdmissionOutcome};
 pub use service::{
     AnnotationRequest, AnnotationResponse, AnnotationService, ServeError, Service, ServiceConfig,
     Ticket,

@@ -168,7 +168,7 @@ pub enum Ticket {
 impl Ticket {
     /// Blocks until the response is available. In deterministic mode the
     /// caller must drain the pool first (see
-    /// [`AnnotationService::run_until_idle`]); [`AnnotationService::call`]
+    /// [`AnnotationService::run_until_idle`]); [`Service::call`]
     /// does this automatically.
     ///
     /// # Errors
@@ -309,20 +309,6 @@ impl AnnotationService {
             .lock()
             .insert(clip.name().to_owned(), CatalogueEntry { clip: Arc::new(clip), digest });
         digest
-    }
-
-    /// Names currently in the catalogue, sorted.
-    #[must_use]
-    pub fn catalogue_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.catalogue.lock().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// The content digest of a registered clip, if present.
-    #[must_use]
-    pub fn clip_digest_of(&self, name: &str) -> Option<u64> {
-        self.catalogue.lock().get(name).map(|e| e.digest)
     }
 
     /// Whether the pool executes inline and FIFO (see [`WorkerPool`]).

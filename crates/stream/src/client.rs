@@ -110,7 +110,6 @@ impl PlaybackReport {
 pub struct PlaybackClient {
     device: DeviceProfile,
     system: SystemPowerModel,
-    controller: ControllerConfig,
     /// WNIC receive duty cycle during playback (1.0 = continuous
     /// reception; below 1 models annotation-driven burst prefetching,
     /// §3's "network packet optimizations").
@@ -120,7 +119,7 @@ pub struct PlaybackClient {
 impl PlaybackClient {
     /// Creates a client for `device` with the given system power model.
     pub fn new(device: DeviceProfile, system: SystemPowerModel) -> Self {
-        Self { device, system, controller: ControllerConfig::default(), wnic_duty: 1.0 }
+        Self { device, system, wnic_duty: 1.0 }
     }
 
     /// Sets the WNIC receive duty cycle (see the field docs).
@@ -131,12 +130,6 @@ impl PlaybackClient {
     pub fn with_wnic_duty(mut self, duty: f64) -> Self {
         assert!((0.0..=1.0).contains(&duty), "wnic duty {duty} outside [0, 1]");
         self.wnic_duty = duty;
-        self
-    }
-
-    /// Overrides the backlight controller configuration.
-    pub fn with_controller(mut self, controller: ControllerConfig) -> Self {
-        self.controller = controller;
         self
     }
 
@@ -223,7 +216,7 @@ impl PlaybackClient {
 
         let fps = dec.fps().max(f64::EPSILON);
         let dt = 1.0 / fps;
-        let mut controller = BacklightController::new(self.controller);
+        let mut controller = BacklightController::new(ControllerConfig::default());
         let mut frames = 0u32;
         let mut energy = 0.0f64;
         let mut baseline = 0.0f64;

@@ -11,9 +11,9 @@
 //!   [`SmallRng`] stream (split from one seed), so enabling one fault never
 //!   perturbs another's decisions and every run replays exactly from the
 //!   seed.
-//! * [`retry`] — the deadline-aware exponential-backoff
-//!   [`RetryPolicy`](retry::RetryPolicy) (shared with the serve tier's
-//!   admission backpressure; it lives in `annolight_support::retry`).
+//! * [`retry`] — the deadline-aware exponential-backoff [`RetryPolicy`]
+//!   (shared with the serve tier's admission backpressure; it lives in
+//!   `annolight_support::retry`).
 //! * [`LossyEngine`] / [`LossyCollector`] — the end-to-end delivery engine
 //!   as a non-blocking sender/receiver pair: picture packets are
 //!   retransmitted *reliably* (the player buffers), annotation deltas are

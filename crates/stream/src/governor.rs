@@ -2,7 +2,8 @@
 //!
 //! Wires the [`annolight_core::governor`] control law into the session
 //! tier. The server negotiates as usual and additionally prepares a
-//! per-quality **plan ladder** (one [`BacklightPlan`] per offered level,
+//! per-quality **plan ladder** (one
+//! [`BacklightPlan`](annolight_core::BacklightPlan) per offered level,
 //! sharing one scene detection); the client then plays scene by scene
 //! under the governor:
 //!

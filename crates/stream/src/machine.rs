@@ -48,21 +48,14 @@ use crate::session::{
 };
 use annolight_codec::EncodedStream;
 use annolight_support::channel::{self, Sender};
+use annolight_support::fnv::Digester;
 use annolight_support::json::{Json, ToJson};
-use annolight_support::reactor::{Context, Reactor, ReactorConfig, ReactorReport, Step, Task};
+use annolight_support::reactor::{Reactor, ReactorConfig, ReactorReport, Step, Task};
 use annolight_support::wheel::ticks_from_secs;
 use std::sync::Arc;
 
 /// Packets a machine pumps per cooperative step.
 const PACKETS_PER_STEP: usize = 16;
-
-fn fnv_fold(mut hash: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 // ---------------------------------------------------------------------------
 // The full-fidelity session machine.
@@ -210,7 +203,7 @@ impl SessionMachine {
 }
 
 impl Task for SessionMachine {
-    fn step(&mut self, _cx: &Context) -> Step {
+    fn step(&mut self) -> Step {
         let step = match std::mem::replace(&mut self.state, State::Finished) {
             State::Init(spec) => Self::init(*spec).map(|delivery| {
                 self.state = State::Deliver(Box::new(delivery));
@@ -349,7 +342,7 @@ pub struct ScaleSession {
     degradation: DegradationConfig,
     next: usize,
     arrivals: Vec<Option<f64>>,
-    digest: u64,
+    digest: Digester,
     undeliverable: u32,
     index: usize,
     out: Sender<(usize, ScaleOutcome)>,
@@ -372,7 +365,7 @@ impl ScaleSession {
             degradation: DegradationConfig::default(),
             next: 0,
             arrivals: vec![None; n],
-            digest: 0xcbf2_9ce4_8422_2325,
+            digest: Digester::new(),
             undeliverable: 0,
             index,
             out,
@@ -432,7 +425,7 @@ impl ScaleSession {
 }
 
 impl Task for ScaleSession {
-    fn step(&mut self, _cx: &Context) -> Step {
+    fn step(&mut self) -> Step {
         let n_deltas = self.spec.delta_lens.len();
         for _ in 0..PACKETS_PER_STEP {
             if self.next < n_deltas {
@@ -446,7 +439,7 @@ impl Task for ScaleSession {
                     self.arrivals[i] = Some(first);
                 }
                 for &a in &fate.copies {
-                    self.digest = fnv_fold(self.digest, a.to_bits());
+                    self.digest.write_f64(a);
                 }
                 self.next += 1;
             } else if self.next < self.spec.packets() {
@@ -456,12 +449,12 @@ impl Task for ScaleSession {
                     self.undeliverable += 1;
                 }
                 for &a in &fate.copies {
-                    self.digest = fnv_fold(self.digest, a.to_bits());
+                    self.digest.write_f64(a);
                 }
                 self.next += 1;
             } else {
                 let (degraded_frames, perceived_error) = self.replay_degradation();
-                let digest = fnv_fold(self.digest, u64::from(degraded_frames));
+                let digest = self.digest.write_u64(u64::from(degraded_frames)).finish();
                 let stats = self.chan.stats();
                 let _ = self.out.send((
                     self.index,

@@ -95,9 +95,17 @@ impl ClientHello {
     ///
     /// # Errors
     ///
-    /// Returns a descriptive string for malformed input.
+    /// Returns a descriptive string for malformed input, and for a
+    /// [`QualityLevel::Custom`] quality that is not a fraction in
+    /// `[0, 1]` (the server would otherwise panic granting it).
     pub fn from_wire(bytes: &[u8]) -> Result<Self, String> {
-        annolight_support::json::from_slice(bytes).map_err(|e| e.to_string())
+        let hello: Self = annolight_support::json::from_slice(bytes).map_err(|e| e.to_string())?;
+        if let QualityLevel::Custom(f) = hello.quality {
+            if !(0.0..=1.0).contains(&f) {
+                return Err(format!("custom quality {f} outside [0, 1]"));
+            }
+        }
+        Ok(hello)
     }
 }
 

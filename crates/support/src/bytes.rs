@@ -193,12 +193,6 @@ impl ByteBuf {
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
-
-    /// Consumes the buffer as a plain vector.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<u8> {
-        self.data
-    }
 }
 
 impl Deref for ByteBuf {

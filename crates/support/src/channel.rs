@@ -1,6 +1,6 @@
-//! Bounded/unbounded channels with a crossbeam-shaped API, backed by
-//! `std::sync::mpsc`. The stream session model only needs SPSC delivery
-//! with backpressure; `mpsc::sync_channel` provides exactly that.
+//! Unbounded channels with a crossbeam-shaped API, backed by
+//! `std::sync::mpsc`. Reactor-hosted sessions report their outcomes on
+//! one, and the serve tier answers each pending ticket on one.
 
 use std::sync::mpsc;
 
@@ -8,7 +8,7 @@ use std::sync::mpsc;
 /// the channel.
 #[derive(Debug)]
 pub struct Sender<T> {
-    inner: SenderKind<T>,
+    inner: mpsc::Sender<T>,
 }
 
 // Manual impl: a derived `Clone` would demand `T: Clone`, but cloning a
@@ -16,21 +16,6 @@ pub struct Sender<T> {
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
         Sender { inner: self.inner.clone() }
-    }
-}
-
-#[derive(Debug)]
-enum SenderKind<T> {
-    Bounded(mpsc::SyncSender<T>),
-    Unbounded(mpsc::Sender<T>),
-}
-
-impl<T> Clone for SenderKind<T> {
-    fn clone(&self) -> Self {
-        match self {
-            SenderKind::Bounded(s) => SenderKind::Bounded(s.clone()),
-            SenderKind::Unbounded(s) => SenderKind::Unbounded(s.clone()),
-        }
     }
 }
 
@@ -59,83 +44,14 @@ impl std::fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// Error returned by [`Receiver::try_recv`], distinguishing an empty
-/// channel from a disconnected one — the crossbeam shape. (The earlier
-/// `Option<T>` return collapsed the two, which made "queue drained" and
-/// "peer gone" indistinguishable to pollers.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// No message is currently queued; senders still exist.
-    Empty,
-    /// The channel is empty and every sender has been dropped.
-    Disconnected,
-}
-
-impl std::fmt::Display for TryRecvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TryRecvError::Empty => write!(f, "receiving on an empty channel"),
-            TryRecvError::Disconnected => write!(f, "receiving on a closed channel"),
-        }
-    }
-}
-
-impl std::error::Error for TryRecvError {}
-
-/// Error returned by [`Sender::try_send`], distinguishing a full
-/// bounded channel from a hung-up receiver; carries the undelivered
-/// message back either way (the crossbeam shape).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The bounded channel is at capacity; the receiver still exists.
-    Full(T),
-    /// The receiving side has hung up.
-    Disconnected(T),
-}
-
-impl<T> std::fmt::Display for TrySendError<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrySendError::Full(_) => write!(f, "sending on a full channel"),
-            TrySendError::Disconnected(_) => write!(f, "sending on a closed channel"),
-        }
-    }
-}
-
-impl<T: std::fmt::Debug> std::error::Error for TrySendError<T> {}
-
 impl<T> Sender<T> {
-    /// Delivers `value`, blocking while a bounded channel is full.
+    /// Delivers `value` without blocking.
     ///
     /// # Errors
     ///
     /// Returns [`SendError`] with the value if the receiver is gone.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        match &self.inner {
-            SenderKind::Bounded(s) => s.send(value).map_err(|e| SendError(e.0)),
-            SenderKind::Unbounded(s) => s.send(value).map_err(|e| SendError(e.0)),
-        }
-    }
-
-    /// Non-blocking send: never parks the calling thread, which makes
-    /// it safe inside a reactor task step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrySendError::Full`] when a bounded channel is at
-    /// capacity (unbounded channels are never full) and
-    /// [`TrySendError::Disconnected`] when the receiver is gone, the
-    /// value handed back in both cases.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        match &self.inner {
-            SenderKind::Bounded(s) => s.try_send(value).map_err(|e| match e {
-                mpsc::TrySendError::Full(v) => TrySendError::Full(v),
-                mpsc::TrySendError::Disconnected(v) => TrySendError::Disconnected(v),
-            }),
-            SenderKind::Unbounded(s) => {
-                s.send(value).map_err(|e| TrySendError::Disconnected(e.0))
-            }
-        }
+        self.inner.send(value).map_err(|e| SendError(e.0))
     }
 }
 
@@ -155,20 +71,6 @@ impl<T> Receiver<T> {
         self.inner.recv().map_err(|_| RecvError)
     }
 
-    /// Non-blocking receive.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TryRecvError::Empty`] when nothing is queued and
-    /// [`TryRecvError::Disconnected`] once the channel is empty *and*
-    /// every sender is gone.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        self.inner.try_recv().map_err(|e| match e {
-            mpsc::TryRecvError::Empty => TryRecvError::Empty,
-            mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-        })
-    }
-
     /// A blocking iterator that ends when the channel closes.
     pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
         self.inner.iter()
@@ -183,19 +85,11 @@ impl<T> IntoIterator for Receiver<T> {
     }
 }
 
-/// A channel that blocks senders once `capacity` messages are queued
-/// (capacity 0 gives rendezvous semantics, like crossbeam).
-#[must_use]
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    let (tx, rx) = mpsc::sync_channel(capacity);
-    (Sender { inner: SenderKind::Bounded(tx) }, Receiver { inner: rx })
-}
-
 /// A channel with an unbounded queue.
 #[must_use]
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let (tx, rx) = mpsc::channel();
-    (Sender { inner: SenderKind::Unbounded(tx) }, Receiver { inner: rx })
+    (Sender { inner: tx }, Receiver { inner: rx })
 }
 
 #[cfg(test)]
@@ -204,8 +98,8 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn bounded_delivers_in_order_across_threads() {
-        let (tx, rx) = bounded::<u32>(4);
+    fn delivers_in_order_across_threads() {
+        let (tx, rx) = unbounded::<u32>();
         let sender = thread::spawn(move || {
             for i in 0..100 {
                 tx.send(i).unwrap();
@@ -214,13 +108,6 @@ mod tests {
         let got: Vec<u32> = rx.iter().collect();
         sender.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn send_after_receiver_drop_errors_with_value() {
-        let (tx, rx) = bounded::<&'static str>(1);
-        drop(rx);
-        assert_eq!(tx.send("lost"), Err(SendError("lost")));
     }
 
     #[test]
@@ -240,24 +127,18 @@ mod tests {
         let tx2 = tx.clone();
         drop(tx);
         tx2.send(9).unwrap();
-        assert_eq!(rx.try_recv(), Ok(9));
+        assert_eq!(rx.recv(), Ok(9));
         drop(tx2);
         assert!(rx.recv().is_err());
     }
 
     #[test]
-    fn send_after_all_receivers_dropped_returns_value_bounded_and_unbounded() {
+    fn send_after_receiver_drop_returns_value() {
         // Documented crossbeam behaviour: a send on a channel whose
-        // receiver is gone fails immediately (even on a full-capacity
-        // bounded channel it must not block) and hands the value back.
-        let (tx, rx) = bounded::<u32>(0); // rendezvous
-        drop(rx);
-        assert_eq!(tx.send(7), Err(SendError(7)));
-
+        // receiver is gone fails immediately and hands the value back.
         let (tx, rx) = unbounded::<u32>();
         drop(rx);
         assert_eq!(tx.send(8), Err(SendError(8)));
-        // The value is recoverable from the error, crossbeam-style.
         let SendError(v) = tx.send(9).unwrap_err();
         assert_eq!(v, 9);
     }
@@ -266,25 +147,13 @@ mod tests {
     fn recv_after_all_senders_dropped_drains_then_disconnects() {
         // Messages queued before the last sender died must still be
         // delivered; only afterwards does the channel report closure.
-        let (tx, rx) = bounded::<u8>(4);
+        let (tx, rx) = unbounded::<u8>();
         tx.send(1).unwrap();
         tx.send(2).unwrap();
         drop(tx);
         assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.try_recv(), Ok(2));
+        assert_eq!(rx.recv(), Ok(2));
         assert_eq!(rx.recv(), Err(RecvError));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn try_recv_distinguishes_empty_from_disconnected() {
-        let (tx, rx) = unbounded::<u8>();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        tx.send(5).unwrap();
-        assert_eq!(rx.try_recv(), Ok(5));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]
@@ -299,35 +168,11 @@ mod tests {
     }
 
     #[test]
-    fn try_send_reports_full_then_succeeds_after_drain() {
-        let (tx, rx) = bounded::<u8>(1);
-        assert_eq!(tx.try_send(1), Ok(()));
-        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(tx.try_send(2), Ok(()));
-        drop(rx);
-        assert_eq!(tx.try_send(3), Err(TrySendError::Disconnected(3)));
-    }
-
-    #[test]
-    fn try_send_unbounded_never_full() {
+    fn into_iter_drains_an_owned_receiver() {
         let (tx, rx) = unbounded::<u32>();
-        for i in 0..1_000 {
-            assert_eq!(tx.try_send(i), Ok(()));
-        }
-        drop(rx);
-        assert_eq!(tx.try_send(0), Err(TrySendError::Disconnected(0)));
-    }
-
-    #[test]
-    fn blocked_bounded_sender_unblocks_on_receiver_drop() {
-        // A sender parked on a full bounded channel must wake with an
-        // error when the receiver disappears, not deadlock.
-        let (tx, rx) = bounded::<u32>(1);
-        tx.send(1).unwrap(); // fill capacity
-        let sender = thread::spawn(move || tx.send(2));
-        thread::sleep(std::time::Duration::from_millis(10));
-        drop(rx);
-        assert_eq!(sender.join().unwrap(), Err(SendError(2)));
+        tx.send(3).unwrap();
+        tx.send(4).unwrap();
+        drop(tx);
+        assert_eq!(rx.into_iter().collect::<Vec<_>>(), vec![3, 4]);
     }
 }

@@ -1,6 +1,6 @@
 //! A small JSON value model, serializer and recursive-descent parser,
 //! plus the [`ToJson`]/[`FromJson`] trait pair and the declarative
-//! [`impl_json!`] macro that together replace `serde`'s derives across
+//! [`impl_json!`](crate::impl_json) macro that together replace `serde`'s derives across
 //! the workspace.
 //!
 //! Design notes:

@@ -14,13 +14,14 @@
 //! | [`rng`] | `rand::SmallRng` | seeded xoshiro256++, `gen_range`/`gen_bool` |
 //! | [`json`] | `serde`/`serde_json` | `Json` value model, parser, [`impl_json!`] |
 //! | [`bytes`] | `bytes` | [`bytes::Bytes`], [`bytes::ByteBuf`], cursor reads |
-//! | [`channel`] | `crossbeam::channel` | bounded/unbounded mpsc-backed channels |
+//! | [`fnv`] | `fnv` | FNV-1a/64 [`fnv::Digester`] and [`fnv::fnv1a_64`] |
+//! | [`channel`] | `crossbeam::channel` | unbounded mpsc-backed channels |
 //! | [`sync`] | `parking_lot` | poison-ignoring [`sync::Mutex`] + [`sync::Condvar`] |
-//! | [`check`] | `proptest` | deterministic property runner, [`check!`] |
+//! | [`check`](mod@check) | `proptest` | deterministic property runner, [`check!`] |
 //! | [`retry`] | `backoff`/`retry` | deadline-aware [`retry::RetryPolicy`] |
-//! | [`bench`] | `criterion` | wall-clock median-of-N harness |
+//! | [`bench`](mod@bench) | `criterion` | wall-clock median-of-N harness |
 //! | [`wheel`] | `tokio-util` timers | hierarchical virtual-time [`wheel::TimerWheel`] |
-//! | [`reactor`] | `tokio`/`mio` | deterministic cooperative [`reactor::Reactor`] |
+//! | [`reactor`] | `tokio` | deterministic virtual-time [`reactor::Reactor`] |
 //! | [`par`] | `rayon::scope` | scoped [`par::fan_out`] returning results in item order |
 //!
 //! All modules are `std`-only. Determinism is a design goal throughout:
@@ -31,6 +32,7 @@ pub mod bench;
 pub mod bytes;
 pub mod channel;
 pub mod check;
+pub mod fnv;
 pub mod json;
 pub mod par;
 pub mod reactor;

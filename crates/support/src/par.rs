@@ -64,12 +64,6 @@ impl ParallelConfig {
         self.chunk_frames = chunk_frames;
         self
     }
-
-    /// Whether this configuration runs inline on the calling thread.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.workers == 0
-    }
 }
 
 /// Splits `0..n` into contiguous chunks of at most `chunk` items.

@@ -75,12 +75,6 @@ impl SmallRng {
         result
     }
 
-    /// The next raw 32-bit output.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `f64` in `[0, 1)`, using the top 53 bits.
     #[inline]
     pub fn gen_f64(&mut self) -> f64 {

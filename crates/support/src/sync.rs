@@ -6,8 +6,7 @@
 //! interleaving, so the poison flag is noise — we take the guard anyway,
 //! exactly as `parking_lot` semantics did.
 
-use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, MutexGuard, PoisonError};
 
 /// A mutual-exclusion lock whose `lock()` never returns `Err`.
 #[derive(Debug, Default)]
@@ -62,18 +61,6 @@ impl Condvar {
         self.inner.wait_while(guard, condition).unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks until notified or `timeout` elapses; returns the guard and
-    /// whether the wait timed out.
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> (MutexGuard<'a, T>, bool) {
-        let (guard, res) =
-            self.inner.wait_timeout(guard, timeout).unwrap_or_else(PoisonError::into_inner);
-        (guard, res.timed_out())
-    }
-
     /// Wakes one parked waiter.
     pub fn notify_one(&self) {
         self.inner.notify_one();
@@ -82,89 +69,6 @@ impl Condvar {
     /// Wakes every parked waiter.
     pub fn notify_all(&self) {
         self.inner.notify_all();
-    }
-}
-
-/// A permit-based parked waker (`crossbeam::sync::Parker` shape) built
-/// on [`Mutex`] + [`Condvar::wait_timeout`]: the reactor's idle loop
-/// *sleeps* on it instead of spin-polling. One thread parks; any number
-/// of [`Unparker`] clones may wake it. The permit is a single-slot flag,
-/// not a counter: an `unpark` before `park` makes exactly the next
-/// `park` return immediately, and repeated `unpark`s coalesce.
-#[derive(Debug)]
-pub struct Parker {
-    inner: Arc<ParkInner>,
-}
-
-/// The waking half of a [`Parker`]; cloneable and sendable to other
-/// threads.
-#[derive(Debug, Clone)]
-pub struct Unparker {
-    inner: Arc<ParkInner>,
-}
-
-#[derive(Debug, Default)]
-struct ParkInner {
-    permit: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Default for Parker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Parker {
-    /// A parker with no pending permit.
-    #[must_use]
-    pub fn new() -> Self {
-        Parker { inner: Arc::new(ParkInner::default()) }
-    }
-
-    /// A handle that wakes this parker from another thread.
-    #[must_use]
-    pub fn unparker(&self) -> Unparker {
-        Unparker { inner: Arc::clone(&self.inner) }
-    }
-
-    /// Blocks until a permit is available, then consumes it.
-    pub fn park(&self) {
-        let guard = self.inner.permit.lock();
-        let mut guard = self.inner.cv.wait_while(guard, |permit| !*permit);
-        *guard = false;
-    }
-
-    /// Blocks until a permit arrives or `timeout` elapses. Returns
-    /// `true` when unparked (permit consumed), `false` on timeout.
-    pub fn park_timeout(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut guard = self.inner.permit.lock();
-        // Loop against spurious wakeups, re-deriving the remaining
-        // budget so the total wait never exceeds `timeout`.
-        while !*guard {
-            let Some(left) = deadline.checked_duration_since(std::time::Instant::now()) else {
-                return false;
-            };
-            if left.is_zero() {
-                return false;
-            }
-            let (g, timed_out) = self.inner.cv.wait_timeout(guard, left);
-            guard = g;
-            if timed_out && !*guard {
-                return false;
-            }
-        }
-        *guard = false;
-        true
-    }
-}
-
-impl Unparker {
-    /// Deposits the permit and wakes the parked thread, if any.
-    pub fn unpark(&self) {
-        *self.inner.permit.lock() = true;
-        self.inner.cv.notify_one();
     }
 }
 
@@ -225,93 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn condvar_wait_timeout_reports_timeout() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let (_guard, timed_out) =
-            cv.wait_timeout(m.lock(), std::time::Duration::from_millis(5));
-        assert!(timed_out);
-    }
-
-    #[test]
-    fn parker_unpark_before_park_returns_immediately() {
-        // Wake ordering: a permit deposited *before* the park must let
-        // the very next park pass without blocking.
-        let p = Parker::new();
-        p.unparker().unpark();
-        let start = std::time::Instant::now();
-        p.park();
-        assert!(start.elapsed() < Duration::from_millis(100));
-        // The permit was consumed: the next timed park must time out.
-        assert!(!p.park_timeout(Duration::from_millis(5)));
-    }
-
-    #[test]
-    fn parker_permits_coalesce_to_one() {
-        let p = Parker::new();
-        let u = p.unparker();
-        u.unpark();
-        u.unpark();
-        u.unpark();
-        assert!(p.park_timeout(Duration::from_millis(5)));
-        // Only one permit despite three unparks.
-        assert!(!p.park_timeout(Duration::from_millis(5)));
-    }
-
-    #[test]
-    fn parker_wakes_parked_thread_from_another_thread() {
-        let p = Arc::new(Parker::new());
-        let u = p.unparker();
-        let waiter = {
-            let p = Arc::clone(&p);
-            thread::spawn(move || {
-                p.park();
-                true
-            })
-        };
-        thread::sleep(Duration::from_millis(10));
-        u.unpark();
-        assert!(waiter.join().unwrap());
-    }
-
-    #[test]
-    fn parker_timeout_expires_without_permit() {
-        let p = Parker::new();
-        let start = std::time::Instant::now();
-        assert!(!p.park_timeout(Duration::from_millis(20)));
-        assert!(start.elapsed() >= Duration::from_millis(19));
-    }
-
-    #[test]
-    fn parker_park_unpark_cycles_stay_ordered() {
-        // Each unpark wakes exactly the park paired with it; the
-        // sequence of observed wakes equals the sequence of permits.
-        let p = Arc::new(Parker::new());
-        let u = p.unparker();
-        let rounds = 50;
-        let waiter = {
-            let p = Arc::clone(&p);
-            thread::spawn(move || {
-                let mut woken = 0u32;
-                for _ in 0..rounds {
-                    p.park();
-                    woken += 1;
-                }
-                woken
-            })
-        };
-        for _ in 0..rounds {
-            u.unpark();
-            // Give the waiter a moment to consume before the next
-            // permit so permits don't coalesce.
-            while *p.inner.permit.lock() {
-                thread::yield_now();
-            }
-        }
-        assert_eq!(waiter.join().unwrap(), rounds);
-    }
-
-    #[test]
     fn condvar_survives_poisoned_mutex() {
         let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
         let p2 = Arc::clone(&pair);
@@ -320,10 +137,15 @@ mod tests {
             panic!("poison the pair");
         })
         .join();
-        // The condvar still times out cleanly on the poisoned mutex.
-        let (guard, timed_out) =
-            pair.1.wait_timeout(pair.0.lock(), std::time::Duration::from_millis(1));
-        assert!(timed_out);
-        assert_eq!(*guard, 0);
+        // A waiter on the poisoned mutex still wakes cleanly.
+        let p3 = Arc::clone(&pair);
+        let notifier = thread::spawn(move || {
+            *p3.0.lock() = 1;
+            p3.1.notify_all();
+        });
+        let guard = pair.1.wait_while(pair.0.lock(), |v| *v == 0);
+        assert_eq!(*guard, 1);
+        drop(guard);
+        notifier.join().unwrap();
     }
 }

@@ -14,6 +14,9 @@ cargo test -q --offline --workspace
 echo "== benches compile (offline) =="
 cargo bench --offline --workspace --no-run
 
+echo "== rustdoc (offline; warnings are errors, so no doc link names a missing item) =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
+
 echo "== serve soak (offline, fixed seed, 64 tenants) =="
 cargo test -q -p annolight-serve --release --offline -- soak
 

@@ -78,7 +78,7 @@ fn govern_report(result: Result<SessionOutcome, SessionError>) -> GovernedSessio
 }
 
 fn reactor_config(seed: u64, workers: usize) -> ReactorConfig {
-    ReactorConfig { seed, workers, ..ReactorConfig::default() }
+    ReactorConfig { seed, workers }
 }
 
 #[test]

@@ -213,6 +213,40 @@ fn delta_with_the_last_sequence_number_leaves_only_duplicates() {
     assert_eq!((tracker.applied(), tracker.duplicates()), (1, 2));
 }
 
+/// A hello whose custom quality is not a fraction in `[0, 1]`: the
+/// server's grant would panic on it, so the wire parser must refuse it
+/// and a shared-server session must fail with a typed error.
+#[test]
+fn hello_with_a_custom_quality_outside_the_unit_interval_is_rejected() {
+    use annolight::core::track::AnnotationMode;
+    use annolight::stream::{
+        run_session_with_server, ClientHello, MediaServer, SessionError, SharedSessionOptions,
+    };
+    let hello = |q: f64| {
+        ClientHello::new(
+            "officexp",
+            DeviceProfile::ipaq_5555(),
+            QualityLevel::Custom(q),
+            AnnotationMode::PerScene,
+        )
+    };
+    let mut server = MediaServer::new(EncoderConfig::default());
+    server.add_clip(ClipLibrary::paper_clip("officexp").unwrap().preview(1.0));
+    for q in [1.5, -0.25] {
+        let wire = hello(q).to_wire();
+        assert!(String::from_utf8_lossy(&wire).contains("\"Custom\""), "quality {q}");
+        let err = ClientHello::from_wire(&wire).expect_err("out-of-range quality");
+        assert!(err.contains("outside [0, 1]"), "quality {q}: {err}");
+        match run_session_with_server(&server, &hello(q), &SharedSessionOptions::default()) {
+            Err(SessionError::Pipeline(msg)) => assert!(msg.contains("outside [0, 1]"), "{msg}"),
+            other => panic!("quality {q}: expected a typed rejection, got {other:?}"),
+        }
+    }
+    for q in [0.0, 0.33, 1.0] {
+        assert_eq!(ClientHello::from_wire(&hello(q).to_wire()), Ok(hello(q)), "quality {q}");
+    }
+}
+
 /// Frame rates whose millihertz header field would round to 0 or exceed
 /// `u32::MAX`: the header would carry 0 or 4294967.295 fps while the
 /// encoder reported the configured rate.
