@@ -1,14 +1,14 @@
 //! Serving-at-scale table — throughput of the sharded annotation service
-//! as the work-stealing pool widens, plus the cold-profile vs warm-hit
-//! latency gap that makes the content-addressed cache worth its memory.
+//! as its worker count grows, plus the cold-profile vs warm-hit latency
+//! gap that makes the content-addressed cache worth its memory.
 //!
 //! The paper's server "stores profiled clips"; `annolight-serve` turns
 //! that into a multi-tenant service. This table quantifies two claims:
 //!
 //! 1. cold annotation (profile + plan) is orders of magnitude slower than
 //!    a warm cache hit, so amortising tracks across tenants matters;
-//! 2. cold work scales with pool workers (distinct clips profile in
-//!    parallel on the work-stealing deques).
+//! 2. cold work scales with the service's workers (distinct clips
+//!    profile in parallel, each worker popping the tenant queues).
 
 use crate::table::Table;
 use annolight_core::track::AnnotationMode;

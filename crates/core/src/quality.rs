@@ -47,21 +47,29 @@ impl QualityLevel {
     /// # Panics
     ///
     /// Panics for a [`QualityLevel::Custom`] value outside `[0, 1]` or not
-    /// finite.
+    /// finite (see [`QualityLevel::try_clip_fraction`]).
     pub fn clip_fraction(self) -> f64 {
+        self.try_clip_fraction().unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// The maximum clipped-pixel fraction, or why there is none: a
+    /// [`QualityLevel::Custom`] value must be finite and in `[0, 1]`.
+    /// Boundaries that take a quality from outside check it here rather
+    /// than let [`QualityLevel::clip_fraction`] panic.
+    ///
+    /// # Errors
+    ///
+    /// Describes a custom value that is not finite or lies outside
+    /// `[0, 1]`.
+    pub fn try_clip_fraction(self) -> Result<f64, String> {
         match self {
-            QualityLevel::Q0 => 0.0,
-            QualityLevel::Q5 => 0.05,
-            QualityLevel::Q10 => 0.10,
-            QualityLevel::Q15 => 0.15,
-            QualityLevel::Q20 => 0.20,
-            QualityLevel::Custom(f) => {
-                assert!(
-                    f.is_finite() && (0.0..=1.0).contains(&f),
-                    "custom quality {f} outside [0, 1]"
-                );
-                f
-            }
+            QualityLevel::Q0 => Ok(0.0),
+            QualityLevel::Q5 => Ok(0.05),
+            QualityLevel::Q10 => Ok(0.10),
+            QualityLevel::Q15 => Ok(0.15),
+            QualityLevel::Q20 => Ok(0.20),
+            QualityLevel::Custom(f) if f.is_finite() && (0.0..=1.0).contains(&f) => Ok(f),
+            QualityLevel::Custom(f) => Err(format!("custom quality {f} outside [0, 1]")),
         }
     }
 
@@ -117,6 +125,17 @@ mod tests {
     #[should_panic(expected = "outside [0, 1]")]
     fn custom_out_of_range_panics() {
         QualityLevel::Custom(1.5).clip_fraction();
+    }
+
+    #[test]
+    fn try_clip_fraction_rejects_what_clip_fraction_panics_on() {
+        for f in [1.5, -0.25, f64::NAN, f64::INFINITY] {
+            let err = QualityLevel::Custom(f).try_clip_fraction().unwrap_err();
+            assert_eq!(err, format!("custom quality {f} outside [0, 1]"));
+        }
+        for q in QualityLevel::PAPER_LEVELS.into_iter().chain([QualityLevel::Custom(1.0)]) {
+            assert_eq!(q.try_clip_fraction(), Ok(q.clip_fraction()));
+        }
     }
 
     #[test]

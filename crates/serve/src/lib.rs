@@ -8,16 +8,15 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`pool`] | work-stealing worker pool (per-worker deques, deterministic single-thread mode) |
 //! | [`cache`] | sharded, content-addressed LRU cache of [`AnnotationTrack`](annolight_core::AnnotationTrack) sidecars with a byte budget |
-//! | [`service`] | admission/backpressure front-end: bounded per-tenant queues, round-robin fairness, typed [`ServeError::Overloaded`] |
+//! | [`service`] | admission/backpressure front-end: bounded per-tenant queues, round-robin fairness, typed [`ServeError::Overloaded`], persistent workers that pop the queues (deterministic inline mode at `workers == 0`) |
 //! | [`counters`] | hit/miss/overload counters + profile-latency histogram (exact-quantile reservoir mode), exported as JSON |
 //! | [`workload`] | trace-driven planetary workload model (Zipf popularity, diurnal/flash-crowd curves, tenant churn) + SLO replay harness |
 //!
 //! Everything is hermetic: the only dependencies are sibling workspace
-//! crates. [`pool`] runs jobs on OS threads built on
-//! [`annolight_support::sync`], and each pending [`Ticket`] is answered
-//! on an [`annolight_support::channel`].
+//! crates. The service's workers are OS threads that wait on
+//! [`annolight_support::sync`] primitives, and each pending [`Ticket`]
+//! is answered on an [`annolight_support::channel`].
 //!
 //! ## Example
 //!
@@ -49,13 +48,11 @@
 
 pub mod cache;
 pub mod counters;
-pub mod pool;
 pub mod service;
 pub mod workload;
 
 pub use cache::{AnnotationCache, CacheKey, CacheStats};
 pub use counters::{Counters, CountersReport, Exactness, LatencyHistogram};
-pub use pool::{PoolStats, WorkerPool};
 pub use service::{
     AnnotationRequest, AnnotationResponse, AnnotationService, ServeError, Service, ServiceConfig,
     Ticket,

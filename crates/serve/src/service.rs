@@ -12,21 +12,27 @@
 //!   most [`ServiceConfig::tenant_queue_depth`] pending jobs; a tenant
 //!   that floods past its bound receives [`ServeError::Overloaded`]
 //!   while every other tenant's queue is untouched.
-//! * **Round-robin dispatch.** Workers pull the next job by rotating
-//!   over tenant queues, so a trickling tenant is served in its turn no
-//!   matter how deep a flooding tenant's queue is.
+//! * **Round-robin dispatch.** The next job is popped by rotating over
+//!   the tenant queues, so a trickling tenant is served in its turn no
+//!   matter how deep a flooding tenant's queue is. The tenant queues are
+//!   the service's only job queue.
 //! * **Cache-first.** A request whose `(clip digest, device, quality,
-//!   mode)` key is resident is answered at submission without touching
-//!   the pool at all; the dispatch path double-checks the cache so that
+//!   mode)` key is resident is answered at submission without being
+//!   queued at all; the dispatch path double-checks the cache so that
 //!   N queued requests for the same key cost one profile, not N.
-//! * **Deterministic mode.** With `workers == 0` the pool runs inline
-//!   ([`WorkerPool::run_until_idle`]), so identical request traces
-//!   produce identical hit/miss sequences *and* identical counter
-//!   reports — the property the determinism tests pin down.
+//! * **Persistent workers.** [`AnnotationService::new`] spawns
+//!   [`ServiceConfig::workers`] threads that wait until a job is queued,
+//!   pop it and answer it. They share the queues, cache and counters
+//!   with the handle but never hold the handle itself, so dropping the
+//!   last handle answers every admitted job and then joins them.
+//! * **Deterministic mode.** With `workers == 0` no thread is spawned:
+//!   [`AnnotationService::run_until_idle`] drains the queues inline, so
+//!   identical request traces produce identical hit/miss sequences *and*
+//!   identical counter reports — the property the determinism tests pin
+//!   down.
 
 use crate::cache::{AnnotationCache, CacheKey};
 use crate::counters::{Counters, CountersReport};
-use crate::pool::WorkerPool;
 use annolight_core::track::{AnnotationMode, AnnotationTrack};
 use annolight_core::{clip_digest, Annotator, LuminanceProfile, PolicyKind, QualityLevel};
 use annolight_display::DeviceProfile;
@@ -38,6 +44,7 @@ use annolight_video::clip::Clip;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 /// Errors surfaced by the service. All variants are expected operating
@@ -46,6 +53,9 @@ use std::time::Instant;
 pub enum ServeError {
     /// The requested clip name is not in the service catalogue.
     UnknownClip(String),
+    /// The requested quality is a [`QualityLevel::Custom`] fraction that
+    /// is not finite or lies outside `[0, 1]`; carries the reason.
+    InvalidQuality(String),
     /// The tenant's queue is full; retry later (backpressure). The
     /// blessed retry schedule is
     /// [`RetryPolicy::service`](annolight_support::retry::RetryPolicy::service)
@@ -64,6 +74,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::UnknownClip(name) => write!(f, "unknown clip {name:?}"),
+            ServeError::InvalidQuality(reason) => write!(f, "invalid quality: {reason}"),
             ServeError::Overloaded { tenant } => {
                 write!(f, "tenant {tenant:?} queue full; request rejected")
             }
@@ -77,8 +88,9 @@ impl std::error::Error for ServeError {}
 /// Tuning knobs for [`AnnotationService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads in the profiling pool. `0` selects deterministic
-    /// inline execution (see [`WorkerPool::new`]).
+    /// Worker threads that answer queued requests. `0` selects
+    /// deterministic inline execution (see
+    /// [`AnnotationService::run_until_idle`]).
     pub workers: usize,
     /// Shard count for the annotation cache.
     pub cache_shards: usize,
@@ -156,25 +168,25 @@ pub trait Service {
 type Reply = Result<AnnotationResponse, ServeError>;
 
 /// A submitted request's handle: either already answered (cache hit or
-/// rejection) or pending on the pool.
+/// rejection) or queued for a dispatch.
 #[derive(Debug)]
 pub enum Ticket {
     /// Answered at submission time.
     Ready(Reply),
-    /// Will be answered by a pool worker; wait on the channel.
+    /// Will be answered by a dispatch; wait on the channel.
     Pending(Receiver<Reply>),
 }
 
 impl Ticket {
     /// Blocks until the response is available. In deterministic mode the
-    /// caller must drain the pool first (see
+    /// caller must drain the queues first (see
     /// [`AnnotationService::run_until_idle`]); [`Service::call`]
     /// does this automatically.
     ///
     /// # Errors
     ///
-    /// Propagates the service's [`ServeError`]; a disconnected worker
-    /// (service dropped mid-flight) maps to [`ServeError::Internal`].
+    /// Propagates the service's [`ServeError`]; a job whose dispatch
+    /// panicked maps to [`ServeError::Internal`].
     pub fn wait(self) -> Reply {
         match self {
             Ticket::Ready(reply) => reply,
@@ -213,6 +225,29 @@ struct SchedState {
     rr: usize,
     /// Jobs queued across all tenants (invariant: sum of queue lens).
     queued: usize,
+    /// Jobs a worker has popped and not yet answered.
+    active: usize,
+    /// Set when the last handle drops: workers drain the queues, then
+    /// exit.
+    shutdown: bool,
+}
+
+impl SchedState {
+    /// Pops the next job round-robin across tenant queues.
+    fn pop(&mut self) -> Option<PendingJob> {
+        let n = self.tenants.len();
+        for off in 0..n {
+            let idx = (self.rr + off) % n;
+            if let Some(job) = self.tenants[idx].1.pop_front() {
+                // Advance past the tenant we just served so the next
+                // dispatch starts at its successor.
+                self.rr = (idx + 1) % n;
+                self.queued -= 1;
+                return Some(job);
+            }
+        }
+        None
+    }
 }
 
 struct CatalogueEntry {
@@ -234,8 +269,8 @@ enum ProfileSlot {
 /// Profiling is by far the most expensive step of a cold request (it
 /// touches every pixel of every frame), and one clip is typically
 /// requested for several `(device, quality, mode)` keys at once. The
-/// memo guarantees each digest is profiled **exactly once** even under
-/// a threaded pool: the first worker marks the slot in-flight and
+/// memo guarantees each digest is profiled **exactly once** even with
+/// threaded workers: the first worker marks the slot in-flight and
 /// computes outside the lock; racing workers block on the condvar
 /// instead of duplicating the work.
 struct ProfileMemo {
@@ -243,225 +278,122 @@ struct ProfileMemo {
     ready: Condvar,
 }
 
-impl ProfileMemo {
-    fn new() -> Self {
-        Self { slots: Mutex::new(HashMap::new()), ready: Condvar::new() }
-    }
-}
-
-/// The sharded, multi-tenant annotation service. Construct with
-/// [`AnnotationService::new`], register clips, then [`Service::call`]
-/// (or [`AnnotationService::submit`] for async use).
-pub struct AnnotationService {
-    catalogue: Mutex<HashMap<String, CatalogueEntry>>,
+/// Everything a dispatch touches. The worker threads hold this, never
+/// the [`AnnotationService`] handle, so the handle's drop is what stops
+/// them.
+struct Shared {
     /// Single-flight memoised luminance profiles: one per content
     /// digest, shared across every (device, quality, mode) that
     /// annotates the clip.
     profiles: ProfileMemo,
     cache: AnnotationCache,
-    pool: WorkerPool,
     sched: Mutex<SchedState>,
+    /// Workers park here while every tenant queue is empty.
+    work: Condvar,
+    /// Threaded [`AnnotationService::run_until_idle`] callers park here.
+    idle: Condvar,
     counters: Counters,
-    tenant_queue_depth: usize,
     /// Intra-clip parallelism applied inside each profiling/planning job.
     intra: annolight_core::ParallelConfig,
 }
 
-impl fmt::Debug for AnnotationService {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AnnotationService")
-            .field("catalogue", &self.catalogue.lock().len())
-            .field("cache", &self.cache.stats())
-            .field("pool", &self.pool)
-            .finish_non_exhaustive()
-    }
+/// The cache key of a request. A custom quality outside `[0, 1]` is
+/// rejected here; [`CacheKey::new`] would panic on it.
+fn cache_key(
+    digest: u64,
+    device: &DeviceProfile,
+    quality: QualityLevel,
+    mode: AnnotationMode,
+    policy: PolicyKind,
+) -> Result<CacheKey, ServeError> {
+    quality.try_clip_fraction().map_err(ServeError::InvalidQuality)?;
+    Ok(CacheKey::new(digest, device.name(), quality, mode, policy))
 }
 
-impl AnnotationService {
-    /// Builds a service from `config`. Returned in an [`Arc`] because
-    /// dispatch jobs capture a handle to the service.
-    #[must_use]
-    pub fn new(config: ServiceConfig) -> Arc<Self> {
-        Arc::new(Self {
-            catalogue: Mutex::new(HashMap::new()),
-            profiles: ProfileMemo::new(),
-            cache: AnnotationCache::new(config.cache_shards.max(1), config.cache_bytes),
-            pool: WorkerPool::new(config.workers),
-            sched: Mutex::new(SchedState::default()),
-            counters: Counters {
-                profile_latency: crate::counters::LatencyHistogram::with_exact_samples(
-                    config.latency_reservoir,
-                ),
-                ..Counters::default()
-            },
-            tenant_queue_depth: config.tenant_queue_depth.max(1),
-            intra: annolight_core::ParallelConfig::with_workers(config.intra_workers),
-        })
-    }
-
-    /// Registers `clip` under its own name, returning its content
-    /// digest. Re-registering a name replaces the entry (and, because
-    /// keys are content-addressed, changed bytes can never alias the old
-    /// track).
-    pub fn register_clip(&self, clip: Clip) -> u64 {
-        let digest = clip_digest(&clip);
-        self.catalogue
-            .lock()
-            .insert(clip.name().to_owned(), CatalogueEntry { clip: Arc::new(clip), digest });
-        digest
-    }
-
-    /// Whether the pool executes inline and FIFO (see [`WorkerPool`]).
-    #[must_use]
-    pub fn is_deterministic(&self) -> bool {
-        self.pool.is_deterministic()
-    }
-
-    /// Drains all queued work inline (deterministic mode) or blocks
-    /// until workers go idle (threaded mode).
-    pub fn run_until_idle(&self) {
-        self.pool.run_until_idle();
-    }
-
-    /// Jobs admitted but not yet dispatched, across all tenants.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.sched.lock().queued
-    }
-
-    /// Submits a request without blocking on the answer.
-    ///
-    /// Fast path: a resident cache entry answers immediately
-    /// ([`Ticket::Ready`]). Otherwise the request is admitted to the
-    /// tenant's bounded queue and a dispatch token is spawned on the
-    /// pool.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownClip`] for names outside the catalogue;
-    /// [`ServeError::Overloaded`] when the tenant's queue is full.
-    pub fn submit(self: &Arc<Self>, req: AnnotationRequest) -> Result<Ticket, ServeError> {
-        let (clip, digest) = {
-            let cat = self.catalogue.lock();
-            let entry = cat
-                .get(&req.clip)
-                .ok_or_else(|| ServeError::UnknownClip(req.clip.clone()))?;
-            (Arc::clone(&entry.clip), entry.digest)
-        };
-        let key = CacheKey::new(digest, req.device.name(), req.quality, req.mode, req.policy);
-        if let Some(track) = self.cache.get(&key) {
-            Counters::bump(&self.counters.hits);
-            Counters::bump(&self.counters.completed);
-            return Ok(Ticket::Ready(Ok(AnnotationResponse {
-                track,
-                cache_hit: true,
-                clip_digest: digest,
-            })));
-        }
-        let (tx, rx) = channel::unbounded();
-        let job = PendingJob {
-            key,
-            clip,
-            digest,
-            device: req.device,
-            quality: req.quality,
-            mode: req.mode,
-            policy: req.policy,
-            reply: tx,
-        };
-        {
-            let mut sched = self.sched.lock();
-            let queue = match sched.tenants.iter_mut().position(|(t, _)| *t == req.tenant) {
-                Some(i) => &mut sched.tenants[i].1,
-                None => {
-                    sched.tenants.push((req.tenant.clone(), VecDeque::new()));
-                    let last = sched.tenants.len() - 1;
-                    &mut sched.tenants[last].1
-                }
+impl Shared {
+    /// A worker thread: waits until a job is queued, answers it, and
+    /// exits once the service shuts down with every queue drained.
+    fn run_worker(&self) {
+        loop {
+            let job = {
+                let sched = self.sched.lock();
+                let mut sched = self.work.wait_while(sched, |s| s.queued == 0 && !s.shutdown);
+                let Some(job) = sched.pop() else { return };
+                sched.active += 1;
+                job
             };
-            if queue.len() >= self.tenant_queue_depth {
-                Counters::bump(&self.counters.overloaded);
-                return Err(ServeError::Overloaded { tenant: req.tenant });
+            self.dispatch(job);
+            let mut sched = self.sched.lock();
+            sched.active -= 1;
+            if sched.queued == 0 && sched.active == 0 {
+                self.idle.notify_all();
             }
-            queue.push_back(job);
-            sched.queued += 1;
         }
-        let svc = Arc::clone(self);
-        self.pool.spawn(move || svc.dispatch_one());
-        Ok(Ticket::Pending(rx))
     }
 
-    /// Pops the next job round-robin across tenant queues and runs it.
-    fn dispatch_one(&self) {
-        let job = {
-            let mut sched = self.sched.lock();
-            let n = sched.tenants.len();
-            let mut picked = None;
-            for off in 0..n {
-                let idx = (sched.rr + off) % n;
-                if let Some(job) = sched.tenants[idx].1.pop_front() {
-                    // Advance past the tenant we just served so the next
-                    // dispatch starts at its successor.
-                    sched.rr = (idx + 1) % n;
-                    sched.queued -= 1;
-                    picked = Some(job);
-                    break;
-                }
-            }
-            match picked {
-                Some(job) => job,
-                None => return, // token outlived its job (another worker took it)
-            }
-        };
+    /// Answers one popped job.
+    fn dispatch(&self, job: PendingJob) {
         // Double-check: an earlier dispatch may have populated the key
         // while this job sat queued. N queued misses for one key then
         // cost one profile, not N.
-        if let Some(track) = self.cache.get(&job.key) {
-            Counters::bump(&self.counters.hits);
-            Counters::bump(&self.counters.completed);
-            let _ = job.reply.send(Ok(AnnotationResponse {
-                track,
-                cache_hit: true,
-                clip_digest: job.digest,
-            }));
-            return;
-        }
-        let started = Instant::now();
-        let result = self.compute(&job);
-        match result {
-            Ok(track) => {
-                self.counters.profile_latency.record(started.elapsed());
-                self.cache.insert(job.key, Arc::clone(&track));
-                Counters::bump(&self.counters.misses);
-                Counters::bump(&self.counters.completed);
-                let _ = job.reply.send(Ok(AnnotationResponse {
-                    track,
-                    cache_hit: false,
-                    clip_digest: job.digest,
-                }));
+        let reply = match self.cached(&job.key, job.digest) {
+            Some(hit) => Ok(hit),
+            None => {
+                let started = Instant::now();
+                self.profile_of(job.digest, &job.clip)
+                    .and_then(|p| self.plan(&p, &job.device, job.quality, job.mode, job.policy))
+                    .map(|track| self.store(job.key, track, job.digest, started))
             }
-            Err(err) => {
-                let _ = job.reply.send(Err(err));
-            }
-        }
+        };
+        let _ = job.reply.send(reply);
     }
 
-    /// Cold path: memoised luminance profile, then plan + annotate.
-    fn compute(&self, job: &PendingJob) -> Result<Arc<AnnotationTrack>, ServeError> {
-        let profile = self.profile_of(job.digest, &job.clip)?;
-        let annotated = Annotator::new(job.device.clone(), job.quality)
-            .with_mode(job.mode)
-            .with_policy(job.policy)
+    /// The resident answer for `key`, counted as a hit.
+    fn cached(&self, key: &CacheKey, digest: u64) -> Option<AnnotationResponse> {
+        let track = self.cache.get(key)?;
+        Counters::bump(&self.counters.hits);
+        Counters::bump(&self.counters.completed);
+        Some(AnnotationResponse { track, cache_hit: true, clip_digest: digest })
+    }
+
+    /// Cold path: plans and annotates `profile` for one request.
+    fn plan(
+        &self,
+        profile: &LuminanceProfile,
+        device: &DeviceProfile,
+        quality: QualityLevel,
+        mode: AnnotationMode,
+        policy: PolicyKind,
+    ) -> Result<Arc<AnnotationTrack>, ServeError> {
+        let annotated = Annotator::new(device.clone(), quality)
+            .with_mode(mode)
+            .with_policy(policy)
             .with_parallelism(self.intra)
-            .annotate_profile(&profile)
+            .annotate_profile(profile)
             .map_err(|e| ServeError::Internal(e.to_string()))?;
         Ok(Arc::new(annotated.track().clone()))
+    }
+
+    /// Caches a freshly planned track and counts the miss, charging the
+    /// cold latency since `started`.
+    fn store(
+        &self,
+        key: CacheKey,
+        track: Arc<AnnotationTrack>,
+        digest: u64,
+        started: Instant,
+    ) -> AnnotationResponse {
+        self.counters.profile_latency.record(started.elapsed());
+        self.cache.insert(key, Arc::clone(&track));
+        Counters::bump(&self.counters.misses);
+        Counters::bump(&self.counters.completed);
+        AnnotationResponse { track, cache_hit: false, clip_digest: digest }
     }
 
     /// Returns the memoised luminance profile for `digest`, computing it
     /// on first use. Single-flight: a digest is profiled at most once
     /// service-wide — racing workers wait for the in-flight computation
-    /// instead of duplicating the scan (which would make a wider pool
+    /// instead of duplicating the scan (which would make more workers
     /// *slower* on same-clip, many-device workloads).
     fn profile_of(&self, digest: u64, clip: &Clip) -> Result<Arc<LuminanceProfile>, ServeError> {
         {
@@ -480,8 +412,8 @@ impl AnnotationService {
             }
         }
         // Compute outside the lock; we own the in-flight slot. The scan
-        // itself is chunked over the intra-clip pool (byte-identical to
-        // `LuminanceProfile::of_clip` for every worker count).
+        // itself is chunked over the intra-clip fan-out (byte-identical
+        // to `LuminanceProfile::of_clip` for every worker count).
         let computed = annolight_core::parallel::profile_clip(clip, &self.intra)
             .map(Arc::new)
             .map_err(|e| ServeError::Internal(e.to_string()));
@@ -501,6 +433,161 @@ impl AnnotationService {
             }
         }
     }
+}
+
+/// The sharded, multi-tenant annotation service. Construct with
+/// [`AnnotationService::new`], register clips, then [`Service::call`]
+/// (or [`AnnotationService::submit`] for async use).
+pub struct AnnotationService {
+    catalogue: Mutex<HashMap<String, CatalogueEntry>>,
+    shared: Arc<Shared>,
+    /// The worker threads; none in deterministic mode.
+    threads: Vec<JoinHandle<()>>,
+    tenant_queue_depth: usize,
+}
+
+impl fmt::Debug for AnnotationService {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AnnotationService")
+            .field("catalogue", &self.catalogue.lock().len())
+            .field("cache", &self.shared.cache.stats())
+            .field("workers", &self.threads.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl AnnotationService {
+    /// Builds a service from `config` and spawns its
+    /// [`ServiceConfig::workers`] threads. Returned in an [`Arc`] so
+    /// server and proxy tiers can share one service.
+    #[must_use]
+    pub fn new(config: ServiceConfig) -> Arc<Self> {
+        let shared = Arc::new(Shared {
+            profiles: ProfileMemo { slots: Mutex::new(HashMap::new()), ready: Condvar::new() },
+            cache: AnnotationCache::new(config.cache_shards.max(1), config.cache_bytes),
+            sched: Mutex::new(SchedState::default()),
+            work: Condvar::new(),
+            idle: Condvar::new(),
+            counters: Counters {
+                profile_latency: crate::counters::LatencyHistogram::with_exact_samples(
+                    config.latency_reservoir,
+                ),
+                ..Counters::default()
+            },
+            intra: annolight_core::ParallelConfig::with_workers(config.intra_workers),
+        });
+        let threads = (0..config.workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("annolight-serve-worker-{i}"))
+                    .spawn(move || shared.run_worker())
+                    .expect("worker thread spawns")
+            })
+            .collect();
+        Arc::new(Self {
+            catalogue: Mutex::new(HashMap::new()),
+            shared,
+            threads,
+            tenant_queue_depth: config.tenant_queue_depth.max(1),
+        })
+    }
+
+    /// Registers `clip` under its own name, returning its content
+    /// digest. Re-registering a name replaces the entry (and, because
+    /// keys are content-addressed, changed bytes can never alias the old
+    /// track).
+    pub fn register_clip(&self, clip: Clip) -> u64 {
+        let digest = clip_digest(&clip);
+        self.catalogue
+            .lock()
+            .insert(clip.name().to_owned(), CatalogueEntry { clip: Arc::new(clip), digest });
+        digest
+    }
+
+    /// Whether queued jobs run inline, in round-robin order, when the
+    /// caller drains them (`workers == 0`).
+    #[must_use]
+    pub fn is_deterministic(&self) -> bool {
+        self.threads.is_empty()
+    }
+
+    /// Drains all queued work inline (deterministic mode) or blocks
+    /// until the workers have answered every queued job (threaded mode).
+    pub fn run_until_idle(&self) {
+        if self.is_deterministic() {
+            loop {
+                let Some(job) = self.shared.sched.lock().pop() else { break };
+                self.shared.dispatch(job);
+            }
+        } else {
+            let sched = self.shared.sched.lock();
+            let _idle = self.shared.idle.wait_while(sched, |s| s.queued > 0 || s.active > 0);
+        }
+    }
+
+    /// Jobs admitted but not yet dispatched, across all tenants.
+    #[must_use]
+    pub fn queue_depth(&self) -> usize {
+        self.shared.sched.lock().queued
+    }
+
+    /// Submits a request without blocking on the answer.
+    ///
+    /// Fast path: a resident cache entry answers immediately
+    /// ([`Ticket::Ready`]). Otherwise the request is admitted to the
+    /// tenant's bounded queue, where a worker (or the next
+    /// [`AnnotationService::run_until_idle`]) picks it up.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownClip`] for names outside the catalogue;
+    /// [`ServeError::InvalidQuality`] for a custom quality outside
+    /// `[0, 1]`; [`ServeError::Overloaded`] when the tenant's queue is
+    /// full.
+    pub fn submit(self: &Arc<Self>, req: AnnotationRequest) -> Result<Ticket, ServeError> {
+        let (clip, digest) = {
+            let cat = self.catalogue.lock();
+            let entry = cat
+                .get(&req.clip)
+                .ok_or_else(|| ServeError::UnknownClip(req.clip.clone()))?;
+            (Arc::clone(&entry.clip), entry.digest)
+        };
+        let key = cache_key(digest, &req.device, req.quality, req.mode, req.policy)?;
+        if let Some(hit) = self.shared.cached(&key, digest) {
+            return Ok(Ticket::Ready(Ok(hit)));
+        }
+        let (tx, rx) = channel::unbounded();
+        let job = PendingJob {
+            key,
+            clip,
+            digest,
+            device: req.device,
+            quality: req.quality,
+            mode: req.mode,
+            policy: req.policy,
+            reply: tx,
+        };
+        {
+            let mut sched = self.shared.sched.lock();
+            let queue = match sched.tenants.iter_mut().position(|(t, _)| *t == req.tenant) {
+                Some(i) => &mut sched.tenants[i].1,
+                None => {
+                    sched.tenants.push((req.tenant.clone(), VecDeque::new()));
+                    let last = sched.tenants.len() - 1;
+                    &mut sched.tenants[last].1
+                }
+            };
+            if queue.len() >= self.tenant_queue_depth {
+                Counters::bump(&self.shared.counters.overloaded);
+                return Err(ServeError::Overloaded { tenant: req.tenant });
+            }
+            queue.push_back(job);
+            sched.queued += 1;
+        }
+        self.shared.work.notify_one();
+        Ok(Ticket::Pending(rx))
+    }
 
     /// The memoised luminance profile of a registered clip, profiling it
     /// now if no request has needed it yet. Server tiers use this for
@@ -516,7 +603,7 @@ impl AnnotationService {
             let entry = cat.get(name).ok_or_else(|| ServeError::UnknownClip(name.to_owned()))?;
             (Arc::clone(&entry.clip), entry.digest)
         };
-        self.profile_of(digest, &clip)
+        self.shared.profile_of(digest, &clip)
     }
 
     /// Synchronous, catalogue-free entry for proxy tiers that already
@@ -526,7 +613,8 @@ impl AnnotationService {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Internal`] if annotation fails.
+    /// [`ServeError::InvalidQuality`] for a custom quality outside
+    /// `[0, 1]`; [`ServeError::Internal`] if annotation fails.
     pub fn annotate_profile(
         &self,
         content_digest: u64,
@@ -536,25 +624,13 @@ impl AnnotationService {
         mode: AnnotationMode,
         policy: PolicyKind,
     ) -> Result<AnnotationResponse, ServeError> {
-        let key = CacheKey::new(content_digest, device.name(), quality, mode, policy);
-        if let Some(track) = self.cache.get(&key) {
-            Counters::bump(&self.counters.hits);
-            Counters::bump(&self.counters.completed);
-            return Ok(AnnotationResponse { track, cache_hit: true, clip_digest: content_digest });
+        let key = cache_key(content_digest, device, quality, mode, policy)?;
+        if let Some(hit) = self.shared.cached(&key, content_digest) {
+            return Ok(hit);
         }
         let started = Instant::now();
-        let annotated = Annotator::new(device.clone(), quality)
-            .with_mode(mode)
-            .with_policy(policy)
-            .with_parallelism(self.intra)
-            .annotate_profile(profile)
-            .map_err(|e| ServeError::Internal(e.to_string()))?;
-        self.counters.profile_latency.record(started.elapsed());
-        let track = Arc::new(annotated.track().clone());
-        self.cache.insert(key, Arc::clone(&track));
-        Counters::bump(&self.counters.misses);
-        Counters::bump(&self.counters.completed);
-        Ok(AnnotationResponse { track, cache_hit: false, clip_digest: content_digest })
+        let track = self.shared.plan(profile, device, quality, mode, policy)?;
+        Ok(self.shared.store(key, track, content_digest, started))
     }
 
     /// The cold-latency histogram, for harnesses that need exact
@@ -565,28 +641,29 @@ impl AnnotationService {
     /// [`LatencyHistogram::quantile_us`]: crate::counters::LatencyHistogram::quantile_us
     #[must_use]
     pub fn profile_latency(&self) -> &crate::counters::LatencyHistogram {
-        &self.counters.profile_latency
+        &self.shared.counters.profile_latency
     }
 
     /// A point-in-time counters report (serialisable via
     /// [`CountersReport::to_json_string`]).
     #[must_use]
     pub fn report(&self) -> CountersReport {
-        let cache = self.cache.stats();
-        let (uppers, counts) = self.counters.profile_latency.snapshot();
+        let counters = &self.shared.counters;
+        let cache = self.shared.cache.stats();
+        let (uppers, counts) = counters.profile_latency.snapshot();
         CountersReport {
-            hits: Counters::read(&self.counters.hits),
-            misses: Counters::read(&self.counters.misses),
-            overloaded: Counters::read(&self.counters.overloaded),
-            completed: Counters::read(&self.counters.completed),
+            hits: Counters::read(&counters.hits),
+            misses: Counters::read(&counters.misses),
+            overloaded: Counters::read(&counters.overloaded),
+            completed: Counters::read(&counters.completed),
             queue_depth: self.queue_depth(),
             evictions: cache.evictions,
             resident_entries: cache.resident,
             resident_bytes: cache.resident_bytes,
-            profile_count: self.counters.profile_latency.count(),
-            clip_profiles: Counters::read(&self.counters.clip_profiles),
-            profile_latency_mean_us: self.counters.profile_latency.mean_us(),
-            profile_latency_max_us: self.counters.profile_latency.max_us(),
+            profile_count: counters.profile_latency.count(),
+            clip_profiles: Counters::read(&counters.clip_profiles),
+            profile_latency_mean_us: counters.profile_latency.mean_us(),
+            profile_latency_max_us: counters.profile_latency.max_us(),
             latency_bucket_upper_us: uppers,
             latency_bucket_counts: counts,
         }
@@ -601,7 +678,7 @@ impl AnnotationService {
     /// Backoff time is *accounted*, not slept: the simulated elapsed
     /// time feeds `policy.next_delay_s`, so deterministic tests replay
     /// the exact schedule without wall-clock sleeps. In deterministic
-    /// mode each retry drains the inline pool first, mirroring what a
+    /// mode each retry drains the queues inline first, mirroring what a
     /// real deployment's workers would do during the backoff window.
     ///
     /// Returns the accumulated simulated backoff alongside the
@@ -641,11 +718,27 @@ impl AnnotationService {
     }
 }
 
+impl Drop for AnnotationService {
+    /// Answers every admitted job, inline or on the workers, then joins
+    /// the workers.
+    fn drop(&mut self) {
+        if self.is_deterministic() {
+            self.run_until_idle();
+            return;
+        }
+        self.shared.sched.lock().shutdown = true;
+        self.shared.work.notify_all();
+        for handle in self.threads.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
 impl Service for Arc<AnnotationService> {
     fn call(&self, req: AnnotationRequest) -> Result<AnnotationResponse, ServeError> {
         let ticket = self.submit(req)?;
         if self.is_deterministic() && !ticket.is_ready() {
-            self.pool.run_until_idle();
+            self.run_until_idle();
         }
         ticket.wait()
     }
@@ -760,7 +853,7 @@ mod tests {
         });
         svc.register_clip(test_clip("a", 7));
         // Flood tenant f with distinct uncacheable requests (different
-        // qualities) without draining the pool.
+        // qualities) without draining the queues.
         let mut tickets = Vec::new();
         let mut rejected = 0;
         for i in 0..5 {
@@ -793,7 +886,7 @@ mod tests {
             ..ServiceConfig::default()
         });
         svc.register_clip(test_clip("a", 7));
-        // Fill the tenant's queue without draining the inline pool.
+        // Fill the tenant's queue without draining it.
         let mut tickets = Vec::new();
         for i in 0..2 {
             let mut req = request("flood", "a");
@@ -803,7 +896,7 @@ mod tests {
         // A bare call is rejected outright…
         let err = svc.call(request("flood", "a")).unwrap_err();
         assert_eq!(err, ServeError::Overloaded { tenant: "flood".into() });
-        // …while call_with_retry backs off, lets the pool drain, and lands.
+        // …while call_with_retry backs off, lets the queue drain, and lands.
         let mut rng = SmallRng::seed_from_u64(9);
         let (resp, backoff_s) = svc
             .call_with_retry(request("flood", "a"), &RetryPolicy::service(), &mut rng)
@@ -876,7 +969,7 @@ mod tests {
     #[test]
     fn same_clip_profiles_once_across_devices_even_threaded() {
         // Single-flight: three devices annotate the same clip through a
-        // threaded pool, yet the clip's pixels are scanned exactly once.
+        // threaded service, yet the clip's pixels are scanned exactly once.
         let svc = AnnotationService::new(ServiceConfig { workers: 4, ..ServiceConfig::default() });
         svc.register_clip(test_clip("shared", 7));
         let devices =

@@ -25,9 +25,9 @@
 //! byte (the digest is the CI double-run guard's handle on this).
 //!
 //! [`replay_trace`] then drives the trace against a deterministic
-//! (inline-pool) [`AnnotationService`], one simulated tick at a time:
-//! all of a tick's arrivals are submitted (filling bounded tenant
-//! queues; floods are rejected with `Overloaded`), then the pool drains
+//! (inline) [`AnnotationService`], one simulated tick at a time: all of
+//! a tick's arrivals are submitted (filling bounded tenant queues;
+//! floods are rejected with `Overloaded`), then the queues drain inline
 //! — modelling workers that keep up between ticks. The outcome is a
 //! [`ScenarioReport`]: cache hit-rate, rejection rate, and exact
 //! p50/p99/p999 cold/warm latency (via
@@ -936,8 +936,8 @@ impl ScenarioReport {
 
 /// Replays `trace` against a fresh deterministic service over the
 /// corpus `cfg` describes, tick by tick: a tick's arrivals are all
-/// submitted (bounded queues reject floods), then the inline pool
-/// drains — the worker fleet catching up between ticks.
+/// submitted (bounded queues reject floods), then the queues drain
+/// inline — the worker fleet catching up between ticks.
 ///
 /// Counters in the returned report are a pure function of the trace;
 /// latency quantiles are measured wall-clock.

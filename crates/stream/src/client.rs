@@ -12,6 +12,7 @@ use crate::faults::{
     AnnotationArrivals, DegradationConfig, DegradationEvent, DegradationKind, DegradedPlayback,
 };
 use annolight_codec::{CodecError, Decoder, EncodedStream};
+use annolight_core::extensions::{self, DvfsHint};
 use annolight_core::track::AnnotationTrack;
 use annolight_display::{BacklightController, BacklightLevel, ControllerConfig, DeviceProfile, SwitchStats};
 use annolight_imgproc::Yuv420Frame;
@@ -64,6 +65,38 @@ impl From<CodecError> for PlaybackError {
     fn from(e: CodecError) -> Self {
         PlaybackError::Codec(e)
     }
+}
+
+/// The backlight track and the DVFS hints a stream carries.
+pub(crate) type UserData = (Option<AnnotationTrack>, Option<Vec<DvfsHint>>);
+
+/// Reads the annotations from a stream's user data, which precedes every
+/// picture (§3). Payloads are told apart by magic: each `ADV1` payload
+/// is a DVFS hint packet, and a later one replaces an earlier one; the
+/// first other payload is the backlight track. Payloads are parsed in
+/// stream order, hint packets only if `parse_hints`, and the first
+/// failure is returned: a parse error through `bad`, or `vet`'s verdict
+/// on the track as soon as it parses.
+pub(crate) fn parse_user_data<E>(
+    dec: &Decoder,
+    parse_hints: bool,
+    bad: impl Fn(String) -> E,
+    mut vet: impl FnMut(&AnnotationTrack) -> Result<(), E>,
+) -> Result<UserData, E> {
+    let mut track = None;
+    let mut hints = None;
+    for bytes in dec.user_data() {
+        if extensions::is_dvfs_payload(bytes) {
+            if parse_hints {
+                hints = Some(extensions::hints_from_bytes(bytes).map_err(|e| bad(e.to_string()))?);
+            }
+        } else if track.is_none() {
+            let t = AnnotationTrack::from_rle_bytes(bytes).map_err(|e| bad(e.to_string()))?;
+            vet(&t)?;
+            track = Some(t);
+        }
+    }
+    Ok((track, hints))
 }
 
 /// The result of playing one stream to completion.
@@ -165,38 +198,17 @@ impl PlaybackClient {
 
     /// Scans the stream's user data for the annotation track and DVFS
     /// hints, validating the track against this client's device.
-    #[allow(clippy::type_complexity)]
-    fn scan_user_data(
-        &self,
-        dec: &Decoder,
-    ) -> Result<
-        (Option<AnnotationTrack>, Option<Vec<annolight_core::extensions::DvfsHint>>),
-        PlaybackError,
-    > {
-        // Annotations are available before any picture is decoded (§3).
-        // User-data payloads are distinguished by magic: `ALT1` is the
-        // backlight track, `ADV1` a DVFS hint packet.
-        let mut track: Option<AnnotationTrack> = None;
-        let mut hints: Option<Vec<annolight_core::extensions::DvfsHint>> = None;
-        for bytes in dec.user_data() {
-            if annolight_core::extensions::is_dvfs_payload(bytes) {
-                hints = Some(
-                    annolight_core::extensions::hints_from_bytes(bytes)
-                        .map_err(|e| PlaybackError::BadTrack(e.to_string()))?,
-                );
-            } else if track.is_none() {
-                let t = AnnotationTrack::from_rle_bytes(bytes)
-                    .map_err(|e| PlaybackError::BadTrack(e.to_string()))?;
-                if t.device_name() != self.device.name() {
-                    return Err(PlaybackError::DeviceMismatch {
-                        track_device: t.device_name().to_owned(),
-                        client_device: self.device.name().to_owned(),
-                    });
-                }
-                track = Some(t);
+    fn scan_user_data(&self, dec: &Decoder) -> Result<UserData, PlaybackError> {
+        parse_user_data(dec, true, PlaybackError::BadTrack, |t| {
+            if t.device_name() == self.device.name() {
+                Ok(())
+            } else {
+                Err(PlaybackError::DeviceMismatch {
+                    track_device: t.device_name().to_owned(),
+                    client_device: self.device.name().to_owned(),
+                })
             }
-        }
-        Ok((track, hints))
+        })
     }
 
     /// The shared playback loop. `desired` picks the backlight level to
@@ -240,7 +252,7 @@ impl PlaybackClient {
             // busier per cycle, but far cheaper per cycle.
             let p = match hints
                 .as_deref()
-                .and_then(|h| annolight_core::extensions::hint_for_frame(h, frames))
+                .and_then(|h| extensions::hint_for_frame(h, frames))
             {
                 Some(h) => {
                     let busy = (h.busy_at(h.frequency) + switch_cost).min(1.0);
@@ -351,17 +363,7 @@ impl PlaybackClient {
                 });
             }
             let held = frame - degraded_since.unwrap_or(frame);
-            let level = if held < degradation.hold_frames {
-                // Hold: the last annotated level stays a good guess for a
-                // short while (scenes change slowly).
-                last_good
-            } else {
-                // Slew toward full backlight — always legible, and the
-                // bounded step keeps the ramp invisible.
-                let ramp = u32::from(degradation.ramp_step_per_frame)
-                    * (held - degradation.hold_frames + 1);
-                BacklightLevel((u32::from(last_good.0) + ramp).min(255) as u8)
-            };
+            let level = BacklightLevel(degradation.degraded_level(last_good.0, held));
             degraded_frames += 1;
             error_sum += f64::from(level.0.abs_diff(annotated.0));
             Ok(level)

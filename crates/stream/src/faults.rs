@@ -30,6 +30,7 @@
 //! [`WirelessChannel::transfer_time_s`], so the lossless path is
 //! bit-identical to the baseline model — a property the test tier pins.
 
+use crate::client::parse_user_data;
 use crate::message::{PacketKind, StreamPacket};
 use crate::network::WirelessChannel;
 use annolight_codec::{Decoder, EncodedStream};
@@ -610,12 +611,7 @@ impl HintPlan {
         // The sender knows the track (it produced the stream): split it
         // into sequence-numbered hints.
         let dec = Decoder::new(stream).map_err(|e| e.to_string())?;
-        let mut track: Option<AnnotationTrack> = None;
-        for bytes in dec.user_data() {
-            if !annolight_core::extensions::is_dvfs_payload(bytes) && track.is_none() {
-                track = Some(AnnotationTrack::from_rle_bytes(bytes).map_err(|e| e.to_string())?);
-            }
-        }
+        let (track, _) = parse_user_data(&dec, false, |e| e, |_| Ok(()))?;
         let fps = stream.fps().max(f64::EPSILON);
         let startup_s = link.latency_s + startup_buffer_s;
         let deltas = track.as_ref().map(AnnotationDelta::from_track).unwrap_or_default();
@@ -839,6 +835,22 @@ impl Default for DegradationConfig {
     }
 }
 
+impl DegradationConfig {
+    /// The backlight level shown `held` frames after a scene started
+    /// without its hint. The last annotated level `last_good` holds for
+    /// `hold_frames` frames, as scenes change slowly. After that the
+    /// level slews toward full backlight, which is always legible, by
+    /// `ramp_step_per_frame` a frame, a step small enough to be invisible.
+    #[must_use]
+    pub fn degraded_level(&self, last_good: u8, held: u32) -> u8 {
+        if held < self.hold_frames {
+            return last_good;
+        }
+        let ramp = u64::from(self.ramp_step_per_frame) * (u64::from(held - self.hold_frames) + 1);
+        (u64::from(last_good) + ramp).min(255) as u8
+    }
+}
+
 /// What happened at one point of degraded playback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradationKind {
@@ -992,6 +1004,16 @@ mod tests {
         assert!(!a.arrived_by(2, 100.0));
         assert!(!a.arrived_by(99, 100.0), "out of range is never arrived");
         assert!(AnnotationArrivals::punctual(4).all_on_time());
+    }
+
+    #[test]
+    fn degraded_level_holds_then_ramps_to_full() {
+        let cfg = DegradationConfig::default(); // hold 6, +12 a frame
+        let levels = [0, 5, 6, 7, 20, 21].map(|held| cfg.degraded_level(40, held));
+        assert_eq!(levels, [40, 40, 52, 64, 220, 232]);
+        assert_eq!(cfg.degraded_level(40, 30), 255, "the ramp stops at full backlight");
+        let eager = DegradationConfig { hold_frames: 0, ramp_step_per_frame: 255 };
+        assert_eq!(eager.degraded_level(255, u32::MAX), 255, "no overflow at the extreme");
     }
 
     #[test]

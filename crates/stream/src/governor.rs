@@ -36,7 +36,7 @@
 //! same machine, so governor traces are byte-identical across hosts and
 //! worker counts by construction.
 
-use crate::client::DECODE_CPU_BUSY;
+use crate::client::{parse_user_data, DECODE_CPU_BUSY};
 use crate::faults::{AnnotationArrivals, LossyDelivery};
 use crate::message::StreamPacket;
 use crate::session::{
@@ -49,7 +49,7 @@ use annolight_core::governor::{
     QualityGovernor, ThermalModel, ThermalState,
 };
 use annolight_core::scenes::SceneSpan;
-use annolight_core::track::{AnnotationMode, AnnotationTrack};
+use annolight_core::track::AnnotationMode;
 use annolight_core::{Annotator, LuminanceProfile, QualityLevel};
 use annolight_display::BacklightLevel;
 use annolight_power::{Battery, BatteryState, SystemPowerModel};
@@ -216,20 +216,7 @@ impl GovernedPrep {
         // The embedded track (for the hint-sequence map) and DVFS hints,
         // exactly as the playback client scans them.
         let dec = Decoder::new(stream).map_err(|e| pipeline(e.to_string()))?;
-        let mut track: Option<AnnotationTrack> = None;
-        let mut hints: Option<Vec<DvfsHint>> = None;
-        for bytes in dec.user_data() {
-            if annolight_core::extensions::is_dvfs_payload(bytes) {
-                hints = Some(
-                    annolight_core::extensions::hints_from_bytes(bytes)
-                        .map_err(|e| pipeline(e.to_string()))?,
-                );
-            } else if track.is_none() {
-                track = Some(
-                    AnnotationTrack::from_rle_bytes(bytes).map_err(|e| pipeline(e.to_string()))?,
-                );
-            }
-        }
+        let (track, hints) = parse_user_data(&dec, true, pipeline, |_| Ok(()))?;
         let track = track
             .ok_or_else(|| pipeline("governed session needs an annotated stream".into()))?;
 

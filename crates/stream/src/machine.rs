@@ -410,13 +410,7 @@ impl ScaleSession {
                 degraded_since = Some(frame);
             }
             let held = frame - degraded_since.unwrap_or(frame);
-            let level = if held < self.degradation.hold_frames {
-                last_good
-            } else {
-                let ramp = u32::from(self.degradation.ramp_step_per_frame)
-                    * (held - self.degradation.hold_frames + 1);
-                (u32::from(last_good) + ramp).min(255) as u8
-            };
+            let level = self.degradation.degraded_level(last_good, held);
             degraded += 1;
             error_sum += f64::from(level.abs_diff(annotated));
         }

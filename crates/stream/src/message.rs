@@ -100,11 +100,7 @@ impl ClientHello {
     /// `[0, 1]` (the server would otherwise panic granting it).
     pub fn from_wire(bytes: &[u8]) -> Result<Self, String> {
         let hello: Self = annolight_support::json::from_slice(bytes).map_err(|e| e.to_string())?;
-        if let QualityLevel::Custom(f) = hello.quality {
-            if !(0.0..=1.0).contains(&f) {
-                return Err(format!("custom quality {f} outside [0, 1]"));
-            }
-        }
+        hello.quality.try_clip_fraction()?;
         Ok(hello)
     }
 }

@@ -87,6 +87,9 @@ impl ServeRequest {
 pub enum ServeError {
     /// The requested clip is not in the server's catalogue.
     UnknownClip(String),
+    /// The requested quality is a custom fraction that is not finite or
+    /// lies outside `[0, 1]`; carries the reason.
+    InvalidQuality(String),
     /// The annotation service rejected the request at admission — the
     /// tenant's queue is full. Back off and retry with
     /// [`crate::faults::retry::RetryPolicy::service`] (truncated
@@ -104,6 +107,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::UnknownClip(name) => write!(f, "unknown clip {name:?}"),
+            ServeError::InvalidQuality(reason) => write!(f, "invalid quality: {reason}"),
             ServeError::Overloaded { tenant } => {
                 write!(f, "service overloaded for tenant {tenant:?}")
             }
@@ -118,6 +122,9 @@ impl From<annolight_serve::ServeError> for ServeError {
     fn from(e: annolight_serve::ServeError) -> Self {
         match e {
             annolight_serve::ServeError::UnknownClip(name) => ServeError::UnknownClip(name),
+            annolight_serve::ServeError::InvalidQuality(reason) => {
+                ServeError::InvalidQuality(reason)
+            }
             annolight_serve::ServeError::Overloaded { tenant } => ServeError::Overloaded { tenant },
             annolight_serve::ServeError::Internal(msg) => ServeError::Internal(msg),
         }

@@ -140,14 +140,6 @@ impl Json {
         Ok(v)
     }
 
-    /// Compact serialisation.
-    #[must_use]
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Pretty serialisation (two-space indent).
     #[must_use]
     pub fn pretty(&self) -> String {
@@ -215,8 +207,11 @@ impl Json {
 }
 
 impl fmt::Display for Json {
+    /// Compact serialisation; [`Json::pretty`] indents.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string())
+        let mut out = String::new();
+        self.write(&mut out, None, 0);
+        f.write_str(&out)
     }
 }
 

@@ -2,10 +2,9 @@
 //!
 //! The paper's Fig. 1 server "stores profiled clips" so that annotation
 //! cost is paid once and amortised across every client. This example
-//! runs that tier at small scale: one shared [`AnnotationService`] with a
-//! threaded work-stealing pool, eight client threads spread across the
-//! three paper device classes, each requesting clips at its own quality
-//! point. The service content-addresses the tracks, so the first request
+//! runs that tier at small scale: one shared [`AnnotationService`] with
+//! two worker threads, and eight client threads spread across the three
+//! paper device classes, each requesting clips at its own quality point. The service content-addresses the tracks, so the first request
 //! per `(clip, device, quality, mode)` key profiles and plans; every
 //! later one is a cache hit. At the end we print the counters report —
 //! the same JSON the ops side would scrape.

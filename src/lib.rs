@@ -17,7 +17,7 @@
 //! | [`power`] | `annolight-power` | DAQ simulation + whole-device power model |
 //! | [`core`] | `annolight-core` | **the paper's contribution**: profiling, scene detection, annotation, backlight planning |
 //! | [`stream`] | `annolight-stream` | server → proxy → client session model (Fig. 1) |
-//! | [`serve`] | `annolight-serve` | multi-tenant annotation service: sharded cache, work-stealing pool, admission control |
+//! | [`serve`] | `annolight-serve` | multi-tenant annotation service: sharded cache, admission control, persistent workers |
 //! | [`baselines`] | `annolight-baselines` | comparison policies (history prediction, oracle, static) |
 //!
 //! # Quickstart

@@ -40,7 +40,7 @@ annolight_support::check! {
     /// three-step search to follow) motion estimation recovers exact
     /// translations within the search window.
     fn motion_finds_exact_translation_on_smooth_content(g) {
-        let phase: f64 = g.draw(0.0f64..6.28);
+        let phase: f64 = g.draw(0.0f64..std::f64::consts::TAU);
         let dx: i32 = g.draw(-SEARCH_RANGE..=SEARCH_RANGE);
         let dy: i32 = g.draw(-SEARCH_RANGE..=SEARCH_RANGE);
         let w = 48usize;

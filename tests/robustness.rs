@@ -247,6 +247,99 @@ fn hello_with_a_custom_quality_outside_the_unit_interval_is_rejected() {
     }
 }
 
+/// Custom qualities that are out of range or not a number, for the
+/// serve-boundary rows below.
+const BAD_QUALITIES: [f64; 4] = [1.5, -0.25, f64::NAN, f64::INFINITY];
+
+/// A bad custom quality reaching the annotation service is a typed
+/// rejection. Its cache key used to panic on it.
+#[test]
+fn service_rejects_a_custom_quality_outside_the_unit_interval() {
+    use annolight::core::track::AnnotationMode;
+    use annolight::core::PolicyKind;
+    use annolight::serve::{
+        AnnotationRequest, AnnotationService, ServeError, Service, ServiceConfig,
+    };
+    let svc = AnnotationService::new(ServiceConfig::default());
+    svc.register_clip(ClipLibrary::paper_clip("officexp").unwrap().preview(1.0));
+    for q in BAD_QUALITIES {
+        let req = AnnotationRequest {
+            tenant: "handheld".into(),
+            clip: "officexp".into(),
+            device: DeviceProfile::ipaq_5555(),
+            quality: QualityLevel::Custom(q),
+            mode: AnnotationMode::PerScene,
+            policy: PolicyKind::PeakClip,
+        };
+        match svc.submit(req.clone()) {
+            Err(ServeError::InvalidQuality(msg)) => {
+                assert!(msg.contains("outside [0, 1]"), "{msg}");
+            }
+            other => panic!("quality {q}: expected a typed rejection, got {other:?}"),
+        }
+        match svc.call(req) {
+            Err(ServeError::InvalidQuality(msg)) => {
+                assert!(msg.contains("outside [0, 1]"), "{msg}");
+            }
+            other => panic!("quality {q}: expected a typed rejection, got {other:?}"),
+        }
+    }
+    let report = svc.report();
+    assert_eq!((report.completed, report.queue_depth), (0, 0), "nothing was admitted");
+}
+
+/// The proxy's annotation call rejects a bad custom quality before it
+/// plans or compensates anything.
+#[test]
+fn proxy_rejects_a_custom_quality_outside_the_unit_interval() {
+    use annolight::core::track::AnnotationMode;
+    use annolight::serve::ServeError;
+    use annolight::stream::proxy::ProxyError;
+    use annolight::stream::Proxy;
+    let clip = ClipLibrary::paper_clip("officexp").unwrap().preview(1.0);
+    let (w, h) = clip.dimensions();
+    let mut enc = Encoder::new(EncoderConfig {
+        width: w,
+        height: h,
+        fps: clip.fps(),
+        ..EncoderConfig::default()
+    })
+    .unwrap();
+    for f in clip.frames() {
+        enc.push_frame(&f).unwrap();
+    }
+    let input = enc.finish();
+    let proxy = Proxy::new(EncoderConfig::default());
+    for q in BAD_QUALITIES {
+        let device = DeviceProfile::ipaq_5555();
+        match proxy.transcode(&input, &device, QualityLevel::Custom(q), AnnotationMode::PerScene) {
+            Err(ProxyError::Serve(ServeError::InvalidQuality(msg))) => {
+                assert!(msg.contains("outside [0, 1]"), "{msg}");
+            }
+            other => panic!("quality {q}: expected a typed rejection, got {other:?}"),
+        }
+    }
+}
+
+/// `MediaServer::serve` maps the service's rejection of a bad custom
+/// quality to its own typed error.
+#[test]
+fn server_rejects_a_custom_quality_outside_the_unit_interval() {
+    use annolight::stream::{MediaServer, ServeError, ServeRequest};
+    let mut server = MediaServer::new(EncoderConfig::default());
+    server.add_clip(ClipLibrary::paper_clip("officexp").unwrap().preview(1.0));
+    for q in BAD_QUALITIES {
+        let quality = QualityLevel::Custom(q);
+        let req = ServeRequest::new("officexp", DeviceProfile::ipaq_5555(), quality);
+        match server.serve(&req) {
+            Err(ServeError::InvalidQuality(msg)) => {
+                assert!(msg.contains("outside [0, 1]"), "{msg}");
+            }
+            other => panic!("quality {q}: expected a typed rejection, got {other:?}"),
+        }
+    }
+}
+
 /// Frame rates whose millihertz header field would round to 0 or exceed
 /// `u32::MAX`: the header would carry 0 or 4294967.295 fps while the
 /// encoder reported the configured rate.
