@@ -1,6 +1,6 @@
-//! Golden-figure conformance tier: exact JSON snapshots of Figs. 3–8
-//! and 10 (extending `fig9_shape.rs`'s shape assertions to full
-//! byte-level conformance for the deterministic figures).
+//! Golden-figure conformance tier: exact JSON snapshots of Figs. 3–10
+//! and the deterministic tables (Fig. 9 also keeps the shape-level
+//! assertions of `fig9_shape.rs`).
 //!
 //! Every figure module's `run(...)` output is serialised with the
 //! in-tree JSON encoder and compared **byte-for-byte** against a
@@ -17,12 +17,12 @@
 //!
 //! then commit the updated snapshots (documented in DESIGN.md §9).
 //!
-//! Fig. 9 and the service/throughput tables are excluded: Fig. 9 keeps
-//! its shape-level test (`fig9_shape.rs`), and the tables include
-//! wall-clock measurements that are inherently non-reproducible.
+//! The service/throughput tables are excluded: they include wall-clock
+//! measurements that are inherently non-reproducible.
 
 use annolight_bench::figures::{
-    fig03, fig04, fig05, fig06, fig07, fig08, fig10, pipeline_throughput, tab_policies,
+    fig03, fig04, fig05, fig06, fig07, fig08, fig09, fig10, pipeline_throughput, tab_baselines,
+    tab_policies,
 };
 use annolight_core::QualityLevel;
 use annolight_support::json::{to_string_pretty, ToJson};
@@ -98,6 +98,12 @@ fn fig08_white_transfer_matches_golden() {
 }
 
 #[test]
+fn fig09_backlight_savings_matches_golden() {
+    // 8-second previews of all ten clips at the five paper qualities.
+    assert_golden("fig09", &fig09::run(Some(8.0)));
+}
+
+#[test]
 fn fig10_total_power_matches_golden() {
     // 6-second previews — the quick-mode parameter, frozen.
     assert_golden("fig10", &fig10::run(6.0));
@@ -125,4 +131,11 @@ fn tab_policies_matches_golden() {
     // in HEBS equalisation, spatial pricing, or the peak-clip reference
     // shows up as a diff here. 3-second previews, the `--test` parameter.
     assert_golden("tab_policies", &tab_policies::run(3.0));
+}
+
+#[test]
+fn tab_baselines_matches_golden() {
+    // The §2 baseline comparison scores planner decisions against
+    // profile histograms only, with no wall clock. 5-second previews.
+    assert_golden("tab_baselines", &tab_baselines::run(5.0));
 }
