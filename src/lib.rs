@@ -18,7 +18,6 @@
 //! | [`core`] | `annolight-core` | **the paper's contribution**: profiling, scene detection, annotation, backlight planning |
 //! | [`stream`] | `annolight-stream` | server → proxy → client session model (Fig. 1) |
 //! | [`serve`] | `annolight-serve` | multi-tenant annotation service: sharded cache, admission control, persistent workers |
-//! | [`baselines`] | `annolight-baselines` | comparison policies (history prediction, oracle, static) |
 //!
 //! # Quickstart
 //!
@@ -42,7 +41,6 @@
 
 pub mod cli;
 
-pub use annolight_baselines as baselines;
 pub use annolight_camera as camera;
 pub use annolight_codec as codec;
 pub use annolight_core as core;
