@@ -202,14 +202,21 @@ pub fn hints_to_bytes(hints: &[DvfsHint]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`crate::CoreError::MalformedTrack`] for wrong magic or
-/// malformed JSON.
+/// Returns [`crate::CoreError::MalformedTrack`] for wrong magic,
+/// malformed JSON, or a hint whose complexity is not in `[0, 1]` (the
+/// client's power model would panic on the busy fraction it implies).
 pub fn hints_from_bytes(bytes: &[u8]) -> Result<Vec<DvfsHint>, crate::CoreError> {
     if bytes.len() < 4 || &bytes[..4] != DVFS_MAGIC {
         return Err(crate::CoreError::MalformedTrack { reason: "not a DVFS payload".into() });
     }
-    annolight_support::json::from_slice(&bytes[4..])
-        .map_err(|e| crate::CoreError::MalformedTrack { reason: e.to_string() })
+    let hints: Vec<DvfsHint> = annolight_support::json::from_slice(&bytes[4..])
+        .map_err(|e| crate::CoreError::MalformedTrack { reason: e.to_string() })?;
+    match hints.iter().find(|h| !(0.0..=1.0).contains(&h.complexity)) {
+        Some(h) => Err(crate::CoreError::MalformedTrack {
+            reason: format!("DVFS hint complexity {} outside [0, 1]", h.complexity),
+        }),
+        None => Ok(hints),
+    }
 }
 
 /// Whether a user-data payload is a DVFS-hint packet.

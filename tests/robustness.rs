@@ -2,12 +2,18 @@
 //! must produce errors, never panics or bogus successes.
 
 use annolight::codec::{Decoder, EncodedStream, Encoder, EncoderConfig};
-use annolight::core::track::AnnotationTrack;
-use annolight::core::{AnnotationDelta, DeltaStatus, DeltaTracker, QualityLevel};
-use annolight::display::DeviceProfile;
+use annolight::core::extensions::{hints_from_bytes, hints_to_bytes, CpuFrequency, DvfsHint};
+use annolight::core::track::{AnnotationEntry, AnnotationMode, AnnotationTrack};
+use annolight::core::{
+    AnnotationDelta, DeltaStatus, DeltaTracker, GovernorFeedback, PolicyKind, QualityLevel,
+    SceneSpan,
+};
+use annolight::display::{BacklightLevel, DeviceProfile};
 use annolight::power::SystemPowerModel;
-use annolight::stream::PlaybackClient;
+use annolight::stream::{ClientHello, PacketKind, PlaybackClient, StreamPacket};
 use annolight::video::ClipLibrary;
+use annolight_support::check::Gen;
+use annolight_support::json::Json;
 
 annolight_support::check! {
     /// The container parser never panics on arbitrary bytes.
@@ -46,6 +52,130 @@ annolight_support::check! {
         let bytes = g.vec(0..256usize, |g| g.any::<u8>());
         let _ = annolight::codec::picture::decode_intra(&bytes, 16, 16);
     }
+
+    /// The hop's message decoders never panic on arbitrary bytes, bare or
+    /// behind one of the formats' tags, so random tails reach the field
+    /// parsers.
+    fn message_decoders_survive_arbitrary_bytes(g) {
+        const TAGS: [&[u8]; 7] = [b"", b"ALG1", b"ALD1", b"AP1\x00", b"AP1\x01", b"ADV1", b"{"];
+        let mut bytes = TAGS[g.draw(0..TAGS.len())].to_vec();
+        bytes.extend(g.vec(0..64usize, |g| g.any::<u8>()));
+        decode_as_every_message(&bytes);
+    }
+
+    /// Valid encodings of every message round-trip, and every prefix and
+    /// every single-bit flip of one is rejected or decoded, never a panic.
+    fn message_decoders_survive_truncation_and_bit_flips(g, cases = 32) {
+        for wire in valid_messages(g) {
+            for cut in 0..wire.len() {
+                decode_as_every_message(&wire[..cut]);
+            }
+            let mut flipped = wire.clone();
+            for bit in 0..wire.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                decode_as_every_message(&flipped);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+}
+
+/// Feeds `bytes` to every message decoder on the hop: governor feedback,
+/// an annotation delta (offered to a tracker around its start frame), a
+/// client hello, a stream packet, a DVFS hint payload and a JSON document.
+fn decode_as_every_message(bytes: &[u8]) {
+    let _ = GovernorFeedback::from_bytes(bytes);
+    if let Ok(delta) = AnnotationDelta::from_bytes(bytes) {
+        let mut tracker = DeltaTracker::new();
+        let start = delta.entry.start_frame;
+        for now in [0, start, start.saturating_add(1), u32::MAX, start] {
+            tracker.offer(&delta, now);
+        }
+    }
+    let _ = ClientHello::from_wire(bytes);
+    let _ = StreamPacket::from_wire(bytes);
+    let _ = hints_from_bytes(bytes);
+    let _ = Json::parse(&String::from_utf8_lossy(bytes));
+}
+
+/// A random text: ASCII, the characters JSON escapes, and any other
+/// scalar value.
+fn text(g: &mut Gen) -> String {
+    g.vec(0..12usize, |g| match g.draw(0..3u8) {
+        0 => char::from(g.draw(0x20u8..0x7F)),
+        1 => ['"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}'][g.draw(0..7usize)],
+        _ => char::from_u32(g.draw(0u32..=0x10_FFFF)).unwrap_or('\u{FFFD}'),
+    })
+    .into_iter()
+    .collect()
+}
+
+/// A random JSON tree at most `depth` levels deep; floats are finite, as
+/// the encoder writes the others as `null`.
+fn json_value(g: &mut Gen, depth: u32) -> Json {
+    match g.draw(0..if depth == 0 { 5u8 } else { 7 }) {
+        0 => Json::Null,
+        1 => Json::Bool(g.any()),
+        2 => Json::Int(i128::from(g.any::<i64>()) * i128::from(g.any::<i32>())),
+        3 => Json::Float(Some(f64::from_bits(g.any())).filter(|f| f.is_finite()).unwrap_or(0.5)),
+        4 => Json::Str(text(g)),
+        5 => Json::Arr(g.vec(0..4usize, |g| json_value(g, depth - 1))),
+        _ => Json::Obj(g.vec(0..4usize, |g| (text(g), json_value(g, depth - 1)))),
+    }
+}
+
+/// One random valid encoding of each message, each checked to decode
+/// back to the value it encodes.
+fn valid_messages(g: &mut Gen) -> Vec<Vec<u8>> {
+    let feedback =
+        GovernorFeedback { scene: g.any(), knob: g.any(), flags: g.any(), remaining_mj: g.any() };
+    let delta = AnnotationDelta {
+        seq: g.any(),
+        entry: AnnotationEntry {
+            start_frame: g.any(),
+            backlight: BacklightLevel(g.any()),
+            // The wire carries the compensation gain in 1/256 steps.
+            compensation: f32::from(g.any::<u16>()) / 256.0,
+            effective_max_luma: g.any(),
+        },
+    };
+    let devices = DeviceProfile::paper_devices();
+    let hello = ClientHello::new(
+        text(g),
+        devices[g.draw(0..devices.len())].clone(),
+        QualityLevel::Custom(g.draw(0.0..=1.0)),
+        [AnnotationMode::PerScene, AnnotationMode::PerFrame][g.draw(0..2usize)],
+    )
+    .with_policy(PolicyKind::ALL[g.draw(0..PolicyKind::ALL.len())]);
+    let packet = StreamPacket {
+        seq: g.any(),
+        kind: [PacketKind::Picture, PacketKind::Delta][g.draw(0..2usize)],
+        payload: g.vec(0..24usize, |g| g.any()),
+    };
+    let frequencies =
+        [CpuFrequency::Mhz150, CpuFrequency::Mhz200, CpuFrequency::Mhz300, CpuFrequency::Mhz400];
+    let hints = g.vec(0..3usize, |g| DvfsHint {
+        span: SceneSpan { start: g.any(), end: g.any() },
+        complexity: g.draw(0.0..=1.0),
+        frequency: frequencies[g.draw(0..frequencies.len())],
+    });
+    let json = json_value(g, 3);
+
+    let wires = vec![
+        feedback.to_bytes(),
+        delta.to_bytes(),
+        hello.to_wire(),
+        packet.to_wire(),
+        hints_to_bytes(&hints),
+        json.to_string().into_bytes(),
+    ];
+    assert_eq!(GovernorFeedback::from_bytes(&wires[0]), Ok(feedback));
+    assert_eq!(AnnotationDelta::from_bytes(&wires[1]), Ok(delta));
+    assert_eq!(ClientHello::from_wire(&wires[2]), Ok(hello));
+    assert_eq!(StreamPacket::from_wire(&wires[3]), Ok(packet));
+    assert_eq!(hints_from_bytes(&wires[4]), Ok(hints));
+    assert_eq!(Json::parse(std::str::from_utf8(&wires[5]).unwrap()), Ok(json));
+    wires
 }
 
 #[test]
@@ -127,6 +257,49 @@ fn client_rejects_stream_with_corrupted_track() {
     let corrupted = EncodedStream::from_bytes(bytes).unwrap();
     let client = PlaybackClient::new(DeviceProfile::ipaq_5555(), SystemPowerModel::ipaq_5555());
     assert!(client.play(&corrupted, None).is_err());
+}
+
+/// A served stream re-encoded with its track plus an `ADV1` hint packet
+/// whose complexity lies outside `[0, 1]`. At −10 the implied CPU busy
+/// fraction at 150 MHz is −13.9, which the client's power model
+/// rejected with a panic; the hint parser must reject it instead.
+#[test]
+fn client_rejects_a_dvfs_hint_complexity_outside_the_unit_interval() {
+    use annolight::core::extensions::{hints_to_bytes, CpuFrequency, DvfsHint};
+    use annolight::core::SceneSpan;
+    use annolight::stream::client::PlaybackError;
+    use annolight::stream::{MediaServer, ServeRequest};
+    let clip = ClipLibrary::paper_clip("officexp").unwrap().preview(1.0);
+    let (width, height, fps) = (clip.dimensions().0, clip.dimensions().1, clip.fps());
+    let mut server = MediaServer::new(EncoderConfig::default());
+    server.add_clip(clip);
+    let device = DeviceProfile::ipaq_5555();
+    let served = server.serve(&ServeRequest::new("officexp", device.clone(), QualityLevel::Q10)).unwrap();
+    let frames = Decoder::new(&served.stream).unwrap().decode_all().unwrap();
+    let with_hint = |complexity: f64| {
+        let hint = DvfsHint {
+            span: SceneSpan { start: 0, end: frames.len() as u32 },
+            complexity,
+            frequency: CpuFrequency::Mhz150,
+        };
+        let mut enc =
+            Encoder::new(EncoderConfig { width, height, fps, ..EncoderConfig::default() }).unwrap();
+        enc.push_user_data(&served.track.to_rle_bytes());
+        enc.push_user_data(&hints_to_bytes(&[hint]));
+        enc.push_frames(&frames).unwrap();
+        enc.finish()
+    };
+    let client = PlaybackClient::new(device, SystemPowerModel::ipaq_5555());
+    for complexity in [-10.0, 1.5, -1e-9] {
+        match client.play(&with_hint(complexity), None) {
+            Err(PlaybackError::BadTrack(msg)) => assert!(msg.contains("outside [0, 1]"), "{msg}"),
+            other => panic!("complexity {complexity}: expected a typed rejection, got {other:?}"),
+        }
+    }
+    for complexity in [0.0, 1.0] {
+        let report = client.play(&with_hint(complexity), None).expect("in-range hint plays");
+        assert!(report.dvfs_applied && report.annotated, "complexity {complexity}");
+    }
 }
 
 /// An `ALV1` header (16×16, fps 12000, no pictures, gop 12) followed by
