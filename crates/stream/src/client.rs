@@ -29,6 +29,30 @@ pub(crate) const DECODE_CPU_BUSY: f64 = 0.75;
 /// negligible" (a multiplication and a table look-up).
 const SWITCH_CPU_COST: f64 = 1e-4;
 
+/// Device power while one frame decodes, watts. With a DVFS hint the
+/// decoder runs at the hinted frequency (busier per cycle, but far
+/// cheaper per cycle); without one it runs at [`DECODE_CPU_BUSY`].
+/// `extra_busy` is added to the CPU-busy fraction, and the WNIC receives
+/// for `wnic_duty` of the time.
+pub(crate) fn decode_power_w(
+    system: &SystemPowerModel,
+    hint: Option<&DvfsHint>,
+    extra_busy: f64,
+    wnic_duty: f64,
+    backlight_w: f64,
+) -> f64 {
+    match hint {
+        Some(h) => {
+            let busy = (h.busy_at(h.frequency) + extra_busy).min(1.0);
+            // DVFS scales the CPU term; the WNIC duty is applied on top by
+            // subtracting the idle↔rx difference saved.
+            system.power_w_dvfs(busy, h.frequency.relative_power(), true, backlight_w)
+                - (1.0 - wnic_duty) * (system.wnic_rx_w - system.wnic_idle_w)
+        }
+        None => system.power_w_duty((DECODE_CPU_BUSY + extra_busy).min(1.0), wnic_duty, backlight_w),
+    }
+}
+
 /// Errors during playback.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -248,27 +272,8 @@ impl PlaybackClient {
             let backlight_w = self.device.backlight_power().power_w(level);
             let full_w = self.device.backlight_power().power_w(BacklightLevel::MAX);
             let switch_cost = SWITCH_CPU_COST * controller.stats().switches as f64;
-            // With DVFS hints the decoder runs at the annotated frequency:
-            // busier per cycle, but far cheaper per cycle.
-            let p = match hints
-                .as_deref()
-                .and_then(|h| extensions::hint_for_frame(h, frames))
-            {
-                Some(h) => {
-                    let busy = (h.busy_at(h.frequency) + switch_cost).min(1.0);
-                    // DVFS scales the CPU term; the WNIC duty is applied on
-                    // top by subtracting the idle↔rx difference saved.
-                    let full_duty =
-                        self.system.power_w_dvfs(busy, h.frequency.relative_power(), true, backlight_w);
-                    full_duty
-                        - (1.0 - self.wnic_duty) * (self.system.wnic_rx_w - self.system.wnic_idle_w)
-                }
-                None => self.system.power_w_duty(
-                    (DECODE_CPU_BUSY + switch_cost).min(1.0),
-                    self.wnic_duty,
-                    backlight_w,
-                ),
-            };
+            let hint = hints.as_deref().and_then(|h| extensions::hint_for_frame(h, frames));
+            let p = decode_power_w(&self.system, hint, switch_cost, self.wnic_duty, backlight_w);
             let p_base = self.system.power_w(DECODE_CPU_BUSY, true, full_w);
             energy += p * dt;
             baseline += p_base * dt;

@@ -36,7 +36,7 @@
 //! same machine, so governor traces are byte-identical across hosts and
 //! worker counts by construction.
 
-use crate::client::{parse_user_data, DECODE_CPU_BUSY};
+use crate::client::{decode_power_w, parse_user_data, DECODE_CPU_BUSY};
 use crate::faults::{AnnotationArrivals, LossyDelivery};
 use crate::message::StreamPacket;
 use crate::session::{
@@ -286,10 +286,11 @@ impl GovernedPrep {
         })
     }
 
-    /// Mean device power during `scene` at `knob`, watts — the same
-    /// per-frame expression [`crate::client::PlaybackClient`] integrates
-    /// (sans the negligible per-switch microcost). A scene whose hint is
-    /// missing plays at full backlight at every knob.
+    /// Mean device power during `scene` at `knob`, watts — the per-frame
+    /// power [`crate::client::PlaybackClient`] integrates, without the
+    /// negligible per-switch microcost and with the DVFS hint of the
+    /// scene's first frame. A scene whose hint is missing plays at full
+    /// backlight at every knob.
     fn scene_power_w(
         &self,
         system: &SystemPowerModel,
@@ -299,19 +300,10 @@ impl GovernedPrep {
     ) -> f64 {
         let backlight_w =
             if hint_present { self.backlight_w[knob][scene] } else { self.full_w };
-        let span = self.spans[scene];
-        match self
-            .hints
-            .as_deref()
-            .and_then(|h| annolight_core::extensions::hint_for_frame(h, span.start))
-        {
-            Some(h) => {
-                let busy = h.busy_at(h.frequency).min(1.0);
-                system.power_w_dvfs(busy, h.frequency.relative_power(), true, backlight_w)
-                    - (1.0 - self.wnic_duty) * (system.wnic_rx_w - system.wnic_idle_w)
-            }
-            None => system.power_w_duty(DECODE_CPU_BUSY, self.wnic_duty, backlight_w),
-        }
+        let start = self.spans[scene].start;
+        let hint =
+            self.hints.as_deref().and_then(|h| annolight_core::extensions::hint_for_frame(h, start));
+        decode_power_w(system, hint, 0.0, self.wnic_duty, backlight_w)
     }
 
     /// Energy of `scene` at `knob`, joules.
