@@ -102,7 +102,7 @@ fn encode_pass(frames: &[Yuv420Frame], cfg: EncoderConfig, reference: bool, work
     enc.push_yuv_frames(frames).expect("bench frames match config");
     let stream = enc.finish();
     let ms = start.elapsed().as_secs_f64() * 1e3;
-    assert!(stream.len() > 0);
+    assert!(!stream.is_empty());
     ms
 }
 

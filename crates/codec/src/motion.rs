@@ -713,8 +713,8 @@ fn sample_halfpel(reference: &[u8], width: usize, height: usize, x: i32, y: i32,
     };
     match (fx, fy) {
         (0, 0) => at(bx, by) as u8,
-        (1, 0) => ((at(bx, by) + at(bx + 1, by) + 1) / 2) as u8,
-        (0, 1) => ((at(bx, by) + at(bx, by + 1) + 1) / 2) as u8,
+        (1, 0) => (at(bx, by) + at(bx + 1, by)).div_ceil(2) as u8,
+        (0, 1) => (at(bx, by) + at(bx, by + 1)).div_ceil(2) as u8,
         _ => ((at(bx, by) + at(bx + 1, by) + at(bx, by + 1) + at(bx + 1, by + 1) + 2) / 4) as u8,
     }
 }
@@ -769,12 +769,12 @@ pub fn predict_halfpel_into(
                 (0, 0) => row.copy_from_slice(r0),
                 (1, 0) => {
                     for (x, o) in row.iter_mut().enumerate() {
-                        *o = ((u32::from(r0[x]) + u32::from(r0[x + 1]) + 1) / 2) as u8;
+                        *o = (u32::from(r0[x]) + u32::from(r0[x + 1])).div_ceil(2) as u8;
                     }
                 }
                 (0, 1) => {
                     for (x, o) in row.iter_mut().enumerate() {
-                        *o = ((u32::from(r0[x]) + u32::from(r1[x]) + 1) / 2) as u8;
+                        *o = (u32::from(r0[x]) + u32::from(r1[x])).div_ceil(2) as u8;
                     }
                 }
                 _ => {
@@ -1039,7 +1039,7 @@ mod tests {
                 let (x, y) = (i % w, i / w);
                 let a = u32::from(reference[y * w + x]);
                 let b = u32::from(reference[y * w + (x + 1).min(w - 1)]);
-                ((a + b + 1) / 2) as u8
+                (a + b).div_ceil(2) as u8
             })
             .collect();
         let (_, full_sad) = estimate(&cur, &reference, w, w, 1, 1);
@@ -1303,8 +1303,8 @@ mod tests {
                             / 4;
                         let p = match (fx, fy) {
                             (0, 0) => u32::from(r0[x]),
-                            (1, 0) => (u32::from(r0[x]) + u32::from(r0[x + 1]) + 1) / 2,
-                            (0, 1) => (u32::from(r0[x]) + u32::from(r1[x]) + 1) / 2,
+                            (1, 0) => (u32::from(r0[x]) + u32::from(r0[x + 1])).div_ceil(2),
+                            (0, 1) => (u32::from(r0[x]) + u32::from(r1[x])).div_ceil(2),
                             _ => p,
                         };
                         u32::from(c[x]).abs_diff(p)

@@ -138,9 +138,9 @@ impl HebsLut {
         }
         let total: u64 = (0..=effective_max).map(|u| hist.bin(u)).sum();
         let mut below = 0u64;
-        for v in 0..256usize {
+        for (v, slot) in remap.iter_mut().enumerate() {
             let vu = v as u8;
-            remap[v] = if vu >= effective_max {
+            *slot = if vu >= effective_max {
                 255
             } else {
                 let stretch = hebs_stretch_value(effective_max, vu);

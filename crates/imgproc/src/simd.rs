@@ -177,7 +177,7 @@ pub fn kernel_tier() -> KernelTier {
 /// (one `u32` per luminance bin) at the requested tier. `rgb.len()` must
 /// be a multiple of 3; counts are *added*, not reset.
 pub(crate) fn luma_counts(rgb: &[u8], counts: &mut [u32; 256], tier: KernelTier) {
-    debug_assert!(rgb.len() % 3 == 0);
+    debug_assert!(rgb.len().is_multiple_of(3));
     match tier.clamped() {
         KernelTier::Scalar => luma_counts_scalar(rgb, counts),
         #[cfg(target_arch = "x86_64")]

@@ -621,6 +621,11 @@ impl HintPlan {
     }
 }
 
+/// The `(arrival, wire)` copies of one packet that reach the receiver:
+/// the primary or recovered copy first, then a duplicate if the hop made
+/// one.
+pub type PacketCopies = Vec<(f64, Vec<u8>)>;
+
 /// The sender half of lossy delivery as a resumable **pull** engine: the
 /// packet plan plus the [`FaultyChannel`] that decides each packet's fate.
 ///
@@ -679,15 +684,14 @@ impl LossyEngine {
         self.chan.clock_s()
     }
 
-    /// Drives the next packet's fate. Returns the `(arrival, wire)`
-    /// copies the receiver sees — primary/recovered first, duplicate
-    /// second — or `None` once the plan is exhausted.
+    /// Drives the next packet's fate. Returns the copies the receiver
+    /// sees, or `None` once the plan is exhausted.
     ///
     /// # Errors
     ///
     /// Returns a descriptive string when a picture packet exhausts even
     /// the reliable retry budget (only possible under certain loss).
-    pub fn pump(&mut self) -> Result<Option<Vec<(f64, Vec<u8>)>>, String> {
+    pub fn pump(&mut self) -> Result<Option<PacketCopies>, String> {
         // Annotations ride ahead of the data (§3): all hints first.
         if self.next_delta < self.plan.deltas.len() {
             let i = self.next_delta;

@@ -61,7 +61,10 @@ pub fn resolution_cost(
     ResolutionCost {
         full_energy_j: energy(width, height),
         half_energy_j: energy(width / 2, height / 2),
-        half_supported: width % 32 == 0 && height % 32 == 0 && width >= 32 && height >= 32,
+        half_supported: width.is_multiple_of(32)
+            && height.is_multiple_of(32)
+            && width >= 32
+            && height >= 32,
     }
 }
 

@@ -138,7 +138,7 @@ annolight_support::check! {
             } else {
                 RetryPolicy::annotation().with_deadline(0.05)
             };
-            let got = nonblocking.try_deliver(bytes, |_| Some(policy.clone()));
+            let got = nonblocking.try_deliver(bytes, |_| Some(policy));
 
             // By hand: send, and on loss retransmit.
             let fate = blocking.send(bytes);

@@ -294,7 +294,7 @@ mod tests {
         // Advance in uneven hops to exercise cascading.
         for hop in [1u64, 63, 64, 65, 4_095, 40_000, 1_000_000, 3_000_000] {
             w.advance_to(hop, &mut out);
-            assert!(w.next_deadline().map_or(true, |d| d > hop));
+            assert!(w.next_deadline().is_none_or(|d| d > hop));
         }
         assert_eq!(out.len(), 5_000);
         assert!(w.is_empty());

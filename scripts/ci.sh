@@ -17,8 +17,8 @@ cargo bench --offline --workspace --no-run
 echo "== rustdoc (offline; warnings are errors, so no doc link names a missing item) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
 
-echo "== clippy (offline; deny-level lints fail, warnings do not) =="
-cargo clippy -q --offline --workspace --all-targets
+echo "== clippy (offline; warnings are errors) =="
+cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
 echo "== serve soak (offline, fixed seed, 64 tenants) =="
 cargo test -q -p annolight-serve --release --offline -- soak

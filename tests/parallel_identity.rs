@@ -163,7 +163,7 @@ fn chunk_size_never_affects_output_bytes() {
 fn service_with_intra_workers_returns_identical_tracks() {
     use annolight::serve::{AnnotationService, ServiceConfig};
     let clip = ClipLibrary::paper_clip("fightclub")
-        .map_or_else(|| ClipLibrary::paper_clips().remove(0), |c| c)
+        .unwrap_or_else(|| ClipLibrary::paper_clips().remove(0))
         .preview(1.5);
     let mut tracks = Vec::new();
     for intra_workers in [0usize, 3] {
