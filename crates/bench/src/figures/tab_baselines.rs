@@ -119,7 +119,8 @@ impl Baseline {
                         smoothed += QABS_ALPHA * (f64::from(level.0) - smoothed);
                         // Never smooth *below* the frame's requirement: that
                         // would under-light unclipped content.
-                        let applied = BacklightLevel(smoothed.max(f64::from(level.0)).round() as u8);
+                        let applied =
+                            BacklightLevel(smoothed.max(f64::from(level.0)).round() as u8);
                         (applied, effective_for_level(device, applied))
                     })
                     .collect()

@@ -49,7 +49,9 @@ pub(crate) fn decode_power_w(
             system.power_w_dvfs(busy, h.frequency.relative_power(), true, backlight_w)
                 - (1.0 - wnic_duty) * (system.wnic_rx_w - system.wnic_idle_w)
         }
-        None => system.power_w_duty((DECODE_CPU_BUSY + extra_busy).min(1.0), wnic_duty, backlight_w),
+        None => {
+            system.power_w_duty((DECODE_CPU_BUSY + extra_busy).min(1.0), wnic_duty, backlight_w)
+        }
     }
 }
 

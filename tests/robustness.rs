@@ -274,7 +274,8 @@ fn client_rejects_a_dvfs_hint_complexity_outside_the_unit_interval() {
     let mut server = MediaServer::new(EncoderConfig::default());
     server.add_clip(clip);
     let device = DeviceProfile::ipaq_5555();
-    let served = server.serve(&ServeRequest::new("officexp", device.clone(), QualityLevel::Q10)).unwrap();
+    let served =
+        server.serve(&ServeRequest::new("officexp", device.clone(), QualityLevel::Q10)).unwrap();
     let frames = Decoder::new(&served.stream).unwrap().decode_all().unwrap();
     let with_hint = |complexity: f64| {
         let hint = DvfsHint {
