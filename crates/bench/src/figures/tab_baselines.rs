@@ -38,7 +38,7 @@ const QABS_ALPHA: f64 = 0.25;
 const DTM_PERCENTILE: f64 = 0.95;
 
 /// The compared policies, in table order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum Baseline {
     FullBacklight,
     StaticDim,

@@ -81,15 +81,17 @@ annolight_support::check! {
 }
 
 /// Feeds `bytes` to every message decoder on the hop: governor feedback,
-/// an annotation delta (offered to a tracker around its start frame), a
-/// client hello, a stream packet, a DVFS hint payload and a JSON document.
+/// an annotation delta (offered to fresh trackers around its start frame,
+/// then replayed), a client hello, a stream packet, a DVFS hint payload
+/// and a JSON document.
 fn decode_as_every_message(bytes: &[u8]) {
     let _ = GovernorFeedback::from_bytes(bytes);
     if let Ok(delta) = AnnotationDelta::from_bytes(bytes) {
-        let mut tracker = DeltaTracker::new();
         let start = delta.entry.start_frame;
-        for now in [0, start, start.saturating_add(1), u32::MAX, start] {
+        for now in [0, start, start.saturating_add(1), u32::MAX] {
+            let mut tracker = DeltaTracker::new();
             tracker.offer(&delta, now);
+            assert_eq!(tracker.offer(&delta, now), DeltaStatus::Duplicate);
         }
     }
     let _ = ClientHello::from_wire(bytes);
@@ -265,8 +267,6 @@ fn client_rejects_stream_with_corrupted_track() {
 /// rejected with a panic; the hint parser must reject it instead.
 #[test]
 fn client_rejects_a_dvfs_hint_complexity_outside_the_unit_interval() {
-    use annolight::core::extensions::{hints_to_bytes, CpuFrequency, DvfsHint};
-    use annolight::core::SceneSpan;
     use annolight::stream::client::PlaybackError;
     use annolight::stream::{MediaServer, ServeRequest};
     let clip = ClipLibrary::paper_clip("officexp").unwrap().preview(1.0);
