@@ -35,6 +35,8 @@ use crate::par;
 use crate::rng::SmallRng;
 use crate::wheel::TimerWheel;
 
+pub use crate::wheel::MAX_DEADLINE;
+
 /// Identifies a spawned task within one reactor.
 pub type TaskId = usize;
 
@@ -338,31 +340,128 @@ mod tests {
         assert_eq!(order1, order4);
     }
 
+    /// Sleeps once to `until`, then reports `until` and finishes.
+    struct SleepOnce {
+        until: u64,
+        slept: bool,
+        out: mpsc::Sender<u64>,
+    }
+
+    impl Task for SleepOnce {
+        fn step(&mut self) -> Step {
+            if self.slept {
+                self.out.send(self.until).unwrap();
+                return Step::Done;
+            }
+            self.slept = true;
+            Step::Sleep(self.until)
+        }
+    }
+
+    fn sleep_once(until: u64, out: &mpsc::Sender<u64>) -> Box<dyn Task> {
+        Box::new(SleepOnce { until, slept: false, out: out.clone() })
+    }
+
+    /// Returns its scripted steps in order, then [`Step::Done`], logging
+    /// `(name, step index)` on every step.
+    struct Scripted {
+        name: &'static str,
+        script: Vec<Step>,
+        taken: usize,
+        log: mpsc::Sender<(&'static str, usize)>,
+    }
+
+    impl Task for Scripted {
+        fn step(&mut self) -> Step {
+            self.log.send((self.name, self.taken)).unwrap();
+            let step = self.script.get(self.taken).copied().unwrap_or(Step::Done);
+            self.taken += 1;
+            step
+        }
+    }
+
     #[test]
     fn virtual_time_jumps_to_deadlines_not_through_them() {
-        struct SleepOnce {
-            until: u64,
-            slept: bool,
-            out: mpsc::Sender<u64>,
-        }
-        impl Task for SleepOnce {
-            fn step(&mut self) -> Step {
-                if self.slept {
-                    self.out.send(self.until).unwrap();
-                    return Step::Done;
-                }
-                self.slept = true;
-                Step::Sleep(self.until)
-            }
-        }
         let (tx, rx) = mpsc::channel();
         let mut reactor = Reactor::new(0);
-        reactor.spawn(Box::new(SleepOnce { until: 1_000_000, slept: false, out: tx.clone() }));
-        reactor.spawn(Box::new(SleepOnce { until: 250, slept: false, out: tx }));
+        reactor.spawn(sleep_once(1_000_000, &tx));
+        reactor.spawn(sleep_once(250, &tx));
+        drop(tx);
         let report = reactor.run();
         let wakes: Vec<u64> = rx.iter().collect();
         assert_eq!(wakes, vec![250, 1_000_000], "wakes in deadline order");
         assert_eq!(report.final_ticks, 1_000_000);
         assert!(report.rounds <= 6, "time must jump, not tick ({} rounds)", report.rounds);
+    }
+
+    #[test]
+    fn same_tick_sleepers_wake_in_one_round() {
+        let (tx, rx) = mpsc::channel();
+        let mut reactor = Reactor::new(3);
+        for _ in 0..50 {
+            reactor.spawn(sleep_once(1_000, &tx));
+        }
+        for _ in 0..20 {
+            reactor.spawn(sleep_once(2_000, &tx));
+        }
+        drop(tx);
+        let report = reactor.run();
+        // Round 1 parks all seventy; each cohort then wakes in one round.
+        assert_eq!(report.rounds, 3);
+        assert_eq!(report.final_ticks, 2_000);
+        let wakes: Vec<u64> = rx.iter().collect();
+        assert_eq!(wakes, [vec![1_000; 50], vec![2_000; 20]].concat());
+    }
+
+    #[test]
+    fn past_deadline_wakes_once_nothing_is_ready_without_moving_time() {
+        let (tx, rx) = mpsc::channel();
+        let mut reactor = Reactor::new(5);
+        // `late` reaches tick 500, then sleeps to the already-passed tick
+        // 100 while `busy` keeps the ready queue full for three rounds.
+        let late = vec![Step::Sleep(500), Step::Sleep(100)];
+        let busy = vec![Step::Sleep(500), Step::Yield, Step::Yield, Step::Yield];
+        reactor.spawn(Box::new(Scripted { name: "late", script: late, taken: 0, log: tx.clone() }));
+        reactor.spawn(Box::new(Scripted { name: "busy", script: busy, taken: 0, log: tx }));
+        let report = reactor.run();
+        let log: Vec<(&str, usize)> = rx.iter().collect();
+        assert_eq!(&log[4..], &[("busy", 2), ("busy", 3), ("busy", 4), ("late", 2)]);
+        assert_eq!(report.rounds, 6);
+        assert_eq!(report.final_ticks, 500, "a past deadline must not move virtual time");
+    }
+
+    #[test]
+    fn sleep_beyond_the_horizon_ends_at_max_deadline() {
+        let (tx, rx) = mpsc::channel();
+        let mut reactor = Reactor::new(0);
+        reactor.spawn(sleep_once(u64::MAX, &tx));
+        drop(tx);
+        let report = reactor.run();
+        assert_eq!(rx.iter().collect::<Vec<_>>(), vec![u64::MAX]);
+        assert_eq!(report.final_ticks, MAX_DEADLINE);
+    }
+
+    #[test]
+    fn dense_fleet_wakes_in_deadline_order() {
+        let (tx, rx) = mpsc::channel();
+        let mut reactor = Reactor::new(11);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut deadlines: Vec<u64> = Vec::new();
+        for _ in 0..5_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let deadline = 1 + (state >> 16) % 3_000_000;
+            deadlines.push(deadline);
+            reactor.spawn(sleep_once(deadline, &tx));
+        }
+        drop(tx);
+        let report = reactor.run();
+        let wakes: Vec<u64> = rx.iter().collect();
+        deadlines.sort_unstable();
+        assert_eq!(wakes, deadlines, "every sleeper wakes once, in deadline order");
+        assert_eq!(report.final_ticks, deadlines[deadlines.len() - 1]);
+        // Round 1 parks the fleet; then each distinct deadline wakes in a
+        // round of its own, so no sleeper wakes a tick early or late.
+        deadlines.dedup();
+        assert_eq!(report.rounds, 1 + deadlines.len() as u64);
     }
 }
