@@ -50,8 +50,9 @@ use annolight_codec::EncodedStream;
 use annolight_support::channel::{self, Sender};
 use annolight_support::fnv::Digester;
 use annolight_support::json::{Json, ToJson};
-use annolight_support::reactor::{Reactor, ReactorConfig, ReactorReport, Step, Task};
-use annolight_support::wheel::ticks_from_secs;
+use annolight_support::reactor::{
+    ticks_from_secs, Reactor, ReactorConfig, ReactorReport, Step, Task,
+};
 use std::sync::Arc;
 
 /// Packets a machine pumps per cooperative step.

@@ -20,8 +20,7 @@
 //! | [`check`](mod@check) | `proptest` | deterministic property runner, [`check!`] |
 //! | [`retry`] | `backoff`/`retry` | deadline-aware [`retry::RetryPolicy`] |
 //! | [`bench`](mod@bench) | `criterion` | wall-clock median-of-N harness |
-//! | [`wheel`] | `tokio-util` timers | hierarchical virtual-time [`wheel::TimerWheel`] |
-//! | [`reactor`] | `tokio` | deterministic virtual-time [`reactor::Reactor`] |
+//! | [`reactor`] | `tokio` | deterministic virtual-time [`reactor::Reactor`], sleepers bucketed by deadline |
 //! | [`par`] | `rayon::scope` | scoped [`par::fan_out`] returning results in item order |
 //!
 //! All modules are `std`-only. Determinism is a design goal throughout:
@@ -39,4 +38,3 @@ pub mod reactor;
 pub mod retry;
 pub mod rng;
 pub mod sync;
-pub mod wheel;

@@ -3,9 +3,14 @@
 //!
 //! Thread-per-session pins an OS stack per live playback; this reactor
 //! hosts 10⁵⁺ sessions in one process by making each session a resumable
-//! state machine ([`Task`]) stepped by a scheduler that owns a
-//! [`crate::wheel::TimerWheel`] for deadlines. A step yields, sleeps to
-//! a virtual tick or finishes ([`Step`]); nothing else wakes a task.
+//! state machine ([`Task`]) stepped by a scheduler that parks sleeping
+//! tasks in one bucket per deadline. A step yields, sleeps to a virtual
+//! tick or finishes ([`Step`]); nothing else wakes a task.
+//!
+//! Time is a `u64` tick counter that moves only when no task is ready —
+//! *virtual* time, never the wall clock, so a seeded schedule replays
+//! exactly. One tick is 1 µs ([`TICKS_PER_SEC`]); the session model's
+//! `f64` second timestamps convert via [`ticks_from_secs`].
 //!
 //! ## Determinism contract
 //!
@@ -17,8 +22,8 @@
 //!   per reactor) — same seed ⇒ same interleaving, different seed ⇒ a
 //!   genuinely different one.
 //! * Virtual time only advances when no task is ready, jumping straight
-//!   to the wheel's next deadline; expiry order is `(deadline,
-//!   insertion-seq)`.
+//!   to the earliest deadline; sleepers wake in `(deadline, sleep
+//!   order)` order.
 //! * With `workers > 1` the batch is stepped in disjoint chunks on
 //!   [`crate::par::fan_out`], but step *results* are recorded and applied
 //!   in batch order — so the trace digest is invariant across
@@ -33,9 +38,25 @@
 use crate::fnv::Digester;
 use crate::par;
 use crate::rng::SmallRng;
-use crate::wheel::TimerWheel;
+use std::collections::BTreeMap;
 
-pub use crate::wheel::MAX_DEADLINE;
+/// Virtual ticks per simulated second (1 µs resolution).
+pub const TICKS_PER_SEC: u64 = 1_000_000;
+
+/// Largest deadline a sleep can name; later ones are clamped to it.
+/// 2⁴⁸ − 1 ticks is about 8.9 simulated years, far beyond any session.
+pub const MAX_DEADLINE: u64 = (1 << 48) - 1;
+
+/// Converts simulated seconds to virtual ticks (rounds up so a strictly
+/// positive delay never collapses to "now").
+#[must_use]
+pub fn ticks_from_secs(secs: f64) -> u64 {
+    if secs <= 0.0 {
+        return 0;
+    }
+    let t = (secs * TICKS_PER_SEC as f64).ceil();
+    if t >= MAX_DEADLINE as f64 { MAX_DEADLINE } else { t as u64 }
+}
 
 /// Identifies a spawned task within one reactor.
 pub type TaskId = usize;
@@ -45,9 +66,9 @@ pub type TaskId = usize;
 pub enum Step {
     /// Re-run in the next round.
     Yield,
-    /// Park until the absolute virtual tick (see
-    /// [`crate::wheel::ticks_from_secs`]). Past deadlines behave like
-    /// [`Step::Yield`] with timer-expiry ordering.
+    /// Park until the absolute virtual tick (see [`ticks_from_secs`]).
+    /// A tick that has already passed wakes the task once nothing is
+    /// ready, without moving virtual time.
     Sleep(u64),
     /// The task is finished and will never be stepped again.
     Done,
@@ -127,7 +148,11 @@ pub struct Reactor {
     /// and once it is done.
     slots: Vec<Option<Box<dyn Task>>>,
     ready: Vec<TaskId>,
-    wheel: TimerWheel<TaskId>,
+    /// Sleeping tasks: one bucket per (clamped) deadline, each listing
+    /// its tasks in the order they slept.
+    sleepers: BTreeMap<u64, Vec<TaskId>>,
+    /// The virtual tick.
+    now: u64,
     rng: SmallRng,
     live: usize,
     rounds: u64,
@@ -150,7 +175,8 @@ impl Reactor {
             config,
             slots: Vec::new(),
             ready: Vec::new(),
-            wheel: TimerWheel::new(),
+            sleepers: BTreeMap::new(),
+            now: 0,
             rng,
             live: 0,
             rounds: 0,
@@ -193,7 +219,7 @@ impl Reactor {
         }
         self.rounds += 1;
         let round = self.rounds;
-        let now = self.wheel.now();
+        let now = self.now;
 
         // Seeded Fisher–Yates over the batch: the interleaving is part
         // of the experiment.
@@ -232,7 +258,7 @@ impl Reactor {
                 }
                 Step::Sleep(deadline) => {
                     self.slots[id] = Some(task);
-                    self.wheel.schedule(deadline, id);
+                    self.sleepers.entry(deadline.min(MAX_DEADLINE)).or_default().push(id);
                 }
                 Step::Done => self.live -= 1,
             }
@@ -242,25 +268,28 @@ impl Reactor {
 
     /// Runs until every task is [`Step::Done`].
     pub fn run(&mut self) -> ReactorReport {
-        let mut expired: Vec<(u64, TaskId)> = Vec::new();
         while self.live > 0 {
             if self.run_round() {
                 continue;
             }
-            // Nothing ready: virtual time jumps to the next deadline.
-            let deadline = self
-                .wheel
-                .next_deadline()
+            // Nothing ready: virtual time jumps to the earliest deadline
+            // (one already passed leaves it where it is), and every bucket
+            // due by then wakes, in deadline order.
+            let first = *self
+                .sleepers
+                .keys()
+                .next()
                 .expect("reactor invariant: every live task is ready or sleeping");
-            expired.clear();
-            self.wheel.advance_to(deadline, &mut expired);
-            self.ready.extend(expired.iter().map(|&(_, id)| id));
+            self.now = self.now.max(first);
+            while let Some(due) = self.sleepers.first_entry().filter(|e| *e.key() <= self.now) {
+                self.ready.extend(due.remove());
+            }
         }
         ReactorReport {
             tasks: self.slots.len(),
             rounds: self.rounds,
             steps: self.steps,
-            final_ticks: self.wheel.now(),
+            final_ticks: self.now,
             digest: self.digest,
         }
     }
@@ -463,5 +492,13 @@ mod tests {
         // round of its own, so no sleeper wakes a tick early or late.
         deadlines.dedup();
         assert_eq!(report.rounds, 1 + deadlines.len() as u64);
+    }
+
+    #[test]
+    fn ticks_from_secs_rounds_up_and_clamps() {
+        assert_eq!(ticks_from_secs(0.0), 0);
+        assert_eq!(ticks_from_secs(1.0), TICKS_PER_SEC);
+        assert_eq!(ticks_from_secs(1e-9), 1, "positive delays never collapse to zero");
+        assert_eq!(ticks_from_secs(f64::INFINITY), MAX_DEADLINE);
     }
 }
