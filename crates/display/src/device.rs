@@ -47,6 +47,10 @@ annolight_support::impl_json!(struct DeviceProfile { name, panel, technology, tr
 
 impl DeviceProfile {
     /// Creates a custom device profile.
+    ///
+    /// # Panics
+    ///
+    /// Panics on what [`DeviceProfile::check`] rejects.
     pub fn new(
         name: impl Into<String>,
         panel: Panel,
@@ -55,14 +59,27 @@ impl DeviceProfile {
         backlight_power: BacklightPowerModel,
         resolution: (u32, u32),
     ) -> Self {
-        Self {
-            name: name.into(),
-            panel,
-            technology,
-            transfer,
-            backlight_power,
-            resolution,
+        let profile =
+            Self { name: name.into(), panel, technology, transfer, backlight_power, resolution };
+        if let Err(reason) = profile.check() {
+            panic!("{reason}");
         }
+        profile
+    }
+
+    /// Checks the panel, the transfer function and the power model
+    /// ([`Panel::check`], [`TransferFunction::check`],
+    /// [`BacklightPowerModel::check`]). A profile decoded from outside the
+    /// program, such as the one a client's hello carries, skips their
+    /// constructors, so it is checked here.
+    ///
+    /// # Errors
+    ///
+    /// The first part's reason.
+    pub fn check(&self) -> Result<(), String> {
+        self.panel.check()?;
+        self.transfer.check()?;
+        self.backlight_power.check()
     }
 
     /// The HP iPAQ 5555 (400 MHz XScale, 64K-colour transflective TFT,
@@ -158,6 +175,13 @@ impl DeviceProfile {
 mod tests {
     use super::*;
     use crate::transfer::BacklightLevel;
+
+    #[test]
+    fn paper_devices_pass_their_checks() {
+        for d in DeviceProfile::paper_devices() {
+            assert_eq!(d.check(), Ok(()), "{}", d.name());
+        }
+    }
 
     #[test]
     fn paper_devices_have_distinct_transfer_curves() {

@@ -44,19 +44,34 @@ impl Panel {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < transmittance ≤ 1`, `0 ≤ ambient_reflectance ≤ 1`
-    /// and `white_gamma > 0`.
+    /// Panics on what [`Panel::check`] rejects.
     pub fn new(kind: PanelKind, transmittance: f64, ambient_reflectance: f64, white_gamma: f64) -> Self {
-        assert!(
-            transmittance > 0.0 && transmittance <= 1.0,
-            "transmittance {transmittance} outside (0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&ambient_reflectance),
-            "ambient reflectance {ambient_reflectance} outside [0, 1]"
-        );
-        assert!(white_gamma > 0.0, "white gamma {white_gamma} must be positive");
-        Self { kind, transmittance, ambient_reflectance, white_gamma }
+        let panel = Self { kind, transmittance, ambient_reflectance, white_gamma };
+        if let Err(reason) = panel.check() {
+            panic!("{reason}");
+        }
+        panel
+    }
+
+    /// Checks that `0 < transmittance ≤ 1`, `0 ≤ ambient_reflectance ≤ 1`
+    /// and `white_gamma` is finite and positive. A panel decoded from
+    /// outside the program skips [`Panel::new`], so it is checked here.
+    ///
+    /// # Errors
+    ///
+    /// Names the first parameter out of range.
+    pub fn check(&self) -> Result<(), String> {
+        let Self { transmittance, ambient_reflectance, white_gamma, .. } = *self;
+        if !(transmittance > 0.0 && transmittance <= 1.0) {
+            return Err(format!("transmittance {transmittance} outside (0, 1]"));
+        }
+        if !(0.0..=1.0).contains(&ambient_reflectance) {
+            return Err(format!("ambient reflectance {ambient_reflectance} outside [0, 1]"));
+        }
+        if !(white_gamma.is_finite() && white_gamma > 0.0) {
+            return Err(format!("white gamma {white_gamma} must be finite and positive"));
+        }
+        Ok(())
     }
 
     /// Panel construction type.
@@ -143,6 +158,14 @@ mod tests {
     #[should_panic(expected = "ambient")]
     fn rejects_bad_reflectance() {
         Panel::new(PanelKind::Reflective, 0.5, 1.5, 1.0);
+    }
+
+    #[test]
+    fn check_requires_a_finite_positive_white_gamma() {
+        for white_gamma in [0.0, f64::INFINITY, f64::NAN] {
+            let err = Panel { white_gamma, ..panel() }.check().unwrap_err();
+            assert!(err.contains("white gamma"), "{err}");
+        }
     }
 
     #[test]

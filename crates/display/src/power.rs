@@ -27,10 +27,29 @@ impl BacklightPowerModel {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 ≤ floor_w < max_w`.
+    /// Panics on what [`BacklightPowerModel::check`] rejects.
     pub fn new(floor_w: f64, max_w: f64) -> Self {
-        assert!(floor_w >= 0.0 && max_w > floor_w, "need 0 <= floor ({floor_w}) < max ({max_w})");
-        Self { floor_w, max_w }
+        let model = Self { floor_w, max_w };
+        if let Err(reason) = model.check() {
+            panic!("{reason}");
+        }
+        model
+    }
+
+    /// Checks that `0 ≤ floor_w < max_w` and both are finite. A model
+    /// decoded from outside the program skips
+    /// [`BacklightPowerModel::new`], so it is checked here.
+    ///
+    /// # Errors
+    ///
+    /// Describes the out-of-range pair.
+    pub fn check(&self) -> Result<(), String> {
+        let Self { floor_w, max_w } = *self;
+        if floor_w >= 0.0 && max_w > floor_w && max_w.is_finite() {
+            Ok(())
+        } else {
+            Err(format!("need 0 <= floor ({floor_w}) < max ({max_w}), both finite"))
+        }
     }
 
     /// Power at backlight level 0, in watts.
@@ -122,5 +141,13 @@ mod tests {
     #[should_panic(expected = "need 0 <= floor")]
     fn rejects_inverted_range() {
         BacklightPowerModel::new(1.0, 0.5);
+    }
+
+    #[test]
+    fn check_rejects_a_negative_floor_and_an_infinite_max() {
+        for (floor_w, max_w) in [(-5.0, 0.85), (0.1, f64::INFINITY), (f64::NAN, 0.85)] {
+            assert!(BacklightPowerModel { floor_w, max_w }.check().is_err(), "{floor_w} {max_w}");
+        }
+        assert_eq!(model().check(), Ok(()));
     }
 }

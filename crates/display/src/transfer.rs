@@ -97,6 +97,28 @@ impl TransferFunction {
         }
     }
 
+    /// Checks that the curve's parameter, if it has one, is finite and
+    /// positive: `gamma > 0`, and `a > 0` large enough that `e^(−a)`
+    /// rounds below 1, since at smaller `a` the curve is `0/0`. A curve
+    /// decoded from outside the program is checked here before it is used.
+    ///
+    /// # Errors
+    ///
+    /// Names the parameter out of range.
+    pub fn check(self) -> Result<(), String> {
+        match self {
+            TransferFunction::Linear => Ok(()),
+            TransferFunction::SaturatingExp { a } if a.is_finite() && (-a).exp() < 1.0 => Ok(()),
+            TransferFunction::SaturatingExp { a } => {
+                Err(format!("transfer curvature a = {a} must be finite with e^(-a) < 1"))
+            }
+            TransferFunction::Gamma { gamma } if gamma.is_finite() && gamma > 0.0 => Ok(()),
+            TransferFunction::Gamma { gamma } => {
+                Err(format!("transfer gamma {gamma} must be finite and positive"))
+            }
+        }
+    }
+
     /// The smallest backlight level whose luminance is at least `target`
     /// (clamped to `[0, 1]`). This is the client's "simple multiplication
     /// followed by a table look-up" (§4.3); the *at least* direction
@@ -154,6 +176,19 @@ mod tests {
         TransferFunction::SaturatingExp { a: 4.0 },
         TransferFunction::Gamma { gamma: 1.5 },
     ];
+
+    #[test]
+    fn check_accepts_well_formed_curves_only() {
+        for f in FUNCS {
+            assert_eq!(f.check(), Ok(()), "{f:?}");
+        }
+        for a in [0.0, -3.0, 1e-300, f64::INFINITY, f64::NAN] {
+            assert!(TransferFunction::SaturatingExp { a }.check().is_err(), "a = {a}");
+        }
+        for gamma in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            assert!(TransferFunction::Gamma { gamma }.check().is_err(), "gamma {gamma}");
+        }
+    }
 
     #[test]
     fn endpoints_are_anchored() {

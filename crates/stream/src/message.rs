@@ -95,12 +95,15 @@ impl ClientHello {
     ///
     /// # Errors
     ///
-    /// Returns a descriptive string for malformed input, and for a
+    /// Returns a descriptive string for malformed input, for a
     /// [`QualityLevel::Custom`] quality that is not a fraction in
-    /// `[0, 1]` (the server would otherwise panic granting it).
+    /// `[0, 1]` (the server would otherwise panic granting it), and for a
+    /// device profile that [`DeviceProfile::check`] rejects (planning or
+    /// playback would otherwise panic on it or price it wrongly).
     pub fn from_wire(bytes: &[u8]) -> Result<Self, String> {
         let hello: Self = annolight_support::json::from_slice(bytes).map_err(|e| e.to_string())?;
         hello.quality.try_clip_fraction()?;
+        hello.device.check()?;
         Ok(hello)
     }
 }

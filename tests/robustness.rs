@@ -421,6 +421,45 @@ fn hello_with_a_custom_quality_outside_the_unit_interval_is_rejected() {
     }
 }
 
+/// A hello whose device profile is out of range. Decoding the profile
+/// skips the checks its constructors make, so a forged one panicked the
+/// session (a negative backlight floor in the power model; in debug
+/// builds, a non-positive transfer curvature while the server planned, or
+/// one so small that the curve is 0/0) or played with nonsense energy
+/// (`max_w` below `floor_w`). The wire parser must refuse it, and a
+/// shared-server session must fail with a typed error.
+#[test]
+fn hello_with_a_forged_device_profile_is_rejected() {
+    use annolight::stream::{
+        run_session_with_server, MediaServer, SessionError, SharedSessionOptions,
+    };
+    let mut server = MediaServer::new(EncoderConfig::default());
+    server.add_clip(ClipLibrary::paper_clip("themovie").unwrap().preview(1.0));
+    let ipaq = annolight_support::json::to_string(&DeviceProfile::ipaq_5555());
+    let forgeries = [
+        (r#""floor_w":0.1,"#, r#""floor_w":-5.0,"#),
+        (r#""max_w":0.85"#, r#""max_w":0.0"#),
+        (r#"{"a":1.3}"#, r#"{"a":-3.0}"#),
+        (r#"{"a":1.3}"#, r#"{"a":1e-300}"#),
+        (r#"{"SaturatingExp":{"a":1.3}}"#, r#"{"Gamma":{"gamma":0.0}}"#),
+        (r#""transmittance":0.85"#, r#""transmittance":0.0"#),
+        (r#""ambient_reflectance":0.12"#, r#""ambient_reflectance":1.5"#),
+        (r#""white_gamma":1.08"#, r#""white_gamma":-1.0"#),
+    ];
+    for (field, forged) in forgeries {
+        assert!(ipaq.contains(field), "{field} not in {ipaq}");
+        let device: DeviceProfile = annolight_support::json::from_str(&ipaq.replace(field, forged))
+            .expect("the forged profile is well-formed JSON");
+        let hello =
+            ClientHello::new("themovie", device, QualityLevel::Q10, AnnotationMode::PerScene);
+        match run_session_with_server(&server, &hello, &SharedSessionOptions::default()) {
+            Err(SessionError::Pipeline(_)) => {}
+            other => panic!("{forged}: expected a typed rejection, got {other:?}"),
+        }
+        assert!(ClientHello::from_wire(&hello.to_wire()).is_err(), "{forged}");
+    }
+}
+
 /// Custom qualities that are out of range or not a number, for the
 /// serve-boundary rows below.
 const BAD_QUALITIES: [f64; 4] = [1.5, -0.25, f64::NAN, f64::INFINITY];
