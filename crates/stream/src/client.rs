@@ -10,6 +10,7 @@
 
 use crate::faults::{
     AnnotationArrivals, DegradationConfig, DegradationEvent, DegradationKind, DegradedPlayback,
+    HoldThenRamp,
 };
 use annolight_codec::{CodecError, Decoder, EncodedStream};
 use annolight_core::extensions::{self, DvfsHint};
@@ -330,12 +331,7 @@ impl PlaybackClient {
         meter: Option<&EnergyMeter>,
     ) -> Result<DegradedPlayback, PlaybackError> {
         let mut events: Vec<DegradationEvent> = Vec::new();
-        let mut degraded_frames = 0u32;
-        let mut error_sum = 0.0f64;
-        let mut last_good = BacklightLevel::MAX;
-        let mut degraded_since: Option<u32> = None;
-        let mut missing_seq: Option<u32> = None;
-
+        let mut fallback = HoldThenRamp::new(degradation);
         let report = self.play_loop(stream, meter, |frame, now, track| {
             let Some(t) = track else { return Ok(BacklightLevel::MAX) };
             let entries = t.entries();
@@ -344,36 +340,11 @@ impl PlaybackClient {
                 Ok(i) => i,
                 Err(i) => i - 1,
             };
-            let annotated = entries[idx].backlight;
-            if arrivals.arrived_by(idx, now) {
-                if missing_seq.take() == Some(idx as u32) {
-                    // The hint landed mid-scene: recover from this frame.
-                    events.push(DegradationEvent {
-                        frame,
-                        seq: idx as u32,
-                        kind: DegradationKind::Recovered,
-                        level: annotated.0,
-                    });
-                }
-                degraded_since = None;
-                last_good = annotated;
-                return Ok(annotated);
-            }
-            if missing_seq != Some(idx as u32) {
-                missing_seq = Some(idx as u32);
-                degraded_since = Some(frame);
-                events.push(DegradationEvent {
-                    frame,
-                    seq: idx as u32,
-                    kind: DegradationKind::Missed,
-                    level: last_good.0,
-                });
-            }
-            let held = frame - degraded_since.unwrap_or(frame);
-            let level = BacklightLevel(degradation.degraded_level(last_good.0, held));
-            degraded_frames += 1;
-            error_sum += f64::from(level.0.abs_diff(annotated.0));
-            Ok(level)
+            let arrived = arrivals.arrived_by(idx, now);
+            let (level, event) =
+                fallback.step(frame, idx as u32, entries[idx].backlight.0, arrived);
+            events.extend(event);
+            Ok(BacklightLevel(level))
         })?;
 
         // Post-hoc: hints that arrived only after their whole scene had
@@ -402,11 +373,8 @@ impl PlaybackClient {
             events.sort_by_key(|e| (e.frame, e.seq));
         }
 
-        let perceived_error = if report.frames > 0 {
-            error_sum / (255.0 * f64::from(report.frames))
-        } else {
-            0.0
-        };
+        let degraded_frames = fallback.degraded_frames;
+        let perceived_error = fallback.perceived_error(report.frames);
         Ok(DegradedPlayback { report, events, degraded_frames, perceived_error })
     }
 }

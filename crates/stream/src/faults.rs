@@ -855,6 +855,83 @@ impl DegradationConfig {
     }
 }
 
+/// The hold-then-ramp fallback stepped one frame at a time. The client's
+/// [`crate::client::PlaybackClient::play_degraded`] and
+/// [`crate::machine::ScaleSession`]'s replay both run it, each with its
+/// own test of whether a scene's hint had arrived by a frame.
+#[derive(Debug, Clone)]
+pub(crate) struct HoldThenRamp {
+    config: DegradationConfig,
+    /// Level of the last frame shown with its hint.
+    last_good: u8,
+    /// First frame of the current miss.
+    degraded_since: u32,
+    /// The scene whose hint is missing, while one is.
+    missing: Option<u32>,
+    /// Frames shown without their hint.
+    pub(crate) degraded_frames: u32,
+    /// `Σ |shown − annotated|` over those frames.
+    error_sum: f64,
+}
+
+impl HoldThenRamp {
+    pub(crate) fn new(config: DegradationConfig) -> Self {
+        Self {
+            config,
+            last_good: 255,
+            degraded_since: 0,
+            missing: None,
+            degraded_frames: 0,
+            error_sum: 0.0,
+        }
+    }
+
+    /// The level shown at `frame` of scene `seq`, whose annotation is
+    /// `annotated` and whose hint has `arrived` or not, plus the event the
+    /// frame logs: [`DegradationKind::Missed`] when a scene starts without
+    /// its hint, [`DegradationKind::Recovered`] when the hint lands
+    /// mid-scene.
+    pub(crate) fn step(
+        &mut self,
+        frame: u32,
+        seq: u32,
+        annotated: u8,
+        arrived: bool,
+    ) -> (u8, Option<DegradationEvent>) {
+        if arrived {
+            let event = (self.missing.take() == Some(seq)).then_some(DegradationEvent {
+                frame,
+                seq,
+                kind: DegradationKind::Recovered,
+                level: annotated,
+            });
+            self.last_good = annotated;
+            return (annotated, event);
+        }
+        let mut event = None;
+        if self.missing != Some(seq) {
+            self.missing = Some(seq);
+            self.degraded_since = frame;
+            event = Some(DegradationEvent {
+                frame,
+                seq,
+                kind: DegradationKind::Missed,
+                level: self.last_good,
+            });
+        }
+        let level = self.config.degraded_level(self.last_good, frame - self.degraded_since);
+        self.degraded_frames += 1;
+        self.error_sum += f64::from(level.abs_diff(annotated));
+        (level, event)
+    }
+
+    /// Mean perceived-intensity error over `frames` played (see
+    /// [`DegradedPlayback::perceived_error`]).
+    pub(crate) fn perceived_error(&self, frames: u32) -> f64 {
+        if frames > 0 { self.error_sum / (255.0 * f64::from(frames)) } else { 0.0 }
+    }
+}
+
 /// What happened at one point of degraded playback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradationKind {

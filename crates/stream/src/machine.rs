@@ -34,8 +34,8 @@
 //! the client's hold-then-ramp policy arithmetically.
 
 use crate::faults::{
-    retry::RetryPolicy, DegradationConfig, FaultConfig, FaultyChannel, HintPlan, LossyCollector,
-    LossyEngine,
+    retry::RetryPolicy, DegradationConfig, FaultConfig, FaultyChannel, HintPlan, HoldThenRamp,
+    LossyCollector, LossyEngine,
 };
 use crate::governor::{
     prepare_governed, GovernedPrep, GovernedSessionReport, GovernorDriver, GovernorSessionConfig,
@@ -379,43 +379,25 @@ impl ScaleSession {
     /// then slew toward full backlight, recovering when a hint lands.
     fn replay_degradation(&self) -> (u32, f64) {
         let spec = &self.spec;
-        if spec.schedule.is_empty() || spec.frames == 0 {
+        if spec.schedule.is_empty() {
             return (0, 0.0);
         }
-        let mut degraded = 0u32;
-        let mut error_sum = 0.0f64;
-        let mut last_good: u8 = 255;
-        let mut degraded_since: Option<u32> = None;
-        let mut missing_seq: Option<usize> = None;
+        let mut fallback = HoldThenRamp::new(self.degradation);
         for frame in 0..spec.frames {
             let now = f64::from(frame) / spec.fps;
             let idx = match spec.schedule.binary_search_by_key(&frame, |e| e.0) {
                 Ok(i) => i,
                 Err(i) => i.saturating_sub(1),
             };
-            let annotated = spec.schedule[idx].1;
             let arrived = self
                 .arrivals
                 .get(idx)
                 .copied()
                 .flatten()
                 .is_some_and(|a| a <= spec.startup_s + now);
-            if arrived {
-                last_good = annotated;
-                degraded_since = None;
-                missing_seq = None;
-                continue;
-            }
-            if missing_seq != Some(idx) {
-                missing_seq = Some(idx);
-                degraded_since = Some(frame);
-            }
-            let held = frame - degraded_since.unwrap_or(frame);
-            let level = self.degradation.degraded_level(last_good, held);
-            degraded += 1;
-            error_sum += f64::from(level.abs_diff(annotated));
+            fallback.step(frame, idx as u32, spec.schedule[idx].1, arrived);
         }
-        (degraded, error_sum / (255.0 * f64::from(spec.frames)))
+        (fallback.degraded_frames, fallback.perceived_error(spec.frames))
     }
 }
 
