@@ -855,19 +855,17 @@ impl DegradationConfig {
     }
 }
 
-/// The hold-then-ramp fallback stepped one frame at a time. The client's
+/// The hold-then-ramp fallback stepped one frame at a time: the state
 /// [`crate::client::PlaybackClient::play_degraded`] and
-/// [`crate::machine::ScaleSession`]'s replay both run it, each with its
+/// [`crate::machine::ScaleSession`]'s replay share. Each caller keeps its
 /// own test of whether a scene's hint had arrived by a frame.
 #[derive(Debug, Clone)]
 pub(crate) struct HoldThenRamp {
     config: DegradationConfig,
     /// Level of the last frame shown with its hint.
     last_good: u8,
-    /// First frame of the current miss.
-    degraded_since: u32,
-    /// The scene whose hint is missing, while one is.
-    missing: Option<u32>,
+    /// The scene whose hint is missing, and the frame its miss began.
+    missing: Option<(u32, u32)>,
     /// Frames shown without their hint.
     pub(crate) degraded_frames: u32,
     /// `Σ |shown − annotated|` over those frames.
@@ -876,21 +874,13 @@ pub(crate) struct HoldThenRamp {
 
 impl HoldThenRamp {
     pub(crate) fn new(config: DegradationConfig) -> Self {
-        Self {
-            config,
-            last_good: 255,
-            degraded_since: 0,
-            missing: None,
-            degraded_frames: 0,
-            error_sum: 0.0,
-        }
+        Self { config, last_good: 255, missing: None, degraded_frames: 0, error_sum: 0.0 }
     }
 
-    /// The level shown at `frame` of scene `seq`, whose annotation is
-    /// `annotated` and whose hint has `arrived` or not, plus the event the
-    /// frame logs: [`DegradationKind::Missed`] when a scene starts without
-    /// its hint, [`DegradationKind::Recovered`] when the hint lands
-    /// mid-scene.
+    /// The level shown at `frame` of scene `seq`, annotated `annotated`,
+    /// whose hint has `arrived` or not, and the event the frame logs:
+    /// [`DegradationKind::Missed`] when a scene starts without its hint,
+    /// [`DegradationKind::Recovered`] when the hint lands mid-scene.
     pub(crate) fn step(
         &mut self,
         frame: u32,
@@ -898,31 +888,27 @@ impl HoldThenRamp {
         annotated: u8,
         arrived: bool,
     ) -> (u8, Option<DegradationEvent>) {
+        let event = |kind, level| Some(DegradationEvent { frame, seq, kind, level });
         if arrived {
-            let event = (self.missing.take() == Some(seq)).then_some(DegradationEvent {
-                frame,
-                seq,
-                kind: DegradationKind::Recovered,
-                level: annotated,
-            });
+            let recovered = self.missing.take().is_some_and(|(s, _)| s == seq);
             self.last_good = annotated;
-            return (annotated, event);
+            let logged =
+                if recovered { event(DegradationKind::Recovered, annotated) } else { None };
+            return (annotated, logged);
         }
-        let mut event = None;
-        if self.missing != Some(seq) {
-            self.missing = Some(seq);
-            self.degraded_since = frame;
-            event = Some(DegradationEvent {
-                frame,
-                seq,
-                kind: DegradationKind::Missed,
-                level: self.last_good,
-            });
-        }
-        let level = self.config.degraded_level(self.last_good, frame - self.degraded_since);
+        let mut logged = None;
+        let since = match self.missing {
+            Some((s, since)) if s == seq => since,
+            _ => {
+                self.missing = Some((seq, frame));
+                logged = event(DegradationKind::Missed, self.last_good);
+                frame
+            }
+        };
+        let level = self.config.degraded_level(self.last_good, frame - since);
         self.degraded_frames += 1;
         self.error_sum += f64::from(level.abs_diff(annotated));
-        (level, event)
+        (level, logged)
     }
 
     /// Mean perceived-intensity error over `frames` played (see
