@@ -28,7 +28,7 @@ use annolight_core::digest::Digester;
 use annolight_core::track::{AnnotationMode, AnnotationTrack};
 use annolight_core::parallel::{self, ParallelConfig};
 use annolight_core::{CoreError, HebsRemapSet, LuminanceProfile, PolicyKind, QualityLevel};
-use annolight_imgproc::{Frame, Yuv420Frame};
+use annolight_imgproc::{downscale_2x, Frame, Yuv420Frame};
 use annolight_display::DeviceProfile;
 use annolight_serve::{AnnotationService, ServiceConfig};
 use annolight_support::par::fan_out;
@@ -175,32 +175,6 @@ impl Proxy {
             .map_err(ProxyError::Serve)
     }
 
-    /// Policy-aware compensation: HEBS reshapes pixels through its
-    /// per-scene equalisation remap; every other policy applies the
-    /// track's linear gain on the worker pool.
-    fn compensate(
-        &self,
-        frames: &mut [Frame],
-        track: &AnnotationTrack,
-        profile: &LuminanceProfile,
-        quality: QualityLevel,
-        mode: AnnotationMode,
-    ) -> Result<(), ProxyError> {
-        if self.policy == PolicyKind::Hebs {
-            // Rebuilt from the same profile/mode/quality the planner saw,
-            // so the remap's scene spans match the track's entries.
-            let set = HebsRemapSet::new(profile, mode, quality);
-            for (i, f) in frames.iter_mut().enumerate() {
-                set.apply_frame(f, i as u32);
-            }
-            Ok(())
-        } else {
-            parallel::compensate_frames(frames, track, &self.parallel)
-                .map_err(ProxyError::Core)?;
-            Ok(())
-        }
-    }
-
     /// Transcodes `input` into an annotated, compensated stream for
     /// `device` at `quality`: [`Proxy::transcode_batch`] with one request.
     ///
@@ -244,6 +218,18 @@ impl Proxy {
         &self,
         requests: &[TranscodeRequest<'_>],
     ) -> Result<Vec<EncodedStream>, ProxyError> {
+        self.transcode_frames(requests, false)
+    }
+
+    /// The body of [`Proxy::transcode_batch`]. With `downscale` set it
+    /// halves every decoded frame, annotates under digest variant 1 (so
+    /// the tracks never alias the full-size ones) and encodes at the
+    /// halved size.
+    fn transcode_frames(
+        &self,
+        requests: &[TranscodeRequest<'_>],
+        downscale: bool,
+    ) -> Result<Vec<EncodedStream>, ProxyError> {
         // Stage 1: one batched decode across every stream's closed GOPs,
         // straight to RGB.
         let mut decoders = requests
@@ -252,6 +238,11 @@ impl Proxy {
             .collect::<Result<Vec<_>, _>>()?;
         let mut frames = decode_all_batched(&mut decoders, &self.parallel, Yuv420Frame::to_rgb)?;
         drop(decoders);
+        if downscale {
+            for f in frames.iter_mut().flatten() {
+                *f = downscale_2x(f).map_err(|e| CodecError::Malformed { reason: e.to_string() })?;
+            }
+        }
 
         // Stage 2: one batched profiling dispatch over every frame of
         // every clip (job-local indices keep each profile identical to
@@ -270,7 +261,8 @@ impl Proxy {
             .iter()
             .zip(&profiles)
             .map(|(r, p)| {
-                self.annotate(Self::stream_digest(r.input, 0), p, r.device, r.quality, r.mode)
+                let digest = Self::stream_digest(r.input, u32::from(downscale));
+                self.annotate(digest, p, r.device, r.quality, r.mode)
             })
             .collect::<Result<Vec<_>, _>>()?;
 
@@ -297,12 +289,13 @@ impl Proxy {
         // Stage 5: the same RGB→YUV mapping `push_frames` applies (one
         // fan-out over every frame of every clip), then one batched
         // re-encode across every stream's GOPs.
+        let scale = if downscale { 2 } else { 1 };
         let mut encoders = requests
             .iter()
             .map(|r| {
                 Encoder::new(EncoderConfig {
-                    width: r.input.width(),
-                    height: r.input.height(),
+                    width: r.input.width() / scale,
+                    height: r.input.height() / scale,
                     fps: r.input.fps(),
                     ..self.encoder_template
                 })
@@ -328,7 +321,9 @@ impl Proxy {
 
     /// Transcodes *and downscales* by 2× in each dimension — the
     /// data-shaping role of the Fig. 1 proxy when the wireless hop is
-    /// constrained. Annotations are recomputed on the reshaped frames.
+    /// constrained: [`Proxy::transcode_batch`]'s stages on one request,
+    /// with every decoded frame halved before it is profiled, so the
+    /// annotations are computed on the reshaped frames.
     ///
     /// # Errors
     ///
@@ -341,29 +336,9 @@ impl Proxy {
         quality: QualityLevel,
         mode: AnnotationMode,
     ) -> Result<EncodedStream, ProxyError> {
-        let mut dec = Decoder::new(input)?.with_parallelism(self.parallel);
-        let mut frames = Vec::with_capacity(dec.frame_count() as usize);
-        for f in dec.decode_all()? {
-            frames.push(
-                annolight_imgproc::downscale_2x(&f)
-                    .map_err(|e| ProxyError::Codec(CodecError::Malformed { reason: e.to_string() }))?,
-            );
-        }
-        let profile =
-            parallel::profile_frames(input.fps(), &frames, &self.parallel).map_err(ProxyError::Core)?;
-        let track =
-            self.annotate(Self::stream_digest(input, 1), &profile, device, quality, mode)?;
-        let mut enc = Encoder::new(EncoderConfig {
-            width: input.width() / 2,
-            height: input.height() / 2,
-            fps: input.fps(),
-            ..self.encoder_template
-        })?
-        .with_parallelism(self.parallel);
-        enc.push_user_data(&track.to_rle_bytes());
-        self.compensate(&mut frames, &track, &profile, quality, mode)?;
-        enc.push_frames(&frames)?;
-        Ok(enc.finish())
+        let request = TranscodeRequest { input, device, quality, mode };
+        let mut outs = self.transcode_frames(&[request], true)?;
+        Ok(outs.pop().expect("one request, one stream"))
     }
 }
 
