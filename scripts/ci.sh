@@ -115,7 +115,7 @@ cargo run -q --release --offline -p annolight-bench --bin tab_policies -- --test
 echo "== governor budget smoke (--test mode, within-budget, double-run deterministic) =="
 cargo run -q --release --offline -p annolight-bench --bin ext_governor -- --test
 
-echo "== reactor scale smoke (--test mode, >=100k sessions, double-run deterministic) =="
+echo "== reactor scale smoke (--test mode, >=100k sessions within a 256 MiB peak RSS, double-run deterministic) =="
 cargo run -q --release --offline -p annolight-bench --bin reactor_scale -- --test
 
 echo "== fleet SLO smoke (--test mode, double-run deterministic) =="
