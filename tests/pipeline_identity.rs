@@ -16,7 +16,7 @@
 //!   byte-identically to the loop that decoded every picture to RGB;
 //! * **batched scheduling** — `Proxy::transcode_batch` returns streams
 //!   byte-identical to per-clip `Proxy::transcode` at every worker
-//!   count, and the batched core profiling/compensation dispatchers
+//!   count, for peak-clip and for HEBS in both annotation modes, and the batched core profiling/compensation dispatchers
 //!   match their per-job serial references;
 //! * **ragged geometries** — a seeded `check!` property extends the
 //!   fixed matrix to random frame sizes (including widths that do not
@@ -162,7 +162,8 @@ fn kernel_tiers_match_on_ragged_geometries() {
 }
 
 /// The batched proxy scheduler inherits the guarantee: transcode_batch
-/// output is byte-identical to per-clip transcode for every pool size.
+/// output is byte-identical to per-clip transcode for every pool size,
+/// for peak-clip and for HEBS in both annotation modes.
 #[test]
 fn transcode_batch_matches_per_clip_transcode() {
     let clip = ClipLibrary::paper_clip("themovie")
@@ -180,43 +181,47 @@ fn transcode_batch_matches_per_clip_transcode() {
         enc.push_frame(&f).expect("frames match encoder geometry");
     }
     let input = enc.finish();
-    let requests = [
-        TranscodeRequest {
-            input: &input,
-            device: &DeviceProfile::ipaq_5555(),
-            quality: QualityLevel::Q10,
-            mode: AnnotationMode::PerScene,
-        },
-        TranscodeRequest {
-            input: &input,
-            device: &DeviceProfile::zaurus_sl5600(),
-            quality: QualityLevel::Q5,
-            mode: AnnotationMode::PerScene,
-        },
+    let request = |device, quality, mode| TranscodeRequest { input: &input, device, quality, mode };
+    let (ipaq, zaurus) = (DeviceProfile::ipaq_5555(), DeviceProfile::zaurus_sl5600());
+    let per_scene = [
+        request(&ipaq, QualityLevel::Q10, AnnotationMode::PerScene),
+        request(&zaurus, QualityLevel::Q5, AnnotationMode::PerScene),
     ];
-    let serial = Proxy::new(EncoderConfig::default());
-    let reference: Vec<_> = requests
-        .iter()
-        .map(|r| {
-            serial
-                .transcode(r.input, r.device, r.quality, r.mode)
-                .expect("serial transcode succeeds")
-        })
-        .collect();
-    for workers in WORKER_COUNTS {
-        let proxy = Proxy::new(EncoderConfig::default())
-            .with_parallelism(ParallelConfig::with_workers(workers));
-        let got = proxy.transcode_batch(&requests).expect("batched transcode succeeds");
-        let mut d = Digester::new();
-        for (g, r) in got.iter().zip(&reference) {
-            assert_eq!(
-                g.as_bytes(),
-                r.as_bytes(),
-                "transcode_batch workers={workers} diverged from per-clip transcode"
-            );
-            d.write(g.as_bytes());
+    let per_frame = [
+        request(&ipaq, QualityLevel::Q10, AnnotationMode::PerFrame),
+        request(&zaurus, QualityLevel::Q5, AnnotationMode::PerFrame),
+    ];
+    let matrix = [
+        ("transcode_batch", PolicyKind::PeakClip, &per_scene),
+        ("transcode_batch hebs per_scene", PolicyKind::Hebs, &per_scene),
+        ("transcode_batch hebs per_frame", PolicyKind::Hebs, &per_frame),
+    ];
+    for (what, policy, requests) in matrix {
+        let serial = Proxy::new(EncoderConfig::default()).with_policy(policy);
+        let reference: Vec<_> = requests
+            .iter()
+            .map(|r| {
+                serial
+                    .transcode(r.input, r.device, r.quality, r.mode)
+                    .expect("serial transcode succeeds")
+            })
+            .collect();
+        for workers in WORKER_COUNTS {
+            let proxy = Proxy::new(EncoderConfig::default())
+                .with_policy(policy)
+                .with_parallelism(ParallelConfig::with_workers(workers));
+            let got = proxy.transcode_batch(requests).expect("batched transcode succeeds");
+            let mut d = Digester::new();
+            for (g, r) in got.iter().zip(&reference) {
+                assert_eq!(
+                    g.as_bytes(),
+                    r.as_bytes(),
+                    "{what} workers={workers} diverged from per-clip transcode"
+                );
+                d.write(g.as_bytes());
+            }
+            log_digest(&format!("{what} workers={workers}"), d.finish());
         }
-        log_digest(&format!("transcode_batch workers={workers}"), d.finish());
     }
 }
 

@@ -7,7 +7,8 @@
 //!
 //! * three paper clips (dark, bright, mixed) × annotation site × policy
 //!   × hop (lossless, 10 % independent loss, bursty);
-//! * the DVFS, burst-prefetch and per-frame-annotation extensions;
+//! * the DVFS, burst-prefetch and per-frame-annotation extensions, and
+//!   per-frame HEBS at each annotation site;
 //! * governed sessions at three joule budgets, over a lossless and a
 //!   lossy hop;
 //! * the shared-server entry point: a cold session, a cache hit, and an
@@ -103,10 +104,19 @@ fn jobs() -> Vec<Job> {
             }
         }
     }
-    let extensions: [Extension; 3] = [
+    let extensions: [Extension; 5] = [
         ("dvfs", |c| c.dvfs = true),
         ("burst_prefetch", |c| c.burst_prefetch = true),
         ("per_frame", |c| c.mode = AnnotationMode::PerFrame),
+        ("per_frame_hebs_server", |c| {
+            c.mode = AnnotationMode::PerFrame;
+            c.policy = PolicyKind::Hebs;
+        }),
+        ("per_frame_hebs_proxy", |c| {
+            c.mode = AnnotationMode::PerFrame;
+            c.policy = PolicyKind::Hebs;
+            c.site = AnnotationSite::Proxy;
+        }),
     ];
     for (ext, apply) in extensions {
         for (hop, faults) in hops() {
