@@ -127,4 +127,7 @@ cargo run -q --release --offline -p annolight-bench --bin pipeline_throughput --
 echo "== codec throughput smoke (--test mode, >=3x inline encode floor) =="
 cargo run -q --release --offline -p annolight-bench --bin codec_throughput -- --test
 
+echo "== non-test lines per crate (informational, not a gate) =="
+scripts/loc.sh
+
 echo "CI green."
