@@ -6,6 +6,8 @@
 //! annotations in the video stream."
 
 use crate::error::CoreError;
+use crate::policy::{HebsRemapSet, PolicyKind};
+use crate::profile::LuminanceProfile;
 use crate::track::AnnotationTrack;
 use annolight_display::{BacklightController, BacklightLevel, ControllerConfig};
 use annolight_imgproc::{contrast_enhance, ClipStats, Frame};
@@ -27,6 +29,45 @@ pub fn compensate_frame(
 ) -> Result<ClipStats, CoreError> {
     let entry = track.entry_at(frame_idx)?;
     Ok(contrast_enhance(frame, entry.compensation))
+}
+
+/// How a served track's frames are compensated, at the server or the
+/// proxy alike.
+///
+/// Under [`PolicyKind::Hebs`] each scene gets its histogram-equalisation
+/// remap, built over the track's own entry spans so every frame's pixels
+/// match the backlight level annotated for it. Under every other policy
+/// each frame gets its entry's contrast gain, as [`compensate_frame`].
+#[derive(Debug, Clone)]
+pub struct Compensation<'t> {
+    track: &'t AnnotationTrack,
+    remaps: Option<HebsRemapSet>,
+}
+
+impl<'t> Compensation<'t> {
+    /// Decides how `track`'s frames are compensated under `policy`.
+    /// `profile` is the luminance profile the track was planned from;
+    /// HEBS builds its remap tables from it.
+    pub fn new(track: &'t AnnotationTrack, policy: PolicyKind, profile: &LuminanceProfile) -> Self {
+        let remaps = (policy == PolicyKind::Hebs)
+            .then(|| HebsRemapSet::for_spans(profile, track.spans(), track.quality()));
+        Self { track, remaps }
+    }
+
+    /// Compensates frame `frame_idx` in place, returning its clipping
+    /// statistics.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::FrameOutOfRange`] if `frame_idx` is outside
+    /// the track.
+    pub fn apply(&self, frame: &mut Frame, frame_idx: u32) -> Result<ClipStats, CoreError> {
+        let entry = self.track.entry_at(frame_idx)?;
+        Ok(match &self.remaps {
+            Some(set) => set.apply_frame(frame, frame_idx),
+            None => contrast_enhance(frame, entry.compensation),
+        })
+    }
 }
 
 /// Simulates the client's backlight driver over a whole clip: for every
@@ -133,6 +174,60 @@ mod tests {
         let t = track(vec![entry(0, 100, 2.0)], 10);
         let mut f = Frame::new(2, 2);
         assert!(compensate_frame(&mut f, &t, 10).is_err());
+    }
+
+    #[test]
+    fn gain_compensation_matches_compensate_frame() {
+        let t = track(vec![entry(0, 100, 2.0), entry(4, 180, 1.3)], 10);
+        let profile = LuminanceProfile::of_frames(10.0, vec![Frame::new(4, 4); 10]).unwrap();
+        for policy in [PolicyKind::PeakClip, PolicyKind::SpatialScale] {
+            let compensation = Compensation::new(&t, policy, &profile);
+            for i in 0..10 {
+                let mut want = Frame::filled(4, 4, Rgb8::gray(90));
+                let mut got = want.clone();
+                let want_stats = compensate_frame(&mut want, &t, i).unwrap();
+                assert_eq!(compensation.apply(&mut got, i).unwrap(), want_stats);
+                assert_eq!(got, want, "{policy:?} frame {i}");
+            }
+            assert!(compensation.apply(&mut Frame::new(4, 4), 10).is_err());
+        }
+    }
+
+    #[test]
+    fn hebs_compensation_remaps_each_entry_span_in_both_modes() {
+        use crate::annotate::Annotator;
+        use annolight_display::DeviceProfile;
+        use annolight_imgproc::HebsLut;
+        let frames: Vec<Frame> = (0..24u8)
+            .map(|i| {
+                let mut f = Frame::filled(8, 8, Rgb8::gray(if i < 12 { 40 } else { 150 }));
+                f.set_pixel(0, 0, Rgb8::gray(250 - i));
+                f
+            })
+            .collect();
+        let profile = LuminanceProfile::of_frames(10.0, frames.clone()).unwrap();
+        for mode in [AnnotationMode::PerScene, AnnotationMode::PerFrame] {
+            let annotated = Annotator::new(DeviceProfile::ipaq_5555(), QualityLevel::Q10)
+                .with_mode(mode)
+                .with_policy(PolicyKind::Hebs)
+                .annotate_profile(&profile)
+                .unwrap();
+            let t = annotated.track();
+            let compensation = Compensation::new(t, PolicyKind::Hebs, &profile);
+            for span in t.spans() {
+                let hist = profile.merged_histogram(span.start, span.end);
+                let lut = HebsLut::from_histogram(&hist, hist.clip_level(0.10));
+                for i in span.start..span.end {
+                    let mut want = frames[i as usize].clone();
+                    let mut got = want.clone();
+                    let want_stats = lut.apply(&mut want);
+                    assert_eq!(compensation.apply(&mut got, i).unwrap(), want_stats);
+                    assert_eq!(got, want, "{mode:?} frame {i}");
+                }
+            }
+            assert_eq!(t.spans().last().map(|s| s.end), Some(24), "{mode:?} covers every frame");
+            assert!(compensation.apply(&mut Frame::new(8, 8), 24).is_err());
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod track;
 
 pub use annotate::{AnnotatedClip, Annotator};
 pub use delta::{AnnotationDelta, DeltaStatus, DeltaTracker};
-pub use apply::{apply_annotation, client_side_levels, compensate_frame};
+pub use apply::{apply_annotation, client_side_levels, compensate_frame, Compensation};
 pub use digest::clip_digest;
 pub use error::CoreError;
 pub use governor::{

@@ -32,8 +32,7 @@
 use crate::plan::{peak_clip_scene, ScenePlan};
 use crate::profile::LuminanceProfile;
 use crate::quality::QualityLevel;
-use crate::scenes::{SceneDetector, SceneSpan};
-use crate::track::AnnotationMode;
+use crate::scenes::SceneSpan;
 use annolight_display::{BacklightLevel, DeviceProfile};
 use annolight_imgproc::{ClipStats, Frame, HebsLut, Histogram};
 
@@ -152,12 +151,6 @@ pub trait AnnotationPolicy: Send + Sync + std::fmt::Debug {
         quality: QualityLevel,
     ) -> ScenePlan;
 
-    /// The per-scene pixel remap, when the policy uses one instead of
-    /// the scalar contrast stretch (only HEBS does).
-    fn scene_remap(&self, _hist: &Histogram, _quality: QualityLevel) -> Option<HebsLut> {
-        None
-    }
-
     /// Picks a serving resolution given priced per-resolution energy.
     /// Every backend except [`SpatialScale`] always serves full
     /// resolution.
@@ -224,11 +217,6 @@ impl AnnotationPolicy for Hebs {
             backlight,
             power_savings,
         }
-    }
-
-    fn scene_remap(&self, hist: &Histogram, quality: QualityLevel) -> Option<HebsLut> {
-        let effective = hist.clip_level(quality.clip_fraction());
-        Some(HebsLut::from_histogram(hist, effective))
     }
 }
 
@@ -310,13 +298,12 @@ pub fn hebs_levels(
 }
 
 /// The per-scene HEBS remap tables for one clip — the pixel-domain half
-/// of the HEBS policy, shared by the server and proxy compensation
-/// paths.
+/// of the HEBS policy.
 ///
-/// Scene spans are derived exactly like the annotator derives them
-/// (detector spans for [`AnnotationMode::PerScene`], one span per frame
-/// for [`AnnotationMode::PerFrame`]), so the remap applied to frame `i`
-/// always matches the backlight level annotated for frame `i`.
+/// [`Compensation`](crate::apply::Compensation) builds the set over a
+/// track's entry spans, which are the annotator's scenes (one per frame
+/// in per-frame mode), so the remap applied to frame `i` always matches
+/// the backlight level annotated for frame `i`.
 #[derive(Debug, Clone)]
 pub struct HebsRemapSet {
     spans: Vec<SceneSpan>,
@@ -324,17 +311,6 @@ pub struct HebsRemapSet {
 }
 
 impl HebsRemapSet {
-    /// Builds the remap set for `profile`, deriving spans per `mode`.
-    pub fn new(profile: &LuminanceProfile, mode: AnnotationMode, quality: QualityLevel) -> Self {
-        let spans = match mode {
-            AnnotationMode::PerScene => SceneDetector::default().detect(profile),
-            AnnotationMode::PerFrame => (0..profile.len() as u32)
-                .map(|i| SceneSpan { start: i, end: i + 1 })
-                .collect(),
-        };
-        Self::for_spans(profile, spans, quality)
-    }
-
     /// Builds the remap set for explicit `spans`.
     pub fn for_spans(
         profile: &LuminanceProfile,
@@ -383,6 +359,7 @@ mod tests {
     use super::*;
     use crate::parallel::ParallelConfig;
     use crate::plan::BacklightPlan;
+    use crate::scenes::SceneDetector;
     use annolight_imgproc::Rgb8;
     use annolight_support::json::to_string;
 
@@ -520,30 +497,22 @@ mod tests {
     }
 
     #[test]
-    fn remap_set_covers_every_frame_in_both_modes() {
+    fn remap_set_covers_every_frame_of_its_spans() {
         let p = dark_profile();
-        for mode in [AnnotationMode::PerScene, AnnotationMode::PerFrame] {
-            let set = HebsRemapSet::new(&p, mode, QualityLevel::Q10);
-            assert_eq!(set.spans().len(), set.luts().len());
-            for i in 0..p.len() as u32 {
-                let lut = set.lut_for_frame(i);
-                assert!(lut.value(255) == 255);
+        let per_frame: Vec<SceneSpan> =
+            (0..p.len() as u32).map(|i| SceneSpan { start: i, end: i + 1 }).collect();
+        for spans in [SceneDetector::default().detect(&p), per_frame] {
+            let set = HebsRemapSet::for_spans(&p, spans.clone(), QualityLevel::Q10);
+            assert_eq!(set.spans(), spans.as_slice());
+            assert_eq!(set.luts().len(), spans.len());
+            for (span, lut) in spans.iter().zip(set.luts()) {
+                let hist = p.merged_histogram(span.start, span.end);
+                let effective = hist.clip_level(QualityLevel::Q10.clip_fraction());
+                assert_eq!(lut, &HebsLut::from_histogram(&hist, effective));
+                for i in span.start..span.end {
+                    assert_eq!(set.lut_for_frame(i), lut);
+                }
             }
         }
-        let per_frame = HebsRemapSet::new(&p, AnnotationMode::PerFrame, QualityLevel::Q10);
-        assert_eq!(per_frame.spans().len(), p.len());
-    }
-
-    #[test]
-    fn hebs_scene_remap_matches_remap_set() {
-        let p = dark_profile();
-        let spans = SceneDetector::default().detect(&p);
-        let set = HebsRemapSet::for_spans(&p, spans.clone(), QualityLevel::Q10);
-        for (i, s) in spans.iter().enumerate() {
-            let hist = p.merged_histogram(s.start, s.end);
-            let lut = Hebs.scene_remap(&hist, QualityLevel::Q10).unwrap();
-            assert_eq!(&lut, &set.luts()[i]);
-        }
-        assert!(PeakClip.scene_remap(&Histogram::new(), QualityLevel::Q10).is_none());
     }
 }

@@ -13,6 +13,7 @@
 use crate::error::CoreError;
 use crate::plan::BacklightPlan;
 use crate::quality::QualityLevel;
+use crate::scenes::SceneSpan;
 use annolight_display::BacklightLevel;
 
 /// Whether the track annotates whole scenes or individual frames.
@@ -178,6 +179,14 @@ impl AnnotationTrack {
     /// The annotation entries in playback order.
     pub fn entries(&self) -> &[AnnotationEntry] {
         &self.entries
+    }
+
+    /// The frames each entry covers, in playback order. For a track built
+    /// by [`from_plan`](Self::from_plan) these are the plan's scenes (one
+    /// per frame in [`AnnotationMode::PerFrame`]).
+    pub fn spans(&self) -> Vec<SceneSpan> {
+        let ends = self.entries.iter().skip(1).map(|e| e.start_frame).chain([self.frame_count]);
+        self.entries.iter().zip(ends).map(|(e, end)| SceneSpan { start: e.start_frame, end }).collect()
     }
 
     /// The entry in effect at `frame`.
@@ -484,6 +493,13 @@ mod tests {
             vec![entry(0, 10, 1.0, 10), entry(7, 20, 1.0, 20)],
         );
         assert!(matches!(e, Err(CoreError::MalformedTrack { .. })));
+    }
+
+    #[test]
+    fn spans_run_from_each_entry_to_the_next() {
+        let spans = demo_track().spans();
+        let bounds: Vec<(u32, u32)> = spans.iter().map(|s| (s.start, s.end)).collect();
+        assert_eq!(bounds, [(0, 30), (30, 60), (60, 100)]);
     }
 
     #[test]

@@ -99,10 +99,7 @@ annolight_support::check! {
     fn hebs_remap_is_monotone_and_bracketed(g) {
         let hist = random_histogram(g);
         let quality = random_quality(g);
-        let lut = PolicyKind::Hebs
-            .policy()
-            .scene_remap(&hist, quality)
-            .expect("HEBS always remaps");
+        let lut = HebsLut::from_histogram(&hist, hist.clip_level(quality.clip_fraction()));
         let eff = lut.effective_max();
         let mut prev = lut.value(0);
         for v in 0..=255u8 {

@@ -27,7 +27,7 @@ use annolight_codec::{
 use annolight_core::digest::Digester;
 use annolight_core::track::{AnnotationMode, AnnotationTrack};
 use annolight_core::parallel::{self, ParallelConfig};
-use annolight_core::{CoreError, HebsRemapSet, LuminanceProfile, PolicyKind, QualityLevel};
+use annolight_core::{Compensation, CoreError, LuminanceProfile, PolicyKind, QualityLevel};
 use annolight_imgproc::{downscale_2x, Frame, Yuv420Frame};
 use annolight_display::DeviceProfile;
 use annolight_serve::{AnnotationService, ServiceConfig};
@@ -200,11 +200,11 @@ impl Proxy {
     /// One [`decode_all_batched`] dispatch decodes every closed GOP of
     /// every stream (converting to RGB inside the GOP jobs), one
     /// [`parallel::profile_frames_batched`] dispatch profiles every
-    /// frame, one [`parallel::compensate_frames_batched`] dispatch
-    /// compensates them, and one [`encode_yuv_batched`] dispatch
-    /// re-encodes — so a short clip does not leave the pool idle while a
-    /// long clip's last GOP finishes. Annotation still goes through the
-    /// shared service cache per clip.
+    /// frame, one fan-out compensates every frame as its clip's
+    /// [`Compensation`] says and converts it to 4:2:0, and one
+    /// [`encode_yuv_batched`] dispatch re-encodes — so a short clip does
+    /// not leave the pool idle while a long clip's last GOP finishes.
+    /// Annotation still goes through the shared service cache per clip.
     ///
     /// Every output stream is byte-identical for every worker count;
     /// `workers <= 1` runs each stage inline over the codec's and core's
@@ -266,29 +266,11 @@ impl Proxy {
             })
             .collect::<Result<Vec<_>, _>>()?;
 
-        // Stage 4: compensation. HEBS reshapes per clip (its remap is a
-        // serial per-scene table); every other policy batches all clips
-        // into one dispatch.
-        if self.policy == PolicyKind::Hebs {
-            for ((clip, profile), r) in frames.iter_mut().zip(&profiles).zip(requests) {
-                let set = HebsRemapSet::new(profile, r.mode, r.quality);
-                for (i, f) in clip.iter_mut().enumerate() {
-                    set.apply_frame(f, i as u32);
-                }
-            }
-        } else {
-            let mut jobs: Vec<(&mut [Frame], &AnnotationTrack)> = frames
-                .iter_mut()
-                .zip(&tracks)
-                .map(|(f, t)| (f.as_mut_slice(), t.as_ref()))
-                .collect();
-            parallel::compensate_frames_batched(&mut jobs, &self.parallel)
-                .map_err(ProxyError::Core)?;
-        }
-
-        // Stage 5: the same RGB→YUV mapping `push_frames` applies (one
-        // fan-out over every frame of every clip), then one batched
-        // re-encode across every stream's GOPs.
+        // Stage 4: open the encoders first, so a bad geometry fails
+        // before any pixel work. Then one fan-out over every frame of
+        // every clip compensates it as its track says and converts it to
+        // 4:2:0 (the mapping `push_frames` applies), and one batched
+        // re-encode runs across every stream's GOPs.
         let scale = if downscale { 2 } else { 1 };
         let mut encoders = requests
             .iter()
@@ -305,9 +287,17 @@ impl Proxy {
         for (enc, track) in encoders.iter_mut().zip(&tracks) {
             enc.push_user_data(&track.to_rle_bytes());
         }
-        let rgb: Vec<&Frame> = frames.iter().flatten().collect();
-        let mut yuv = fan_out(self.parallel.workers, rgb, |f| {
-            f.to_yuv420().map_err(|e| CodecError::Malformed { reason: e.to_string() })
+        let compensations: Vec<Compensation> =
+            tracks.iter().zip(&profiles).map(|(t, p)| Compensation::new(t, self.policy, p)).collect();
+        let items: Vec<(&Compensation, u32, &mut Frame)> = compensations
+            .iter()
+            .zip(frames.iter_mut())
+            .flat_map(|(c, clip)| clip.iter_mut().zip(0..).map(move |(f, i)| (c, i, f)))
+            .collect();
+        let mut yuv = fan_out(self.parallel.workers, items, |(c, i, f)| {
+            c.apply(f, i)?;
+            f.to_yuv420()
+                .map_err(|e| ProxyError::Codec(CodecError::Malformed { reason: e.to_string() }))
         })
         .into_iter();
         let yuv_clips: Vec<Vec<Yuv420Frame>> = frames

@@ -18,7 +18,7 @@
 use crate::message::{grant_quality, ClientHello, ServerOffer};
 use annolight_codec::{Encoder, EncoderConfig};
 use annolight_core::track::AnnotationTrack;
-use annolight_core::{apply::compensate_frame, HebsRemapSet, PolicyKind, QualityLevel, SceneSpan};
+use annolight_core::{Compensation, PolicyKind, QualityLevel};
 use annolight_display::DeviceProfile;
 use annolight_serve::{AnnotationRequest, AnnotationService, Service, ServiceConfig};
 use annolight_video::Clip;
@@ -148,21 +148,6 @@ pub struct ServedStream {
     pub total_pixels: u64,
 }
 
-/// Scene spans reconstructed from a track's entry boundaries. For
-/// per-scene tracks this is exactly the plan's scene list
-/// ([`AnnotationTrack::from_plan`] maps scenes 1:1 onto entries).
-fn entry_spans(track: &AnnotationTrack) -> Vec<SceneSpan> {
-    let entries = track.entries();
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| SceneSpan {
-            start: e.start_frame,
-            end: entries.get(i + 1).map_or(track.frame_count(), |n| n.start_frame),
-        })
-        .collect()
-}
-
 /// The multimedia server of Fig. 1.
 #[derive(Debug)]
 pub struct MediaServer {
@@ -278,35 +263,22 @@ impl MediaServer {
         })
         .map_err(|e| ServeError::Internal(e.to_string()))?;
         enc.push_user_data(&track_bytes);
+        // DVFS hints and HEBS remaps need the luminance profile; the
+        // service memoises it, so this is a lookup, not a re-profile.
+        let profile = self.service.profile_for(&req.clip_name).map_err(ServeError::from)?;
         if req.dvfs {
-            // DVFS hints need the luminance profile; the service memoises
-            // it, so this is a lookup, not a re-profile.
-            let profile = self.service.profile_for(&req.clip_name).map_err(ServeError::from)?;
-            let spans = entry_spans(&track);
-            let hints = annolight_core::extensions::dvfs_hints(&profile, &spans);
+            let hints = annolight_core::extensions::dvfs_hints(&profile, &track.spans());
             enc.push_user_data(&annolight_core::extensions::hints_to_bytes(&hints));
         }
 
-        // HEBS compensates through a per-scene histogram-equalisation
-        // remap rather than the linear gain baked into the track; the
-        // remap tables are rebuilt over the track's own entry spans so
-        // server-side pixels and the embedded annotations always agree.
-        let remaps = if req.policy == PolicyKind::Hebs {
-            let profile = self.service.profile_for(&req.clip_name).map_err(ServeError::from)?;
-            Some(HebsRemapSet::for_spans(&profile, entry_spans(&track), req.quality))
-        } else {
-            None
-        };
-
+        let compensation = Compensation::new(&track, req.policy, &profile);
         let mut clipped = 0u64;
         let mut total = 0u64;
         for i in 0..clip.frame_count() {
             let mut frame = clip.frame(i);
-            let stats = match &remaps {
-                Some(set) => set.apply_frame(&mut frame, i),
-                None => compensate_frame(&mut frame, &track, i)
-                    .map_err(|e| ServeError::Internal(e.to_string()))?,
-            };
+            let stats = compensation
+                .apply(&mut frame, i)
+                .map_err(|e| ServeError::Internal(e.to_string()))?;
             clipped += stats.clipped_pixels;
             total += stats.total_pixels;
             enc.push_frame(&frame).map_err(|e| ServeError::Internal(e.to_string()))?;

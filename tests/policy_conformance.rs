@@ -32,6 +32,7 @@ use annolight::core::{
     SceneDetector, SPATIAL_MARGIN,
 };
 use annolight::display::DeviceProfile;
+use annolight::imgproc::HebsLut;
 use annolight::stream::{resolution_cost, run_session, spatial_decision, SessionConfig};
 use annolight::video::{Clip, ClipLibrary, ClipSpec, ContentKind, SceneSpec};
 use annolight_support::json::to_string;
@@ -273,10 +274,7 @@ fn hebs_remap_is_monotone_dominates_stretch_and_never_dims_less() {
                 );
 
                 let hist = profile.merged_histogram(h.span.start, h.span.end);
-                let lut = PolicyKind::Hebs
-                    .policy()
-                    .scene_remap(&hist, QUALITY)
-                    .expect("HEBS always remaps");
+                let lut = HebsLut::from_histogram(&hist, hist.clip_level(QUALITY.clip_fraction()));
                 let mut prev = lut.value(0);
                 for v in 1..=255u8 {
                     let cur = lut.value(v);
