@@ -22,6 +22,9 @@
 
 use annolight_core::track::{AnnotationMode, AnnotationTrack};
 use annolight_core::{PolicyKind, QualityLevel};
+use annolight_display::DeviceProfile;
+use annolight_support::fnv::fnv1a_64;
+use annolight_support::json::to_string;
 use annolight_support::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,8 +39,11 @@ use std::sync::Arc;
 pub struct CacheKey {
     /// Content digest of the clip (see [`annolight_core::digest`]).
     pub clip_digest: u64,
-    /// Device profile name the track was computed for.
-    pub device: String,
+    /// FNV-1a/64 digest of the whole device profile the track was
+    /// computed for (its JSON, name included), so two profiles that share
+    /// a name — a forged one under a paper device's name, say — never
+    /// share a track.
+    pub device: u64,
     /// Quality level in fixed point (fraction × 10⁴).
     pub quality_key: u16,
     /// Per-scene or per-frame annotation.
@@ -53,14 +59,14 @@ impl CacheKey {
     #[must_use]
     pub fn new(
         clip_digest: u64,
-        device: &str,
+        device: &DeviceProfile,
         quality: QualityLevel,
         mode: AnnotationMode,
         policy: PolicyKind,
     ) -> Self {
         Self {
             clip_digest,
-            device: device.to_owned(),
+            device: fnv1a_64(to_string(device).as_bytes()),
             quality_key: (quality.clip_fraction() * 10_000.0).round() as u16,
             mode,
             policy,
@@ -73,7 +79,7 @@ impl CacheKey {
     pub fn digest(&self) -> u64 {
         let mut d = annolight_core::digest::Digester::new();
         d.write_u64(self.clip_digest)
-            .write(self.device.as_bytes())
+            .write_u64(self.device)
             .write_u32(u32::from(self.quality_key))
             .write_u32(match self.mode {
                 AnnotationMode::PerScene => 0,
@@ -281,7 +287,8 @@ mod tests {
     }
 
     fn key(n: u64) -> CacheKey {
-        CacheKey::new(n, "ipaq-5555", QualityLevel::Q10, AnnotationMode::PerScene, PolicyKind::PeakClip)
+        let ipaq = DeviceProfile::ipaq_5555();
+        CacheKey::new(n, &ipaq, QualityLevel::Q10, AnnotationMode::PerScene, PolicyKind::PeakClip)
     }
 
     #[test]
@@ -300,16 +307,26 @@ mod tests {
         let cache = AnnotationCache::new(4, 1 << 20);
         let base = key(1);
         cache.insert(base.clone(), track(100, 4));
+        let (ipaq, zaurus) = (DeviceProfile::ipaq_5555(), DeviceProfile::zaurus_sl5600());
         let other_device = CacheKey::new(
-            1, "zaurus-sl5600", QualityLevel::Q10, AnnotationMode::PerScene, PolicyKind::PeakClip,
+            1, &zaurus, QualityLevel::Q10, AnnotationMode::PerScene, PolicyKind::PeakClip,
         );
         let other_quality = CacheKey::new(
-            1, "ipaq-5555", QualityLevel::Q20, AnnotationMode::PerScene, PolicyKind::PeakClip,
+            1, &ipaq, QualityLevel::Q20, AnnotationMode::PerScene, PolicyKind::PeakClip,
         );
         let other_mode = CacheKey::new(
-            1, "ipaq-5555", QualityLevel::Q10, AnnotationMode::PerFrame, PolicyKind::PeakClip,
+            1, &ipaq, QualityLevel::Q10, AnnotationMode::PerFrame, PolicyKind::PeakClip,
+        );
+        // A Zaurus panel under the iPAQ's name is another device.
+        let renamed: DeviceProfile = annolight_support::json::from_str(
+            &to_string(&zaurus).replace(zaurus.name(), ipaq.name()),
+        )
+        .unwrap();
+        let other_profile = CacheKey::new(
+            1, &renamed, QualityLevel::Q10, AnnotationMode::PerScene, PolicyKind::PeakClip,
         );
         assert!(cache.get(&other_device).is_none());
+        assert!(cache.get(&other_profile).is_none());
         assert!(cache.get(&other_quality).is_none());
         assert!(cache.get(&other_mode).is_none());
         assert!(cache.get(&base).is_some());
@@ -320,16 +337,17 @@ mod tests {
         // Tentpole guarantee: a cached track can never be served to a
         // request planned under a different policy backend.
         let cache = AnnotationCache::new(4, 1 << 20);
+        let ipaq = DeviceProfile::ipaq_5555();
         for p in PolicyKind::ALL {
-            let k = CacheKey::new(7, "ipaq-5555", QualityLevel::Q10, AnnotationMode::PerScene, p);
+            let k = CacheKey::new(7, &ipaq, QualityLevel::Q10, AnnotationMode::PerScene, p);
             assert!(cache.get(&k).is_none());
             cache.insert(k, track(100, 4));
         }
         assert_eq!(cache.stats().resident, 3, "one entry per policy");
         for p in PolicyKind::ALL {
             for q in PolicyKind::ALL {
-                let kp = CacheKey::new(7, "ipaq-5555", QualityLevel::Q10, AnnotationMode::PerScene, p);
-                let kq = CacheKey::new(7, "ipaq-5555", QualityLevel::Q10, AnnotationMode::PerScene, q);
+                let kp = CacheKey::new(7, &ipaq, QualityLevel::Q10, AnnotationMode::PerScene, p);
+                let kq = CacheKey::new(7, &ipaq, QualityLevel::Q10, AnnotationMode::PerScene, q);
                 assert_eq!(kp == kq, p == q);
                 assert_eq!(kp.digest() == kq.digest(), p == q, "{p:?} vs {q:?}");
             }
@@ -341,7 +359,11 @@ mod tests {
         let cache = AnnotationCache::new(2, 1 << 20);
         cache.insert(key(9), track(50, 2));
         let custom = CacheKey::new(
-            9, "ipaq-5555", QualityLevel::Custom(0.10), AnnotationMode::PerScene, PolicyKind::PeakClip,
+            9,
+            &DeviceProfile::ipaq_5555(),
+            QualityLevel::Custom(0.10),
+            AnnotationMode::PerScene,
+            PolicyKind::PeakClip,
         );
         assert!(cache.get(&custom).is_some(), "Q10 and Custom(0.10) must alias");
     }

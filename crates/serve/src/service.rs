@@ -307,7 +307,7 @@ fn cache_key(
     policy: PolicyKind,
 ) -> Result<CacheKey, ServeError> {
     quality.try_clip_fraction().map_err(ServeError::InvalidQuality)?;
-    Ok(CacheKey::new(digest, device.name(), quality, mode, policy))
+    Ok(CacheKey::new(digest, device, quality, mode, policy))
 }
 
 impl Shared {

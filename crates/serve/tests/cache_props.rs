@@ -37,7 +37,7 @@ fn track(frames: u32, entries: u32) -> Arc<AnnotationTrack> {
 fn key(n: u64) -> CacheKey {
     CacheKey::new(
         n,
-        "ipaq-5555",
+        &annolight_display::DeviceProfile::ipaq_5555(),
         QualityLevel::Q10,
         AnnotationMode::PerScene,
         annolight_core::PolicyKind::PeakClip,

@@ -460,6 +460,42 @@ fn hello_with_a_forged_device_profile_is_rejected() {
     }
 }
 
+/// A profile forged under a paper device's name, but in range, is served;
+/// it must not poison the shared server's track cache. The genuine device
+/// served after it gets the stream and the report a private server gives
+/// it. The cache used to key tracks by the device's name alone, so the
+/// genuine client was handed the forged panel's levels and compensation.
+#[test]
+fn forged_profile_under_a_paper_name_does_not_poison_a_shared_server() {
+    use annolight::stream::{
+        run_session_with_server, MediaServer, ServeRequest, SharedSessionOptions,
+    };
+    use annolight_support::json::{from_str, to_string};
+    let server = || {
+        let mut server = MediaServer::new(EncoderConfig::default());
+        server.add_clip(ClipLibrary::paper_clip("themovie").unwrap().preview(5.0));
+        server
+    };
+    let ipaq = DeviceProfile::ipaq_5555();
+    let forged: DeviceProfile = from_str(&to_string(&ipaq).replace(r#"{"a":1.3}"#, r#"{"a":6.0}"#))
+        .expect("the forged profile is well-formed JSON");
+    assert_ne!(forged, ipaq);
+    assert_eq!((forged.name(), forged.check()), (ipaq.name(), Ok(())));
+    let hello = |device| ClientHello::new("themovie", device, QualityLevel::Q10, AnnotationMode::PerScene);
+    let options = SharedSessionOptions::default();
+    let request = ServeRequest::new("themovie", ipaq.clone(), QualityLevel::Q10);
+
+    let private = server();
+    let want_report = run_session_with_server(&private, &hello(ipaq.clone()), &options).unwrap();
+    let want_stream = private.serve(&request).unwrap().stream;
+
+    let shared = server();
+    run_session_with_server(&shared, &hello(forged), &options).expect("an in-range profile is served");
+    let report = run_session_with_server(&shared, &hello(ipaq), &options).unwrap();
+    assert_eq!(to_string(&report), to_string(&want_report));
+    assert_eq!(shared.serve(&request).unwrap().stream.as_bytes(), want_stream.as_bytes());
+}
+
 /// Custom qualities that are out of range or not a number, for the
 /// serve-boundary rows below.
 const BAD_QUALITIES: [f64; 4] = [1.5, -0.25, f64::NAN, f64::INFINITY];
