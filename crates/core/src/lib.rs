@@ -56,7 +56,6 @@ pub mod plan;
 pub mod policy;
 pub mod profile;
 pub mod quality;
-pub mod roi;
 pub mod scenes;
 pub mod track;
 
@@ -80,6 +79,5 @@ pub use policy::{
 };
 pub use profile::{FrameStats, LuminanceProfile};
 pub use quality::QualityLevel;
-pub use roi::{plan_scene_with_roi, Rect, RegionOfInterest};
 pub use scenes::{SceneDetector, SceneDetectorConfig, SceneSpan};
 pub use track::{AnnotationEntry, AnnotationMode, AnnotationTrack};
