@@ -28,7 +28,8 @@ use std::fmt;
 pub enum AnnotationSite {
     /// The server annotates (the common case).
     Server,
-    /// The server sends a plain stream; a proxy annotates mid-path.
+    /// The server sends its Q0 peak-clip stream, and a proxy re-annotates
+    /// it mid-path.
     Proxy,
 }
 
@@ -241,10 +242,13 @@ pub(crate) fn negotiate_and_serve_at(
         return Ok((served.stream, served.annotation_bytes, config));
     }
 
-    // The Fig. 1 proxy: the server sends the plain stream a legacy server
-    // would emit, and the proxy annotates it on the fly. Under spatial
-    // scaling it also shapes the data — downscale 2× and annotate the
-    // reshaped frames.
+    // The Fig. 1 proxy annotates the server's stream on the fly. That
+    // stream is not plain: it is the server's Q0 peak-clip stream, which
+    // carries its own `ALT1` track and is already compensated (per-scene
+    // gains of 1.007–1.98 on the 5 s paper previews, and 6.4 % of
+    // `ice_age`'s pixels clip). The proxy decodes, re-profiles and
+    // re-annotates those frames. Under spatial scaling it also shapes the
+    // data — downscale 2× and annotate the reshaped frames.
     let plain = server
         .serve(&ServeRequest {
             clip_name,
