@@ -186,7 +186,11 @@ impl AnnotationTrack {
     /// per frame in [`AnnotationMode::PerFrame`]).
     pub fn spans(&self) -> Vec<SceneSpan> {
         let ends = self.entries.iter().skip(1).map(|e| e.start_frame).chain([self.frame_count]);
-        self.entries.iter().zip(ends).map(|(e, end)| SceneSpan { start: e.start_frame, end }).collect()
+        self.entries
+            .iter()
+            .zip(ends)
+            .map(|(e, end)| SceneSpan { start: e.start_frame, end })
+            .collect()
     }
 
     /// The entry in effect at `frame`.

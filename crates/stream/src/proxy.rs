@@ -287,8 +287,11 @@ impl Proxy {
         for (enc, track) in encoders.iter_mut().zip(&tracks) {
             enc.push_user_data(&track.to_rle_bytes());
         }
-        let compensations: Vec<Compensation> =
-            tracks.iter().zip(&profiles).map(|(t, p)| Compensation::new(t, self.policy, p)).collect();
+        let compensations: Vec<Compensation> = tracks
+            .iter()
+            .zip(&profiles)
+            .map(|(t, p)| Compensation::new(t, self.policy, p))
+            .collect();
         let items: Vec<(&Compensation, u32, &mut Frame)> = compensations
             .iter()
             .zip(frames.iter_mut())

@@ -481,7 +481,8 @@ fn forged_profile_under_a_paper_name_does_not_poison_a_shared_server() {
         .expect("the forged profile is well-formed JSON");
     assert_ne!(forged, ipaq);
     assert_eq!((forged.name(), forged.check()), (ipaq.name(), Ok(())));
-    let hello = |device| ClientHello::new("themovie", device, QualityLevel::Q10, AnnotationMode::PerScene);
+    let hello =
+        |device| ClientHello::new("themovie", device, QualityLevel::Q10, AnnotationMode::PerScene);
     let options = SharedSessionOptions::default();
     let request = ServeRequest::new("themovie", ipaq.clone(), QualityLevel::Q10);
 
@@ -490,7 +491,8 @@ fn forged_profile_under_a_paper_name_does_not_poison_a_shared_server() {
     let want_stream = private.serve(&request).unwrap().stream;
 
     let shared = server();
-    run_session_with_server(&shared, &hello(forged), &options).expect("an in-range profile is served");
+    run_session_with_server(&shared, &hello(forged), &options)
+        .expect("an in-range profile is served");
     let report = run_session_with_server(&shared, &hello(ipaq), &options).unwrap();
     assert_eq!(to_string(&report), to_string(&want_report));
     assert_eq!(shared.serve(&request).unwrap().stream.as_bytes(), want_stream.as_bytes());
