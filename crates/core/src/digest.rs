@@ -17,6 +17,7 @@
 //! re-exported here as [`fnv1a_64`] and [`Digester`].
 
 pub use annolight_support::fnv::{fnv1a_64, Digester};
+use annolight_imgproc::Frame;
 use annolight_video::Clip;
 
 /// Frames sampled (evenly spaced, always including first and last) by
@@ -52,9 +53,10 @@ pub fn clip_digest(clip: &Clip) -> u64 {
     d.write_u32(w).write_u32(h).write_u32(frames).write_f64(clip.fps());
     // Evenly spaced frame indices, first and last inclusive.
     let n = DIGEST_FRAMES.min(frames).max(1);
+    let mut frame = Frame::new(w, h);
     for i in 0..n {
         let idx = if n == 1 { 0 } else { (u64::from(i) * u64::from(frames - 1) / u64::from(n - 1)) as u32 };
-        let frame = clip.frame(idx);
+        clip.frame_into(idx, &mut frame);
         let bytes = frame.as_bytes();
         let stride = (bytes.len() / DIGEST_PIXELS_PER_FRAME.saturating_mul(3)).max(1) * 3;
         d.write_u32(idx);

@@ -51,9 +51,14 @@ pub fn profile_clip(clip: &Clip, cfg: &ParallelConfig) -> Result<LuminanceProfil
     if n == 0 {
         return Err(CoreError::EmptyClip);
     }
+    let (w, h) = clip.dimensions();
     let chunks = chunked_map(n, cfg, |range| {
+        let mut frame = Frame::new(w, h);
         range
-            .map(|i| FrameStats::of_frame(i as u32, &clip.frame(i as u32)))
+            .map(|i| {
+                clip.frame_into(i as u32, &mut frame);
+                FrameStats::of_frame(i as u32, &frame)
+            })
             .collect::<Vec<_>>()
     });
     LuminanceProfile::from_stats(clip.fps(), chunks.into_iter().flatten().collect())

@@ -20,6 +20,7 @@ use annolight_codec::{Encoder, EncoderConfig};
 use annolight_core::track::AnnotationTrack;
 use annolight_core::{Compensation, PolicyKind, QualityLevel};
 use annolight_display::DeviceProfile;
+use annolight_imgproc::Frame;
 use annolight_serve::{AnnotationRequest, AnnotationService, Service, ServiceConfig};
 use annolight_video::Clip;
 use annolight_core::track::AnnotationMode;
@@ -274,8 +275,9 @@ impl MediaServer {
         let compensation = Compensation::new(&track, req.policy, &profile);
         let mut clipped = 0u64;
         let mut total = 0u64;
+        let mut frame = Frame::new(w, h);
         for i in 0..clip.frame_count() {
-            let mut frame = clip.frame(i);
+            clip.frame_into(i, &mut frame);
             let stats = compensation
                 .apply(&mut frame, i)
                 .map_err(|e| ServeError::Internal(e.to_string()))?;

@@ -98,15 +98,14 @@ impl SmallRng {
         range.sample(self)
     }
 
-    /// `true` with probability `p`.
+    /// `true` with probability `p`: [`Bernoulli::new`]`(p)` sampled once.
     ///
     /// # Panics
     ///
     /// Panics unless `0 ≤ p ≤ 1`.
     #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "gen_bool probability {p} outside [0, 1]");
-        self.gen_f64() < p
+        Bernoulli::new(p).sample(self)
     }
 
     /// Derives an independent child generator by consuming one draw
@@ -147,6 +146,40 @@ impl SmallRng {
         debug_assert!(bound > 0);
         let x = self.next_u64();
         ((u128::from(x) * u128::from(bound)) >> 64) as u64
+    }
+}
+
+/// A coin that lands `true` with probability `p`, drawn as one integer
+/// compare on one raw output.
+///
+/// [`SmallRng::gen_f64`] is exactly `(x >> 11)·2⁻⁵³` for the raw output
+/// `x`, so `gen_f64() < p` holds exactly when `x >> 11 < p·2⁵³`, that
+/// is when `x >> 11 < ⌈p·2⁵³⌉`. Scaling by a power of two is exact in
+/// `f64`, so the threshold is exact for every `p` in `[0, 1]`, and a
+/// sample equals the float compare draw for draw. Hoisting `new` out of
+/// a loop leaves one shift and one compare per draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bernoulli {
+    /// `⌈p·2⁵³⌉`: a draw is `true` when its top 53 bits fall below it.
+    threshold: u64,
+}
+
+impl Bernoulli {
+    /// The coin for probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 ≤ p ≤ 1`.
+    #[must_use]
+    pub fn new(p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
+        Self { threshold: (p * (1u64 << 53) as f64).ceil() as u64 }
+    }
+
+    /// One draw: consumes exactly one raw output of `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut SmallRng) -> bool {
+        (rng.next_u64() >> 11) < self.threshold
     }
 }
 
@@ -281,6 +314,43 @@ mod tests {
         assert!(rng.gen_bool(1.0));
         let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
         assert!((1_900..=3_100).contains(&hits), "p=0.25 gave {hits}/10000");
+    }
+
+    /// `gen_bool`'s float form, which the threshold form replaced.
+    fn float_bool(rng: &mut SmallRng, p: f64) -> bool {
+        rng.gen_f64() < p
+    }
+
+    const TWO_POW_53: f64 = (1u64 << 53) as f64;
+    const EDGE_P: [f64; 6] = [0.0, 5e-324, 1.0 / TWO_POW_53, 0.3, 1.0 - 1.0 / TWO_POW_53, 1.0];
+
+    crate::check! {
+        /// The threshold form equals the float compare draw for draw: on
+        /// a seeded stream, and on the raw words whose top 53 bits sit
+        /// just below and at the threshold (only below it at `p = 1`,
+        /// whose threshold is 2⁵³).
+        fn bernoulli_threshold_equals_float_compare(g) {
+            let p = match g.draw(0u8..3) {
+                0 => EDGE_P[g.draw(0..EDGE_P.len())],
+                1 => g.draw(0.0..=1.0),
+                // Uniform over bit patterns: mostly tiny and subnormal p.
+                _ => f64::from_bits(g.draw(0..=1.0f64.to_bits())),
+            };
+            let coin = Bernoulli::new(p);
+            let seed = g.any::<u64>();
+            let (mut a, mut b) = (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+            for _ in 0..64 {
+                assert_eq!(coin.sample(&mut a), float_bool(&mut b, p), "p = {p:e}");
+            }
+            let t = coin.threshold;
+            let low = g.draw(0u64..1 << 11);
+            for top in [t.checked_sub(1), Some(t).filter(|&t| t < 1 << 53)].into_iter().flatten() {
+                let word = top << 11 | low;
+                let want = float_bool(&mut SmallRng::from_raw_word(word), p);
+                assert_eq!(want, top < t, "p = {p:e}: the float compare flips at the threshold");
+                assert_eq!(coin.sample(&mut SmallRng::from_raw_word(word)), want, "p = {p:e}");
+            }
+        }
     }
 
     #[test]

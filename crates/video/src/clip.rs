@@ -96,6 +96,19 @@ pub enum ClipError {
     },
     /// The frame rate must be positive and finite.
     BadFps(f64),
+    /// A scene's duration must be positive and finite.
+    BadDuration {
+        /// Index of the scene.
+        scene: usize,
+        /// Its duration in seconds.
+        duration_s: f64,
+    },
+    /// The scenes up to and including `scene` hold more than `u32::MAX`
+    /// frames, which a frame index cannot address.
+    TooManyFrames {
+        /// Index of the scene that crossed the limit.
+        scene: usize,
+    },
 }
 
 impl std::fmt::Display for ClipError {
@@ -106,6 +119,12 @@ impl std::fmt::Display for ClipError {
                 write!(f, "clip dimensions {width}x{height} must be non-zero multiples of 16")
             }
             ClipError::BadFps(fps) => write!(f, "frame rate {fps} must be positive and finite"),
+            ClipError::BadDuration { scene, duration_s } => {
+                write!(f, "scene {scene} duration {duration_s} must be positive and finite")
+            }
+            ClipError::TooManyFrames { scene } => {
+                write!(f, "scenes 0..={scene} hold more than {} frames", u32::MAX)
+            }
         }
     }
 }
@@ -118,7 +137,8 @@ impl Clip {
     /// # Errors
     ///
     /// Returns [`ClipError`] when the spec has no scenes, non-multiple-of-16
-    /// dimensions, or a non-positive frame rate.
+    /// dimensions, a non-positive frame rate, a scene whose duration is
+    /// not positive and finite, or more than `u32::MAX` frames in all.
     pub fn new(spec: ClipSpec) -> Result<Self, ClipError> {
         if spec.scenes.is_empty() {
             return Err(ClipError::NoScenes);
@@ -131,10 +151,15 @@ impl Clip {
         }
         let mut scene_starts = Vec::with_capacity(spec.scenes.len() + 1);
         let mut acc = 0u32;
-        for s in &spec.scenes {
+        for (scene, s) in spec.scenes.iter().enumerate() {
+            if !s.duration_s.is_finite() || s.duration_s <= 0.0 {
+                return Err(ClipError::BadDuration { scene, duration_s: s.duration_s });
+            }
             scene_starts.push(acc);
-            let frames = (s.duration_s * spec.fps).round().max(1.0) as u32;
-            acc += frames;
+            // The cast saturates, so a scene too long for `u64` still errs.
+            let frames = (s.duration_s * spec.fps).round().max(1.0) as u64;
+            acc = u32::try_from(u64::from(acc).saturating_add(frames))
+                .map_err(|_| ClipError::TooManyFrames { scene })?;
         }
         scene_starts.push(acc);
         Ok(Self { spec, scene_starts })
@@ -194,26 +219,37 @@ impl Clip {
         (self.scene_starts[scene], self.scene_starts[scene + 1])
     }
 
-    /// Renders frame `idx`.
+    /// Renders frame `idx`: [`Self::frame_into`] on a fresh frame.
     ///
     /// # Panics
     ///
     /// Panics if `idx >= frame_count()`.
     pub fn frame(&self, idx: u32) -> Frame {
+        let mut frame = Frame::new(self.spec.width, self.spec.height);
+        self.frame_into(idx, &mut frame);
+        frame
+    }
+
+    /// Renders frame `idx` into `out`, overwriting every byte, so a loop
+    /// over the clip can reuse one frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= frame_count()` or `out` is not the clip's size.
+    pub fn frame_into(&self, idx: u32, out: &mut Frame) {
         let scene = self.scene_of_frame(idx);
+        assert_eq!(
+            (out.width(), out.height()),
+            self.dimensions(),
+            "frame_into needs a frame of the clip's size"
+        );
         let (start, end) = (self.scene_starts[scene], self.scene_starts[scene + 1]);
         let scene_seed = self
             .spec
             .seed
             .wrapping_mul(0x100_0000_01B3)
             .wrapping_add(scene as u64);
-        self.spec.scenes[scene].content.render(
-            self.spec.width,
-            self.spec.height,
-            scene_seed,
-            idx - start,
-            end - start,
-        )
+        self.spec.scenes[scene].content.render_into(scene_seed, idx - start, end - start, out);
     }
 
     /// Iterates over all frames in order.
@@ -342,6 +378,65 @@ mod tests {
         let mut s = demo_spec();
         s.fps = 0.0;
         assert!(matches!(Clip::new(s).unwrap_err(), ClipError::BadFps(_)));
+    }
+
+    #[test]
+    fn rejects_scenes_it_cannot_represent() {
+        // A deserialised spec skips `SceneSpec::new`'s assert.
+        for duration_s in [-5.0, 0.0, f64::NAN, f64::INFINITY] {
+            let mut s = demo_spec();
+            s.scenes[1].duration_s = duration_s;
+            assert!(matches!(
+                Clip::new(s.clone()).unwrap_err(),
+                ClipError::BadDuration { scene: 1, .. }
+            ));
+            if duration_s.is_finite() {
+                let json = annolight_support::json::to_string(&s);
+                assert!(Clip::from_json_spec(&json).is_err(), "duration {duration_s}");
+            }
+        }
+
+        // Two scenes of 2.5e9 frames: the total passes u32::MAX.
+        let mut s = demo_spec();
+        s.scenes.truncate(2);
+        s.fps = 1000.0;
+        for scene in &mut s.scenes {
+            scene.duration_s = 2.5e6;
+        }
+        assert_eq!(Clip::new(s.clone()).unwrap_err(), ClipError::TooManyFrames { scene: 1 });
+        s.scenes[0].duration_s = 1e300;
+        assert_eq!(Clip::new(s.clone()).unwrap_err(), ClipError::TooManyFrames { scene: 0 });
+
+        // Exactly u32::MAX frames is representable.
+        s.scenes.truncate(1);
+        s.fps = 1.0;
+        s.scenes[0].duration_s = f64::from(u32::MAX);
+        assert_eq!(Clip::new(s).unwrap().frame_count(), u32::MAX);
+    }
+
+    #[test]
+    fn frame_into_reuses_one_frame_across_scenes() {
+        let clip = Clip::new(demo_spec()).unwrap();
+        let (w, h) = clip.dimensions();
+        let mut out = Frame::new(w, h);
+        for i in (0..clip.frame_count()).rev() {
+            clip.frame_into(i, &mut out);
+            assert_eq!(out, clip.frame(i), "frame {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn frame_into_out_of_range_panics() {
+        let clip = Clip::new(demo_spec()).unwrap();
+        clip.frame_into(clip.frame_count(), &mut Frame::new(32, 32));
+    }
+
+    #[test]
+    #[should_panic(expected = "clip's size")]
+    fn frame_into_wrong_size_panics() {
+        let clip = Clip::new(demo_spec()).unwrap();
+        clip.frame_into(0, &mut Frame::new(32, 16));
     }
 
     #[test]

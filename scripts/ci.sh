@@ -33,6 +33,10 @@ echo "== wire decoders in release too (integer overflow panics in debug, wraps i
 cargo test -q --release --offline --test robustness
 cargo test -q --release --offline -p annolight-codec --lib
 
+echo "== renderer and RNG units in release too (their oracle properties cover the sums release wraps) =="
+cargo test -q --release --offline -p annolight-video --lib
+cargo test -q --release --offline -p annolight-support --lib
+
 # double_run NAME LOG_VAR [ENV=VALUE ...] -- CARGO_TEST_ARGS...
 #
 # Runs `cargo test -q --release --offline CARGO_TEST_ARGS` twice with

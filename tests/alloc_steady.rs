@@ -9,7 +9,9 @@
 //!   re-encode through the encoder's recycled scratch (both from YUV and
 //!   straight from RGB through [`Encoder::push_frame`]);
 //! * client playback — [`PlaybackClient::play`] allocates the same
-//!   amount for a short stream as for a long one.
+//!   amount for a short stream as for a long one;
+//! * rendering — [`Clip::frame_into`] writes each synthetic frame into
+//!   one reused frame, across scene boundaries.
 //!
 //! Counts are kept per thread, so concurrently running tests and the
 //! harness's own threads cannot pollute each other's measurements.
@@ -24,6 +26,8 @@ use annolight_display::{BacklightLevel, DeviceProfile};
 use annolight_imgproc::{CompensationLut, Frame, Histogram, Yuv420Frame};
 use annolight_power::SystemPowerModel;
 use annolight_stream::PlaybackClient;
+use annolight_video::library::PAPER_CLIP_NAMES;
+use annolight_video::{Clip, ClipLibrary, ContentKind};
 
 /// Counts every allocation routed through the global allocator, per
 /// thread.
@@ -202,4 +206,40 @@ fn playback_allocations_do_not_grow_with_stream_length() {
          {WARMUP_FRAMES} frames vs {long_calls} for {} frames",
         WARMUP_FRAMES + MEASURED_FRAMES
     );
+}
+
+#[test]
+fn rendering_into_a_reused_frame_allocates_zero_bytes_per_frame() {
+    // The first paper clip with a pan between two other scenes; the
+    // window runs from the scene before the pan to the one after it.
+    let (clip, pan) = PAPER_CLIP_NAMES
+        .iter()
+        .map(|name| ClipLibrary::paper_clip(name).expect("library names are known"))
+        .find_map(|clip: Clip| {
+            let scenes = &clip.spec().scenes;
+            let pan = (1..scenes.len() - 1)
+                .find(|&s| matches!(scenes[s].content, ContentKind::GradientPan { .. }))?;
+            Some((clip, pan))
+        })
+        .expect("a paper clip pans between two other scenes");
+    let (start, end) = (clip.scene_frames(pan - 1).0, clip.scene_frames(pan + 1).1);
+    let (w, h) = clip.dimensions();
+    let mut frame = Frame::new(w, h);
+    clip.frame_into(start, &mut frame);
+
+    let (calls_before, bytes_before) = counts();
+    for i in start..end {
+        clip.frame_into(i, &mut frame);
+    }
+    let (calls, bytes) = counts();
+    let (calls, bytes) = (calls - calls_before, bytes - bytes_before);
+
+    assert_eq!(
+        (calls, bytes),
+        (0, 0),
+        "rendering {} frames of {} into one frame made {calls} allocation calls / {bytes} bytes",
+        end - start,
+        clip.name()
+    );
+    assert_eq!(frame, clip.frame(end - 1));
 }
