@@ -4,7 +4,8 @@
 //! splitmix64 so that *any* `u64` seed — including 0 — yields a
 //! well-mixed state. The API mirrors the subset of `rand` the workspace
 //! used: [`SmallRng::seed_from_u64`], [`SmallRng::gen_range`] over
-//! integer and float ranges, and [`SmallRng::gen_bool`].
+//! integer and float ranges, and [`SmallRng::gen_bool`], which is one
+//! [`Bernoulli`] draw.
 //!
 //! Not cryptographic. Deterministic across platforms (no `usize`-width
 //! dependence in the core algorithm).
