@@ -272,9 +272,7 @@ impl Levels {
 /// luminance band around `base` ± `spread`, with an optional sparse
 /// highlight population and an optional mid-tone tail. A slight
 /// blue/amber cast keeps the frames non-gray so chroma paths in the
-/// codec are exercised. Inlined so that each kind's call gets its own
-/// loop with its absent branches folded away.
-#[inline(always)]
+/// codec are exercised.
 fn speckle(
     px: &mut [u8],
     rng: &mut SmallRng,
