@@ -148,7 +148,8 @@ impl ContentKind {
                 let mid_lo = base.saturating_add(spread);
                 let mid_hi = highlight.saturating_sub(10).min(190).max(mid_lo.saturating_add(1));
                 let tail = (mid_hi > mid_lo).then(|| Levels::new(mid_lo, mid_hi));
-                speckle(px, &mut rng, highlights(highlight_fraction), highlight, tail, base, spread);
+                let coin = highlights(highlight_fraction);
+                speckle(px, &mut rng, coin, highlight, tail, base, spread);
             }
             ContentKind::Bright { base, spread } => {
                 speckle(px, &mut rng, None, 255, None, base, spread);
@@ -509,7 +510,9 @@ mod tests {
                 highlight: g.any(),
             },
             1 => ContentKind::Bright { base: g.any(), spread: g.any() },
-            2 => ContentKind::Mid { base: g.any(), spread: g.any(), highlight_fraction: fraction(g) },
+            2 => {
+                ContentKind::Mid { base: g.any(), spread: g.any(), highlight_fraction: fraction(g) }
+            }
             3 => {
                 let speed = match g.draw(0u8..3) {
                     0 => g.draw(0u32..8),
@@ -674,7 +677,8 @@ mod tests {
     fn dark_with_a_mid_band_at_190_or_above_renders() {
         // The old `clamp(mid_lo + 1, 190)` panicked once base + spread
         // reached 190: here the band is [190, 210] and the tail [210, 211].
-        let k = ContentKind::Dark { base: 200, spread: 10, highlight_fraction: 0.01, highlight: 250 };
+        let k =
+            ContentKind::Dark { base: 200, spread: 10, highlight_fraction: 0.01, highlight: 250 };
         let f = k.render(W, H, 1, 0, 30);
         let reds: Vec<u8> = f.as_bytes().iter().step_by(3).copied().collect();
         assert!(reds.iter().all(|r| (190..=211).contains(r) || (243..=250).contains(r)));
