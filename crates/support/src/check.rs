@@ -329,6 +329,15 @@ pub fn run(name: &str, default_cases: u32, body: impl Fn(&mut Gen)) {
 /// ```
 #[macro_export]
 macro_rules! check {
+    // The case count: the declared `cases = N`, else the default. One
+    // expression, so a property in any crate (this one included) expands
+    // to no overwritten assignment.
+    (@cases) => {
+        $crate::check::DEFAULT_CASES
+    };
+    (@cases $cases:expr) => {
+        $cases
+    };
     ($(
         $(#[$meta:meta])*
         fn $name:ident($g:ident $(, cases = $cases:expr)?) $body:block
@@ -337,12 +346,9 @@ macro_rules! check {
             $(#[$meta])*
             #[test]
             fn $name() {
-                #[allow(unused_mut, unused_variables)]
-                let mut cases: u32 = $crate::check::DEFAULT_CASES;
-                $(cases = $cases;)?
                 $crate::check::run(
                     stringify!($name),
-                    cases,
+                    $crate::check!(@cases $($cases)?),
                     |$g: &mut $crate::check::Gen| $body,
                 );
             }

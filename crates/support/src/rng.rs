@@ -330,7 +330,7 @@ mod tests {
         /// a seeded stream, and on the raw words whose top 53 bits sit
         /// just below and at the threshold (only below it at `p = 1`,
         /// whose threshold is 2⁵³).
-        fn bernoulli_threshold_equals_float_compare(g) {
+        fn bernoulli_threshold_equals_float_compare(g, cases = 1024) {
             let p = match g.draw(0u8..3) {
                 0 => EDGE_P[g.draw(0..EDGE_P.len())],
                 1 => g.draw(0.0..=1.0),
