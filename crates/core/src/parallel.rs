@@ -39,9 +39,11 @@ use annolight_video::Clip;
 
 /// Profiles every frame of `clip`, chunked across `cfg`'s workers.
 ///
-/// Byte-identical to [`LuminanceProfile::of_clip`] for every
-/// configuration (each chunk renders and profiles its own frames; the
-/// per-chunk stats are concatenated in frame order).
+/// Byte-identical to [`LuminanceProfile::of_frames`] over
+/// [`Clip::frames`] for every configuration (each chunk renders its own
+/// frames into one reused frame and profiles them; the per-chunk stats
+/// are concatenated in frame order). [`LuminanceProfile::of_clip`] is
+/// this scan with [`ParallelConfig::serial`].
 ///
 /// # Errors
 ///
@@ -61,7 +63,7 @@ pub fn profile_clip(clip: &Clip, cfg: &ParallelConfig) -> Result<LuminanceProfil
             })
             .collect::<Vec<_>>()
     });
-    LuminanceProfile::from_stats(clip.fps(), chunks.into_iter().flatten().collect())
+    LuminanceProfile::from_stats(clip.fps(), chunks.concat())
 }
 
 /// Profiles a decoded frame slice at `fps`, chunked across `cfg`'s
@@ -211,7 +213,7 @@ mod tests {
     #[test]
     fn profile_clip_matches_serial_reference() {
         let clip = test_clip();
-        let reference = LuminanceProfile::of_clip(&clip).unwrap();
+        let reference = LuminanceProfile::of_frames(clip.fps(), clip.frames()).unwrap();
         for workers in [0, 1, 2, 4] {
             for chunk in [1, 3, 16, 1000] {
                 let cfg = ParallelConfig::with_workers(workers).with_chunk_frames(chunk);

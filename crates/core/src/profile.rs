@@ -6,6 +6,7 @@
 //! proxy, so the handheld never has to analyse frames at runtime.
 
 use crate::error::CoreError;
+use crate::parallel::{profile_clip, ParallelConfig};
 use annolight_imgproc::{Frame, Histogram};
 use annolight_video::Clip;
 
@@ -57,13 +58,15 @@ pub struct LuminanceProfile {
 annolight_support::impl_json!(struct LuminanceProfile { fps, frames });
 
 impl LuminanceProfile {
-    /// Profiles every frame of `clip`.
+    /// Profiles every frame of `clip` on the calling thread:
+    /// [`profile_clip`] with [`ParallelConfig::serial`], so each chunk
+    /// renders into one reused frame.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyClip`] if the clip has no frames.
     pub fn of_clip(clip: &Clip) -> Result<Self, CoreError> {
-        Self::of_frames(clip.fps(), clip.frames())
+        profile_clip(clip, &ParallelConfig::serial())
     }
 
     /// Profiles an arbitrary frame sequence at `fps`.
@@ -303,7 +306,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(clip.frame_count(), 1);
-        let serial = LuminanceProfile::of_clip(&clip).unwrap();
+        let serial = LuminanceProfile::of_frames(clip.fps(), clip.frames()).unwrap();
         for workers in [0usize, 1, 4] {
             let par = crate::parallel::profile_clip(
                 &clip,

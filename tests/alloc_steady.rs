@@ -1,6 +1,6 @@
 //! Allocation-count regression tier for the frame hot path.
 //!
-//! A counting global allocator wraps `System`. Two steady states must
+//! A counting global allocator wraps `System`. Three steady states must
 //! perform **zero** heap allocations per frame:
 //!
 //! * a warm transcode + compensate loop — decode into a reused frame,
@@ -13,6 +13,11 @@
 //! * rendering — [`Clip::frame_into`] writes each synthetic frame into
 //!   one reused frame, across scene boundaries.
 //!
+//! Clip profiling keeps per-frame statistics, so it allocates per frame,
+//! but [`LuminanceProfile::of_clip`] renders into one reused frame per
+//! chunk: a longer preview costs it less than one frame buffer per extra
+//! frame.
+//!
 //! Counts are kept per thread, so concurrently running tests and the
 //! harness's own threads cannot pollute each other's measurements.
 
@@ -21,7 +26,7 @@ use std::cell::Cell;
 
 use annolight_codec::{Decoder, EncodedStream, Encoder, EncoderConfig};
 use annolight_core::track::{AnnotationEntry, AnnotationMode, AnnotationTrack};
-use annolight_core::QualityLevel;
+use annolight_core::{LuminanceProfile, QualityLevel};
 use annolight_display::{BacklightLevel, DeviceProfile};
 use annolight_imgproc::{CompensationLut, Frame, Histogram, Yuv420Frame};
 use annolight_power::SystemPowerModel;
@@ -242,4 +247,31 @@ fn rendering_into_a_reused_frame_allocates_zero_bytes_per_frame() {
         clip.name()
     );
     assert_eq!(frame, clip.frame(end - 1));
+}
+
+#[test]
+fn clip_profile_allocates_less_than_a_frame_buffer_per_frame() {
+    let clip = ClipLibrary::paper_clip("themovie").expect("library clip");
+    let (short, long) = (clip.preview(5.0), clip.preview(10.0));
+    let (w, h) = clip.dimensions();
+    let frame_bytes = u64::from(w) * u64::from(h) * 3;
+    let profile_bytes = |c: &Clip| {
+        let before = counts().1;
+        let profile = LuminanceProfile::of_clip(c).expect("non-empty clip");
+        let bytes = counts().1 - before;
+        assert_eq!(profile.len(), c.frame_count() as usize);
+        bytes
+    };
+    let (short_bytes, long_bytes) = (profile_bytes(&short), profile_bytes(&long));
+    let extra_frames = u64::from(long.frame_count() - short.frame_count());
+    assert!(extra_frames > 0, "the longer preview has more frames");
+    let growth = long_bytes.saturating_sub(short_bytes);
+    assert!(
+        growth < extra_frames * frame_bytes,
+        "profiling {} frames allocated {long_bytes} bytes, {} frames {short_bytes}: \
+         {} bytes per extra frame, not under one {frame_bytes}-byte frame",
+        long.frame_count(),
+        short.frame_count(),
+        growth / extra_frames
+    );
 }
