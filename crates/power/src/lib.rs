@@ -1,8 +1,8 @@
 //! Simulated power measurement for the `annolight` workspace.
 //!
-//! §5 of the paper: "The batteries were removed from the iPAQ during the
-//! experiment. A PCI DAQ board was used to sample voltage drops across a
-//! resistor and the iPAQ, and sampled the voltages at 2K samples/sec."
+//! §5 of the paper measured the iPAQ's whole-device power with a PCI
+//! DAQ board sampling a sense resistor at 2 K samples/sec, batteries
+//! removed. The sessions here charge modelled power directly instead.
 //!
 //! This crate provides:
 //!
@@ -10,35 +10,30 @@
 //!   system; the backlight term is supplied by `annolight-display`),
 //!   calibrated so the backlight is 25–30 % of total streaming power as
 //!   the paper states;
-//! * [`DaqBoard`] — the sense-resistor sampling rig, integrating energy
-//!   from a power trace exactly as the physical setup would;
 //! * [`EnergyMeter`] — a thread-safe accumulator used by the streaming
-//!   pipeline to attribute energy to components.
+//!   pipeline to attribute energy to components;
+//! * [`Battery`] — a capacity model that turns power into minutes of
+//!   playback per charge; [`BatteryState`] tracks the charge the
+//!   streaming governor derates its budget from.
 //!
 //! # Example
 //!
 //! ```
-//! use annolight_power::{DaqBoard, SystemPowerModel};
+//! use annolight_power::SystemPowerModel;
 //!
 //! let model = SystemPowerModel::ipaq_5555();
 //! // Decoding video over WiFi at full backlight:
 //! let p = model.power_w(0.8, true, 0.85);
 //! assert!(p > 2.0 && p < 4.0);
-//!
-//! // Measure a constant 2 W load for 10 s with the DAQ:
-//! let m = DaqBoard::paper_setup().measure(10.0, |_t| 2.0);
-//! assert!((m.energy_j - 20.0).abs() < 0.05); // within ADC quantisation
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod battery;
-pub mod daq;
 pub mod meter;
 pub mod model;
 
 pub use battery::{Battery, BatteryState};
-pub use daq::{DaqBoard, Measurement};
 pub use meter::EnergyMeter;
 pub use model::SystemPowerModel;

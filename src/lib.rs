@@ -14,7 +14,7 @@
 //! | [`codec`] | `annolight-codec` | MPEG-1-flavoured codec + annotation side-channel |
 //! | [`display`] | `annolight-display` | LCD/backlight device models (iPAQ, Zaurus) |
 //! | [`camera`] | `annolight-camera` | digital-camera quality validation (Fig. 2) |
-//! | [`power`] | `annolight-power` | DAQ simulation + whole-device power model |
+//! | [`power`] | `annolight-power` | whole-device power model, energy meter, battery |
 //! | [`core`] | `annolight-core` | **the paper's contribution**: profiling, scene detection, annotation, backlight planning |
 //! | [`stream`] | `annolight-stream` | server → proxy → client session model (Fig. 1) |
 //! | [`serve`] | `annolight-serve` | multi-tenant annotation service: sharded cache, admission control, persistent workers |

@@ -109,14 +109,9 @@ fn quality_levels_roundtrip_including_custom() {
 
 #[test]
 fn power_reports_roundtrip() {
-    use annolight::power::{DaqBoard, SystemPowerModel};
+    use annolight::power::SystemPowerModel;
     let model = SystemPowerModel::ipaq_5555();
     assert_eq!(stable_roundtrip(&model), model);
-
-    // A measured-trace summary from the simulated DAQ board.
-    let daq = DaqBoard::paper_setup();
-    let m = daq.measure(0.25, |t| 1.4 + 0.3 * (t * 7.0).sin());
-    assert_eq!(stable_roundtrip(&m), m);
 }
 
 #[test]
