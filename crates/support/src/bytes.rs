@@ -1,6 +1,6 @@
 //! Byte-buffer types replacing the `bytes` crate: a cheaply-cloneable
-//! immutable [`Bytes`], a growable write buffer [`ByteBuf`] with
-//! `put_*` methods, and a bounds-checked [`Cursor`] with `get_*` reads.
+//! immutable [`Bytes`] and a growable write buffer [`ByteBuf`] with
+//! `put_*` methods.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -159,11 +159,6 @@ impl ByteBuf {
         self.data.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u64`, little-endian.
-    pub fn put_u64_le(&mut self, v: u64) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a slice.
     pub fn put_slice(&mut self, slice: &[u8]) {
         self.data.extend_from_slice(slice);
@@ -212,67 +207,6 @@ impl fmt::Debug for ByteBuf {
     fmt_bytes_debug!();
 }
 
-/// A bounds-checked forward reader with little-endian `get_*` methods.
-/// Every read returns `None` past the end instead of panicking, which
-/// is what a parser fed hostile input needs.
-#[derive(Debug, Clone)]
-pub struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Starts reading at the beginning of `data`.
-    #[must_use]
-    pub fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
-    }
-
-    /// Current read offset.
-    #[must_use]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes remaining.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    /// Reads one byte.
-    pub fn get_u8(&mut self) -> Option<u8> {
-        let b = *self.data.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    /// Reads a `u16`, little-endian.
-    pub fn get_u16_le(&mut self) -> Option<u16> {
-        self.get_slice(2).map(|s| u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    /// Reads a `u32`, little-endian.
-    pub fn get_u32_le(&mut self) -> Option<u32> {
-        self.get_slice(4).map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    /// Reads a `u64`, little-endian.
-    pub fn get_u64_le(&mut self) -> Option<u64> {
-        self.get_slice(8).map(|s| {
-            u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]])
-        })
-    }
-
-    /// Reads `len` bytes as a subslice.
-    pub fn get_slice(&mut self, len: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(len)?;
-        let s = self.data.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,23 +223,6 @@ mod tests {
         assert_eq!(&frozen[..3], &[0xAB, 0x34, 0x12]);
         let clone = frozen.clone();
         assert_eq!(clone, frozen);
-    }
-
-    #[test]
-    fn cursor_round_trips_and_bounds_checks() {
-        let mut b = ByteBuf::new();
-        b.put_u8(7);
-        b.put_u16_le(513);
-        b.put_u32_le(70_000);
-        b.put_u64_le(u64::MAX - 1);
-        let frozen = b.freeze();
-        let mut c = Cursor::new(&frozen);
-        assert_eq!(c.get_u8(), Some(7));
-        assert_eq!(c.get_u16_le(), Some(513));
-        assert_eq!(c.get_u32_le(), Some(70_000));
-        assert_eq!(c.get_u64_le(), Some(u64::MAX - 1));
-        assert_eq!(c.remaining(), 0);
-        assert_eq!(c.get_u8(), None, "reads past the end are None, not panics");
     }
 
     #[test]
