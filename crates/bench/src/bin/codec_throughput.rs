@@ -1,8 +1,11 @@
 //! Times codec encode, decode and proxy transcode: reference float
-//! kernels vs. the fixed-point AAN fast path at several worker counts.
-//! Pass `--test` for a sub-second smoke run (used by CI); in smoke mode
-//! the inline fast-path encode row must clear a 3x speedup floor over
-//! the reference-kernel baseline.
+//! kernels vs. the fixed-point AAN fast path at several worker counts,
+//! then §4.3's client cost beside the inline decode. Pass `--test` for a
+//! sub-second smoke run (used by CI); in smoke mode the inline fast-path
+//! encode row must clear a 3x speedup floor over the reference-kernel
+//! baseline, and the annotated client's per-frame work must stay under
+//! 1 % of an inline decoded frame and under the per-frame histogram
+//! analysis it replaces.
 use annolight_bench::figures::codec_throughput;
 
 fn main() {
@@ -29,8 +32,15 @@ fn main() {
             "inline fast-path encode speedup {:.2}x below the 3x floor",
             inline_encode.speedup
         );
+        let c = &t.client;
+        let client_pct = 100.0 * c.annotated_ns_per_frame / c.decode_ns_per_frame;
+        assert!(client_pct < 1.0, "client work reaches 1 % of a decoded frame: {c:?}");
+        assert!(
+            c.annotated_ns_per_frame < c.histogram_ns_per_frame,
+            "client work reaches the per-frame histogram analysis: {c:?}"
+        );
         println!(
-            "\ncodec_throughput --test: ok ({} rows, inline encode {:.2}x)",
+            "\ncodec_throughput --test: ok ({} rows, encode {:.2}x, client {client_pct:.4} %)",
             t.rows.len(),
             inline_encode.speedup
         );

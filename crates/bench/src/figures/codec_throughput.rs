@@ -1,6 +1,6 @@
 //! Codec fast-path throughput: reference float kernels vs. the
-//! fixed-point AAN fast path, at several worker counts (this PR's
-//! tentpole).
+//! fixed-point AAN fast path, at several worker counts, and §4.3's
+//! client cost beside the decode it rides on.
 //!
 //! Three stages are timed independently on a *themovie* preview:
 //!
@@ -35,18 +35,25 @@
 //!   (`crates/codec/tests/fastpath_identity.rs`);
 //! * every *decode* row reconstructs **byte-identical frames** for a
 //!   given kernel choice.
+//!
+//! The **client** section, kept apart from those rows, checks §4.3's
+//! claim that the client's runtime work is negligible next to decoding:
+//! it times the per-frame work of a 30 s track's client, its RLE parse
+//! and an online client's per-frame histogram analysis, beside the
+//! inline decode time per frame. Each loops at least 1 ms a pass.
 
 use crate::table::Table;
 use annolight_codec::motion::SearchMode;
 use annolight_codec::{Decoder, EncodedStream, Encoder, EncoderConfig};
 use annolight_core::parallel::ParallelConfig;
 use annolight_core::track::AnnotationMode;
-use annolight_core::QualityLevel;
-use annolight_display::DeviceProfile;
+use annolight_core::{AnnotationTrack, Annotator, LuminanceProfile, QualityLevel};
+use annolight_display::{BacklightController, ControllerConfig, DeviceProfile};
 use annolight_imgproc::Yuv420Frame;
 use annolight_stream::Proxy;
 use annolight_video::ClipLibrary;
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// Worker counts exercised by the fast-path rows (0 = inline serial).
 pub const WORKER_COUNTS: [usize; 4] = [0, 1, 2, 4];
@@ -70,6 +77,26 @@ pub struct CodecRow {
 
 annolight_support::impl_json!(struct CodecRow { stage, label, workers, elapsed_ms, mb_per_sec, speedup });
 
+/// §4.3's client cost, nanoseconds per operation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClientCost {
+    /// Frames in the annotation track the client walks.
+    pub track_frames: u32,
+    /// The inline fast-path decode row, per frame.
+    pub decode_ns_per_frame: f64,
+    /// One [`AnnotationTrack::entry_at`] plus one [`BacklightController::request`].
+    pub annotated_ns_per_frame: f64,
+    /// The whole track's RLE parse, once per stream.
+    pub track_parse_ns: f64,
+    /// The online alternative: a frame's luma histogram plus its 10 % clip level.
+    pub histogram_ns_per_frame: f64,
+}
+
+annolight_support::impl_json!(struct ClientCost {
+    track_frames, decode_ns_per_frame, annotated_ns_per_frame, track_parse_ns,
+    histogram_ns_per_frame
+});
+
 /// The codec throughput table for one clip.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CodecThroughput {
@@ -83,9 +110,13 @@ pub struct CodecThroughput {
     pub reps: u32,
     /// Baseline + measured rows for every stage, in run order.
     pub rows: Vec<CodecRow>,
+    /// §4.3's client cost beside the inline decode row.
+    pub client: ClientCost,
 }
 
-annolight_support::impl_json!(struct CodecThroughput { clip, frames, macroblocks, reps, rows });
+annolight_support::impl_json!(struct CodecThroughput {
+    clip, frames, macroblocks, reps, rows, client
+});
 
 fn encoder(cfg: EncoderConfig, reference: bool, workers: usize) -> Encoder {
     let enc = Encoder::new(cfg).expect("valid bench encoder config");
@@ -132,8 +163,57 @@ fn transcode_pass(input: &EncodedStream, cfg: EncoderConfig, workers: usize) -> 
     ms
 }
 
+/// Nanoseconds per call of `op`: best of `reps` passes, each making as
+/// many calls as the first pass that lasted 1 ms, so the figure sits far
+/// above `Instant`'s resolution.
+fn ns_per_call(reps: u32, mut op: impl FnMut()) -> f64 {
+    let mut pass = |calls: u32| {
+        let start = Instant::now();
+        (0..calls).for_each(|_| op());
+        start.elapsed()
+    };
+    let mut calls = 1;
+    while pass(calls) < Duration::from_millis(1) {
+        calls *= 2;
+    }
+    let ns = |elapsed: Duration| elapsed.as_secs_f64() * 1e9 / f64::from(calls);
+    (0..reps).map(|_| ns(pass(calls))).fold(f64::INFINITY, f64::min)
+}
+
+/// Times §4.3's client work on a 30 s *themovie* track (iPAQ 5555, Q10).
+fn client_cost(decode_ns_per_frame: f64, reps: u32) -> ClientCost {
+    let clip = ClipLibrary::paper_clip("themovie").expect("a library clip").preview(30.0);
+    let profile = LuminanceProfile::of_clip(&clip).expect("library clips have frames");
+    let annotator = Annotator::new(DeviceProfile::ipaq_5555(), QualityLevel::Q10);
+    let annotated = annotator.annotate_profile(&profile).expect("library clips annotate");
+    let (track, frames) = (annotated.track(), annotated.track().frame_count());
+    // One call plays the whole track; the controller's clock runs on.
+    let (mut controller, mut now) = (BacklightController::new(ControllerConfig::default()), 0.0);
+    let dt = 1.0 / track.fps();
+    let per_track_ns = ns_per_call(reps, || {
+        for f in 0..frames {
+            let entry = track.entry_at(black_box(f)).expect("frame within the track");
+            black_box(controller.request(now, entry.backlight));
+            now += dt;
+        }
+    });
+    let (bytes, frame) = (track.to_rle_bytes(), clip.frame(0));
+    ClientCost {
+        track_frames: frames,
+        decode_ns_per_frame,
+        annotated_ns_per_frame: per_track_ns / f64::from(frames),
+        track_parse_ns: ns_per_call(reps, || {
+            black_box(AnnotationTrack::from_rle_bytes(black_box(&bytes)).expect("own bytes parse"));
+        }),
+        histogram_ns_per_frame: ns_per_call(reps, || {
+            black_box(black_box(&frame).luma_histogram().clip_level(0.10));
+        }),
+    }
+}
+
 /// Times encode, decode and proxy transcode on a `preview_s`-second
-/// prefix of the *themovie* profile clip, best-of-`reps` per row.
+/// prefix of the *themovie* profile clip, best-of-`reps` per row, then
+/// §4.3's client cost beside the inline decode row.
 pub fn run(preview_s: f64, reps: u32) -> CodecThroughput {
     let reps = reps.max(1);
     let clip = ClipLibrary::paper_clip("themovie")
@@ -205,7 +285,13 @@ pub fn run(preview_s: f64, reps: u32) -> CodecThroughput {
         &|workers| transcode_pass(&stream, cfg, workers),
     );
 
-    CodecThroughput { clip: clip.name().to_owned(), frames: n, macroblocks, reps, rows }
+    let inline_decode = rows
+        .iter()
+        .find(|r| r.stage == "decode" && r.workers == 0 && r.label.starts_with("fast path"))
+        .expect("inline fast-path decode row present");
+    let client = client_cost(inline_decode.elapsed_ms * 1e6 / f64::from(n), reps);
+
+    CodecThroughput { clip: clip.name().to_owned(), frames: n, macroblocks, reps, rows, client }
 }
 
 /// Renders the codec throughput table as text.
@@ -232,6 +318,20 @@ pub fn render(t: &CodecThroughput) -> String {
          (crates/codec/tests/fastpath_identity.rs); rows differ only in \
          wall-clock.\n",
     );
+
+    let c = &t.client;
+    out.push_str(&format!("\nClient cost (§4.3), {}-frame annotated track\n\n", c.track_frames));
+    let mut tbl = Table::new(["operation", "per", "ns", "% of a decoded frame"]);
+    for (op, per, ns) in [
+        ("annotated client: entry_at + controller request", "frame", c.annotated_ns_per_frame),
+        ("annotated client: whole-track RLE parse", "stream", c.track_parse_ns),
+        ("online alternative: histogram + clip_level(0.10)", "frame", c.histogram_ns_per_frame),
+        ("inline fast-path decode", "frame", c.decode_ns_per_frame),
+    ] {
+        let pct = 100.0 * ns / c.decode_ns_per_frame;
+        tbl.row([op.to_owned(), per.to_owned(), format!("{ns:.1}"), format!("{pct:.3} %")]);
+    }
+    out.push_str(&tbl.render());
     out
 }
 
@@ -256,5 +356,14 @@ mod tests {
         let rendered = render(&t);
         assert!(rendered.contains("reference path"));
         assert!(rendered.contains("fast path"));
+    }
+
+    #[test]
+    fn client_section_times_every_operation() {
+        let c = client_cost(1e5, 1);
+        assert_eq!(c.track_frames, 360, "30 s at 12 fps");
+        for ns in [c.annotated_ns_per_frame, c.track_parse_ns, c.histogram_ns_per_frame] {
+            assert!(ns.is_finite() && ns > 0.0, "non-positive time {ns}");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Benchmark harness and paper-figure regeneration.
+//! Paper-figure regeneration and wall-clock timing binaries.
 //!
 //! Every table and figure in the paper's evaluation has a regeneration
 //! entry point here, exposed both as a library function (returning the raw
@@ -20,7 +20,14 @@
 //! | Loss-sweep robustness (Fig. 1 hop under faults) | [`figures::tab_loss`] | `tab_loss` |
 //!
 //! Run everything with `cargo run --release -p annolight-bench --bin
-//! all_figures`. Criterion performance benches live under `benches/`.
+//! all_figures`.
+//!
+//! Wall-clock timings live in binaries of the same shape:
+//! [`figures::codec_throughput`] (encode, decode and transcode, plus
+//! §4.3's per-frame client cost beside a decoded frame) and
+//! [`figures::pipeline_throughput`] (profile and compensate kernels),
+//! whose `--test` smoke floors CI checks, and [`figures::tab_serve`]
+//! (cold vs warm annotation serving), whose floor is a unit test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,13 +13,12 @@
 //! |---|---|---|
 //! | [`rng`] | `rand::SmallRng` | seeded xoshiro256++, `gen_range`/`gen_bool` |
 //! | [`json`] | `serde`/`serde_json` | `Json` value model, parser, [`impl_json!`] |
-//! | [`bytes`] | `bytes` | [`bytes::Bytes`], [`bytes::ByteBuf`], cursor reads |
+//! | [`bytes`] | `bytes` | [`bytes::Bytes`], [`bytes::ByteBuf`] |
 //! | [`fnv`] | `fnv` | FNV-1a/64 [`fnv::Digester`] and [`fnv::fnv1a_64`] |
 //! | [`channel`] | `crossbeam::channel` | unbounded mpsc-backed channels |
 //! | [`sync`] | `parking_lot` | poison-ignoring [`sync::Mutex`] + [`sync::Condvar`] |
 //! | [`check`](mod@check) | `proptest` | deterministic property runner, [`check!`] |
 //! | [`retry`] | `backoff`/`retry` | deadline-aware [`retry::RetryPolicy`] |
-//! | [`bench`](mod@bench) | `criterion` | wall-clock median-of-N harness |
 //! | [`reactor`] | `tokio` | deterministic virtual-time [`reactor::Reactor`], sleepers bucketed by deadline |
 //! | [`par`] | `rayon::scope` | scoped [`par::fan_out`] returning results in item order |
 //!
@@ -27,7 +26,6 @@
 //! the PRNG is seedable, the property runner prints a replayable seed on
 //! failure, and JSON object order is preserved.
 
-pub mod bench;
 pub mod bytes;
 pub mod channel;
 pub mod check;
