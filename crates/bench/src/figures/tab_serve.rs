@@ -1,28 +1,31 @@
 //! Serving-at-scale table — throughput of the sharded annotation service
-//! as its worker count grows, plus the cold-profile vs warm-hit latency
-//! gap that makes the content-addressed cache worth its memory.
+//! as the number of threads calling it grows, plus the cold-profile vs
+//! warm-hit latency gap that makes the content-addressed cache worth its
+//! memory.
 //!
 //! The paper's server "stores profiled clips"; `annolight-serve` turns
 //! that into a multi-tenant service. This table quantifies two claims:
 //!
 //! 1. cold annotation (profile + plan) is orders of magnitude slower than
 //!    a warm cache hit, so amortising tracks across tenants matters;
-//! 2. cold work scales with the service's workers (distinct clips
-//!    profile in parallel, each worker popping the tenant queues).
+//! 2. cold work scales with the callers: the service answers each request
+//!    on a calling thread, so distinct clips profile in parallel when
+//!    several sessions call at once.
 
 use crate::table::Table;
 use annolight_core::track::AnnotationMode;
 use annolight_core::QualityLevel;
 use annolight_display::DeviceProfile;
-use annolight_serve::{AnnotationRequest, AnnotationService, ServiceConfig, Ticket};
+use annolight_serve::{AnnotationRequest, AnnotationService, Service, ServiceConfig};
+use annolight_support::par::fan_out;
 use annolight_video::{Clip, ClipSpec, ContentKind, SceneSpec};
 use std::time::Instant;
 
-/// One pool-width measurement.
+/// One caller-count measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeRow {
-    /// Worker threads in the profiling pool.
-    pub workers: usize,
+    /// Threads calling the service at once.
+    pub callers: usize,
     /// Requests submitted (all rounds).
     pub requests: usize,
     /// Cache hits observed.
@@ -35,12 +38,12 @@ pub struct ServeRow {
     pub throughput_rps: f64,
 }
 
-annolight_support::impl_json!(struct ServeRow { workers, requests, hits, misses, elapsed_us, throughput_rps });
+annolight_support::impl_json!(struct ServeRow { callers, requests, hits, misses, elapsed_us, throughput_rps });
 
 /// The serving-at-scale table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TabServe {
-    /// One row per pool width.
+    /// One row per caller count.
     pub rows: Vec<ServeRow>,
     /// Mean cold (profile + annotate) latency, microseconds.
     pub cold_mean_us: f64,
@@ -91,22 +94,23 @@ fn request(clip: usize, device: &DeviceProfile) -> AnnotationRequest {
     }
 }
 
-/// Measures throughput for each pool width in `worker_counts` over a
-/// catalogue of `n_clips` clips × the three paper devices, submitted for
+/// Measures throughput for each caller count in `caller_counts` over a
+/// catalogue of `n_clips` clips × the three paper devices, requested for
 /// `rounds` rounds (round 1 is all-cold, later rounds all-warm), plus the
-/// cold/warm latency gap on a deterministic single-thread service.
-pub fn run(worker_counts: &[usize], n_clips: usize, rounds: usize, clip_seconds: f64) -> TabServe {
+/// cold/warm latency gap with one caller.
+pub fn run(caller_counts: &[usize], n_clips: usize, rounds: usize, clip_seconds: f64) -> TabServe {
     let devices = DeviceProfile::paper_devices();
-    let per_round = n_clips * devices.len();
+    // Device-major, so concurrent callers start on distinct clips.
+    let keys: Vec<(usize, &DeviceProfile)> =
+        devices.iter().flat_map(|d| (0..n_clips).map(move |c| (c, d))).collect();
+    let per_round = keys.len();
 
-    let rows = worker_counts
+    let rows = caller_counts
         .iter()
-        .map(|&workers| {
+        .map(|&callers| {
             let service = AnnotationService::new(ServiceConfig {
-                workers,
                 cache_shards: 8,
                 cache_bytes: 32 << 20,
-                tenant_queue_depth: per_round * rounds,
                 ..ServiceConfig::default()
             });
             for i in 0..n_clips {
@@ -114,25 +118,16 @@ pub fn run(worker_counts: &[usize], n_clips: usize, rounds: usize, clip_seconds:
             }
             let start = Instant::now();
             for _ in 0..rounds {
-                // Submit a full round, then drain it: within a round every
-                // key is distinct, so threaded miss counts stay exact.
-                let tickets: Vec<Ticket> = (0..n_clips)
-                    .flat_map(|c| devices.iter().map(move |d| (c, d)))
-                    .map(|(c, d)| {
-                        service.submit(request(c, d)).expect("queues sized for the round")
-                    })
-                    .collect();
-                if service.is_deterministic() {
-                    service.run_until_idle();
-                }
-                for t in tickets {
-                    t.wait().expect("annotation succeeds");
-                }
+                // The callers split a full round between them: within a
+                // round every key is distinct, so miss counts stay exact.
+                fan_out(callers, &keys, |&(c, d)| {
+                    service.call(request(c, d)).expect("annotation succeeds");
+                });
             }
             let elapsed_us = start.elapsed().as_secs_f64() * 1e6;
             let report = service.report();
             ServeRow {
-                workers,
+                callers,
                 requests: per_round * rounds,
                 hits: report.hits,
                 misses: report.misses,
@@ -142,9 +137,9 @@ pub fn run(worker_counts: &[usize], n_clips: usize, rounds: usize, clip_seconds:
         })
         .collect();
 
-    // Cold vs warm on a deterministic service: first call per key is a
-    // cold profile+annotate, the immediate repeat is a cache hit.
-    let service = AnnotationService::new(ServiceConfig { workers: 0, ..ServiceConfig::default() });
+    // Cold vs warm with one caller: first call per key is a cold
+    // profile+annotate, the immediate repeat is a cache hit.
+    let service = AnnotationService::new(ServiceConfig::default());
     for i in 0..n_clips {
         service.register_clip(catalogue_clip(i, clip_seconds));
     }
@@ -153,13 +148,11 @@ pub fn run(worker_counts: &[usize], n_clips: usize, rounds: usize, clip_seconds:
     for c in 0..n_clips {
         for d in &devices {
             let t = Instant::now();
-            let cold = annolight_serve::Service::call(&service, request(c, d))
-                .expect("cold annotation succeeds");
+            let cold = service.call(request(c, d)).expect("cold annotation succeeds");
             cold_us += t.elapsed().as_secs_f64() * 1e6;
             assert!(!cold.cache_hit, "first call per key must be cold");
             let t = Instant::now();
-            let warm = annolight_serve::Service::call(&service, request(c, d))
-                .expect("warm annotation succeeds");
+            let warm = service.call(request(c, d)).expect("warm annotation succeeds");
             warm_us += t.elapsed().as_secs_f64() * 1e6;
             assert!(warm.cache_hit, "repeat call per key must hit");
             samples += 1;
@@ -173,11 +166,11 @@ pub fn run(worker_counts: &[usize], n_clips: usize, rounds: usize, clip_seconds:
 /// Renders the table as text.
 pub fn render(t: &TabServe) -> String {
     let mut out = String::new();
-    out.push_str("Annotation service throughput vs pool width\n\n");
-    let mut tbl = Table::new(["workers", "requests", "hits", "misses", "elapsed (ms)", "req/s"]);
+    out.push_str("Annotation service throughput vs caller threads\n\n");
+    let mut tbl = Table::new(["callers", "requests", "hits", "misses", "elapsed (ms)", "req/s"]);
     for r in &t.rows {
         tbl.row([
-            r.workers.to_string(),
+            r.callers.to_string(),
             r.requests.to_string(),
             r.hits.to_string(),
             r.misses.to_string(),
@@ -219,14 +212,14 @@ mod tests {
         for r in &t.rows {
             assert_eq!(r.requests, 6 * 3 * 2);
             // Round 1: every (clip, device) key is cold. Round 2: all warm.
-            assert_eq!(r.misses, 6 * 3, "workers={}", r.workers);
-            assert_eq!(r.hits, 6 * 3, "workers={}", r.workers);
+            assert_eq!(r.misses, 6 * 3, "callers={}", r.callers);
+            assert_eq!(r.hits, 6 * 3, "callers={}", r.callers);
             assert!(r.throughput_rps > 0.0);
         }
     }
 
     #[test]
-    fn wider_pools_do_not_lose_throughput() {
+    fn more_callers_do_not_lose_throughput() {
         // A single-round, all-cold run isolates the parallelisable work.
         // On a single-core machine wall-clock speedup is impossible, so
         // only bound the threading overhead there; on multicore demand
@@ -248,7 +241,7 @@ mod tests {
         }
         assert!(
             best >= floor,
-            "4 workers persistently slower than 1 (cores={cores}): throughput ratios {seen:?}"
+            "4 callers persistently slower than 1 (cores={cores}): throughput ratios {seen:?}"
         );
     }
 

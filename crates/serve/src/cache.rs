@@ -11,7 +11,7 @@
 //!   tenants streaming the same bytes share one entry, and re-registered
 //!   content can never serve a stale track.
 //! * **Sharded N ways.** Each shard is an independently locked map, and
-//!   a key's shard is a pure function of its hash, so concurrent workers
+//!   a key's shard is a pure function of its hash, so concurrent callers
 //!   rarely contend on the same [`Mutex`].
 //! * **LRU + byte budget.** Every resident [`AnnotationTrack`] is
 //!   accounted at [`AnnotationTrack::resident_bytes`]; when a shard
@@ -149,7 +149,7 @@ pub struct CacheStats {
     pub resident_bytes: usize,
 }
 
-/// The sharded LRU cache. Cheap to share (`Arc`) across workers.
+/// The sharded LRU cache. Cheap to share (`Arc`) across threads.
 #[derive(Debug)]
 pub struct AnnotationCache {
     shards: Vec<Mutex<Shard>>,

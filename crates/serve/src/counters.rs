@@ -3,9 +3,9 @@
 //! [`annolight_support::json`].
 //!
 //! The counters are lock-free (relaxed atomics): they sit on the serve
-//! hot path and must never serialise workers. Exactness still holds —
-//! every increment is unconditional, so in deterministic single-thread
-//! mode the report matches the observed hit/miss sequence bit-for-bit
+//! hot path and must never serialise concurrent callers. Exactness still
+//! holds — every increment is unconditional, so with one calling thread
+//! the report matches the observed hit/miss sequence bit-for-bit
 //! (an acceptance test of this crate).
 
 use annolight_support::rng::SmallRng;

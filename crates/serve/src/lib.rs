@@ -9,14 +9,14 @@
 //! | module | role |
 //! |---|---|
 //! | [`cache`] | sharded, content-addressed LRU cache of [`AnnotationTrack`](annolight_core::AnnotationTrack) sidecars with a byte budget |
-//! | [`service`] | admission/backpressure front-end: bounded per-tenant queues, round-robin fairness, typed [`ServeError::Overloaded`], persistent workers that pop the queues (deterministic inline mode at `workers == 0`) |
+//! | [`service`] | admission/backpressure front-end: bounded per-tenant queues, a cap on distinct tenants, round-robin fairness, typed [`ServeError::Overloaded`]; queued jobs are answered on the threads that wait for them |
 //! | [`counters`] | hit/miss/overload counters + profile-latency histogram (exact-quantile reservoir mode), exported as JSON |
 //! | [`workload`] | trace-driven planetary workload model (Zipf popularity, diurnal/flash-crowd curves, tenant churn) + SLO replay harness |
 //!
 //! Everything is hermetic: the only dependencies are sibling workspace
-//! crates. The service's workers are OS threads that wait on
-//! [`annolight_support::sync`] primitives, and each pending [`Ticket`]
-//! is answered on an [`annolight_support::channel`].
+//! crates. The service starts no thread: a pending [`Ticket`] drains the
+//! queues on the thread that waits on it, and is answered on an
+//! [`annolight_support::channel`].
 //!
 //! ## Example
 //!
@@ -26,7 +26,7 @@
 //! use annolight_display::DeviceProfile;
 //! use annolight_video::ClipLibrary;
 //!
-//! let svc = AnnotationService::new(ServiceConfig::default()); // deterministic
+//! let svc = AnnotationService::new(ServiceConfig::default());
 //! svc.register_clip(ClipLibrary::paper_clip("shrek2").unwrap().preview(2.0));
 //! let req = AnnotationRequest {
 //!     tenant: "handheld-0".into(),
@@ -55,7 +55,7 @@ pub use cache::{AnnotationCache, CacheKey, CacheStats};
 pub use counters::{Counters, CountersReport, Exactness, LatencyHistogram};
 pub use service::{
     AnnotationRequest, AnnotationResponse, AnnotationService, ServeError, Service, ServiceConfig,
-    Ticket,
+    Ticket, MAX_TENANTS,
 };
 pub use workload::{
     generate_trace, replay_trace, run_scenario, ChurnConfig, DeterministicSummary, DiurnalCurve,

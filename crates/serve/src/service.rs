@@ -12,6 +12,9 @@
 //!   most [`ServiceConfig::tenant_queue_depth`] pending jobs; a tenant
 //!   that floods past its bound receives [`ServeError::Overloaded`]
 //!   while every other tenant's queue is untouched.
+//! * **Bounded tenants.** At most [`MAX_TENANTS`] distinct tenant names
+//!   ever get a queue; a request that would open one more is rejected
+//!   with [`ServeError::Overloaded`], so the queue scan stays bounded.
 //! * **Round-robin dispatch.** The next job is popped by rotating over
 //!   the tenant queues, so a trickling tenant is served in its turn no
 //!   matter how deep a flooding tenant's queue is. The tenant queues are
@@ -20,16 +23,13 @@
 //!   mode)` key is resident is answered at submission without being
 //!   queued at all; the dispatch path double-checks the cache so that
 //!   N queued requests for the same key cost one profile, not N.
-//! * **Persistent workers.** [`AnnotationService::new`] spawns
-//!   [`ServiceConfig::workers`] threads that wait until a job is queued,
-//!   pop it and answer it. They share the queues, cache and counters
-//!   with the handle but never hold the handle itself, so dropping the
-//!   last handle answers every admitted job and then joins them.
-//! * **Deterministic mode.** With `workers == 0` no thread is spawned:
-//!   [`AnnotationService::run_until_idle`] drains the queues inline, so
-//!   identical request traces produce identical hit/miss sequences *and*
-//!   identical counter reports — the property the determinism tests pin
-//!   down.
+//! * **Callers' threads.** The service starts no thread. A pending
+//!   [`Ticket`] holds its service, and [`Ticket::wait`] drains the
+//!   queues on the waiting thread before it receives its answer, so
+//!   concurrent callers share the dispatch, the round-robin pops and the
+//!   single-flight profile memo. One caller draining an identical
+//!   request trace gets identical hit/miss sequences *and* identical
+//!   counter reports — the property the determinism tests pin down.
 
 use crate::cache::{AnnotationCache, CacheKey};
 use crate::counters::{Counters, CountersReport};
@@ -44,8 +44,14 @@ use annolight_video::clip::Clip;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::Instant;
+
+/// Distinct tenant names a service ever queues work for. Tenant queues
+/// are never reclaimed (that would move the round-robin order), so a
+/// request that would open a queue beyond this many is rejected with
+/// [`ServeError::Overloaded`]. Eight times the 128 tenants of the
+/// largest committed workload scenario.
+pub const MAX_TENANTS: usize = 1024;
 
 /// Errors surfaced by the service. All variants are expected operating
 /// conditions, not bugs; callers are meant to match on them.
@@ -56,14 +62,15 @@ pub enum ServeError {
     /// The requested quality is a [`QualityLevel::Custom`] fraction that
     /// is not finite or lies outside `[0, 1]`; carries the reason.
     InvalidQuality(String),
-    /// The tenant's queue is full; retry later (backpressure). The
-    /// blessed retry schedule is
+    /// The tenant's queue is full, or the tenant is new and the service
+    /// already queues for [`MAX_TENANTS`] others; retry later
+    /// (backpressure). The blessed retry schedule is
     /// [`RetryPolicy::service`](annolight_support::retry::RetryPolicy::service)
     /// — truncated exponential backoff with jitter, implemented by
     /// [`AnnotationService::call_with_retry`] — so rejected tenants
     /// spread their retries instead of stampeding in lock-step.
     Overloaded {
-        /// The tenant whose queue bound was hit.
+        /// The tenant whose request was rejected.
         tenant: String,
     },
     /// The pipeline failed internally (e.g. a degenerate clip).
@@ -76,7 +83,7 @@ impl fmt::Display for ServeError {
             ServeError::UnknownClip(name) => write!(f, "unknown clip {name:?}"),
             ServeError::InvalidQuality(reason) => write!(f, "invalid quality: {reason}"),
             ServeError::Overloaded { tenant } => {
-                write!(f, "tenant {tenant:?} queue full; request rejected")
+                write!(f, "tenant {tenant:?} overloaded; request rejected")
             }
             ServeError::Internal(msg) => write!(f, "internal service error: {msg}"),
         }
@@ -88,21 +95,12 @@ impl std::error::Error for ServeError {}
 /// Tuning knobs for [`AnnotationService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads that answer queued requests. `0` selects
-    /// deterministic inline execution (see
-    /// [`AnnotationService::run_until_idle`]).
-    pub workers: usize,
     /// Shard count for the annotation cache.
     pub cache_shards: usize,
     /// Total cache byte budget across all shards.
     pub cache_bytes: usize,
     /// Maximum queued (not yet dispatched) jobs per tenant.
     pub tenant_queue_depth: usize,
-    /// Intra-clip worker threads used *inside* one profiling/planning
-    /// job ([`annolight_core::parallel::ParallelConfig`]). `0` keeps the
-    /// serial reference pipeline; any value yields byte-identical
-    /// annotations (the parallel pipeline's headline guarantee).
-    pub intra_workers: usize,
     /// Raw-sample capacity of the cold-latency histogram's exact
     /// reservoir ([`LatencyHistogram::with_exact_samples`]). `0` (the
     /// default) keeps the lock-free bucket-only hot path; the SLO
@@ -114,17 +112,9 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// Deterministic defaults: inline execution, 4 shards, 8 MiB of
-    /// cache, 16 queued jobs per tenant.
+    /// 4 shards, 8 MiB of cache, 16 queued jobs per tenant.
     fn default() -> Self {
-        Self {
-            workers: 0,
-            cache_shards: 4,
-            cache_bytes: 8 << 20,
-            tenant_queue_depth: 16,
-            intra_workers: 0,
-            latency_reservoir: 0,
-        }
+        Self { cache_shards: 4, cache_bytes: 8 << 20, tenant_queue_depth: 16, latency_reservoir: 0 }
     }
 }
 
@@ -173,33 +163,35 @@ type Reply = Result<AnnotationResponse, ServeError>;
 pub enum Ticket {
     /// Answered at submission time.
     Ready(Reply),
-    /// Will be answered by a dispatch; wait on the channel.
-    Pending(Receiver<Reply>),
+    /// Queued at `service`; [`Ticket::wait`] answers it.
+    Pending {
+        /// The service whose queues hold the job.
+        service: Arc<AnnotationService>,
+        /// Where the job's dispatch sends its answer.
+        reply: Receiver<Reply>,
+    },
 }
 
 impl Ticket {
-    /// Blocks until the response is available. In deterministic mode the
-    /// caller must drain the queues first (see
-    /// [`AnnotationService::run_until_idle`]); [`Service::call`]
-    /// does this automatically.
+    /// Blocks until the response is available. A pending ticket first
+    /// drains its service's queues on the calling thread
+    /// ([`AnnotationService::run_until_idle`]), then receives; if
+    /// another caller popped this job, that caller's dispatch answers it.
     ///
     /// # Errors
     ///
-    /// Propagates the service's [`ServeError`]; a job whose dispatch
-    /// panicked maps to [`ServeError::Internal`].
+    /// Propagates the service's [`ServeError`]; a job dropped unanswered
+    /// (its dispatch panicked) maps to [`ServeError::Internal`].
     pub fn wait(self) -> Reply {
         match self {
             Ticket::Ready(reply) => reply,
-            Ticket::Pending(rx) => rx
-                .recv()
-                .unwrap_or_else(|_| Err(ServeError::Internal("service dropped in flight".into()))),
+            Ticket::Pending { service, reply } => {
+                service.run_until_idle();
+                reply
+                    .recv()
+                    .unwrap_or_else(|_| Err(ServeError::Internal("job dropped unanswered".into())))
+            }
         }
-    }
-
-    /// Whether the ticket was answered at submission time.
-    #[must_use]
-    pub fn is_ready(&self) -> bool {
-        matches!(self, Ticket::Ready(_))
     }
 }
 
@@ -225,11 +217,6 @@ struct SchedState {
     rr: usize,
     /// Jobs queued across all tenants (invariant: sum of queue lens).
     queued: usize,
-    /// Jobs a worker has popped and not yet answered.
-    active: usize,
-    /// Set when the last handle drops: workers drain the queues, then
-    /// exit.
-    shutdown: bool,
 }
 
 impl SchedState {
@@ -248,6 +235,20 @@ impl SchedState {
         }
         None
     }
+
+    /// The queue of `tenant`, opened on first use; `None` for a new
+    /// tenant once [`MAX_TENANTS`] queues exist.
+    fn queue(&mut self, tenant: &str) -> Option<&mut VecDeque<PendingJob>> {
+        let idx = match self.tenants.iter().position(|(t, _)| t == tenant) {
+            Some(idx) => idx,
+            None if self.tenants.len() < MAX_TENANTS => {
+                self.tenants.push((tenant.to_owned(), VecDeque::new()));
+                self.tenants.len() - 1
+            }
+            None => return None,
+        };
+        Some(&mut self.tenants[idx].1)
+    }
 }
 
 struct CatalogueEntry {
@@ -257,7 +258,7 @@ struct CatalogueEntry {
 
 /// State of one content digest in the profile memo.
 enum ProfileSlot {
-    /// Some worker is profiling this clip right now; wait on
+    /// Some caller is profiling this clip right now; wait on
     /// [`ProfileMemo::ready`].
     InFlight,
     /// Profile available.
@@ -270,31 +271,12 @@ enum ProfileSlot {
 /// touches every pixel of every frame), and one clip is typically
 /// requested for several `(device, quality, mode)` keys at once. The
 /// memo guarantees each digest is profiled **exactly once** even with
-/// threaded workers: the first worker marks the slot in-flight and
-/// computes outside the lock; racing workers block on the condvar
-/// instead of duplicating the work.
+/// concurrent callers: the first marks the slot in-flight and computes
+/// outside the lock; racing callers block on the condvar instead of
+/// duplicating the work.
 struct ProfileMemo {
     slots: Mutex<HashMap<u64, ProfileSlot>>,
     ready: Condvar,
-}
-
-/// Everything a dispatch touches. The worker threads hold this, never
-/// the [`AnnotationService`] handle, so the handle's drop is what stops
-/// them.
-struct Shared {
-    /// Single-flight memoised luminance profiles: one per content
-    /// digest, shared across every (device, quality, mode) that
-    /// annotates the clip.
-    profiles: ProfileMemo,
-    cache: AnnotationCache,
-    sched: Mutex<SchedState>,
-    /// Workers park here while every tenant queue is empty.
-    work: Condvar,
-    /// Threaded [`AnnotationService::run_until_idle`] callers park here.
-    idle: Condvar,
-    counters: Counters,
-    /// Intra-clip parallelism applied inside each profiling/planning job.
-    intra: annolight_core::ParallelConfig,
 }
 
 /// The cache key of a request. A custom quality outside `[0, 1]` is
@@ -310,25 +292,125 @@ fn cache_key(
     Ok(CacheKey::new(digest, device, quality, mode, policy))
 }
 
-impl Shared {
-    /// A worker thread: waits until a job is queued, answers it, and
-    /// exits once the service shuts down with every queue drained.
-    fn run_worker(&self) {
+/// The sharded, multi-tenant annotation service. Construct with
+/// [`AnnotationService::new`], register clips, then [`Service::call`]
+/// (or [`AnnotationService::submit`] and [`Ticket::wait`] for async use).
+pub struct AnnotationService {
+    catalogue: Mutex<HashMap<String, CatalogueEntry>>,
+    /// Single-flight memoised luminance profiles: one per content
+    /// digest, shared across every (device, quality, mode) that
+    /// annotates the clip.
+    profiles: ProfileMemo,
+    cache: AnnotationCache,
+    sched: Mutex<SchedState>,
+    counters: Counters,
+    tenant_queue_depth: usize,
+}
+
+impl fmt::Debug for AnnotationService {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AnnotationService")
+            .field("catalogue", &self.catalogue.lock().len())
+            .field("cache", &self.cache.stats())
+            .finish_non_exhaustive()
+    }
+}
+
+impl AnnotationService {
+    /// Builds a service from `config`. Returned in an [`Arc`] so server
+    /// and proxy tiers can share one service, and so pending tickets can
+    /// hold it.
+    #[must_use]
+    pub fn new(config: ServiceConfig) -> Arc<Self> {
+        Arc::new(Self {
+            catalogue: Mutex::new(HashMap::new()),
+            profiles: ProfileMemo { slots: Mutex::new(HashMap::new()), ready: Condvar::new() },
+            cache: AnnotationCache::new(config.cache_shards.max(1), config.cache_bytes),
+            sched: Mutex::new(SchedState::default()),
+            counters: Counters {
+                profile_latency: crate::counters::LatencyHistogram::with_exact_samples(
+                    config.latency_reservoir,
+                ),
+                ..Counters::default()
+            },
+            tenant_queue_depth: config.tenant_queue_depth.max(1),
+        })
+    }
+
+    /// Registers `clip` under its own name, returning its content
+    /// digest. Re-registering a name replaces the entry (and, because
+    /// keys are content-addressed, changed bytes can never alias the old
+    /// track).
+    pub fn register_clip(&self, clip: Clip) -> u64 {
+        let digest = clip_digest(&clip);
+        self.catalogue
+            .lock()
+            .insert(clip.name().to_owned(), CatalogueEntry { clip: Arc::new(clip), digest });
+        digest
+    }
+
+    /// Answers every queued job on the calling thread, popping the
+    /// tenant queues round-robin, and returns once they are empty. Jobs
+    /// other callers popped may still be in flight.
+    pub fn run_until_idle(&self) {
         loop {
-            let job = {
-                let sched = self.sched.lock();
-                let mut sched = self.work.wait_while(sched, |s| s.queued == 0 && !s.shutdown);
-                let Some(job) = sched.pop() else { return };
-                sched.active += 1;
-                job
-            };
+            let Some(job) = self.sched.lock().pop() else { break };
             self.dispatch(job);
-            let mut sched = self.sched.lock();
-            sched.active -= 1;
-            if sched.queued == 0 && sched.active == 0 {
-                self.idle.notify_all();
+        }
+    }
+
+    /// Jobs admitted but not yet dispatched, across all tenants.
+    #[must_use]
+    pub fn queue_depth(&self) -> usize {
+        self.sched.lock().queued
+    }
+
+    /// Submits a request without blocking on the answer.
+    ///
+    /// Fast path: a resident cache entry answers immediately
+    /// ([`Ticket::Ready`]). Otherwise the request is admitted to the
+    /// tenant's bounded queue, where the next [`Ticket::wait`] or
+    /// [`AnnotationService::run_until_idle`] picks it up.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownClip`] for names outside the catalogue;
+    /// [`ServeError::InvalidQuality`] for a custom quality outside
+    /// `[0, 1]`; [`ServeError::Overloaded`] when the tenant's queue is
+    /// full, or when the tenant is new and [`MAX_TENANTS`] queues exist.
+    pub fn submit(self: &Arc<Self>, req: AnnotationRequest) -> Result<Ticket, ServeError> {
+        let (clip, digest) = {
+            let cat = self.catalogue.lock();
+            let entry = cat
+                .get(&req.clip)
+                .ok_or_else(|| ServeError::UnknownClip(req.clip.clone()))?;
+            (Arc::clone(&entry.clip), entry.digest)
+        };
+        let key = cache_key(digest, &req.device, req.quality, req.mode, req.policy)?;
+        if let Some(hit) = self.cached(&key, digest) {
+            return Ok(Ticket::Ready(Ok(hit)));
+        }
+        let (tx, rx) = channel::unbounded();
+        let job = PendingJob {
+            key,
+            clip,
+            digest,
+            device: req.device,
+            quality: req.quality,
+            mode: req.mode,
+            policy: req.policy,
+            reply: tx,
+        };
+        let mut sched = self.sched.lock();
+        match sched.queue(&req.tenant) {
+            Some(queue) if queue.len() < self.tenant_queue_depth => queue.push_back(job),
+            _ => {
+                Counters::bump(&self.counters.overloaded);
+                return Err(ServeError::Overloaded { tenant: req.tenant });
             }
         }
+        sched.queued += 1;
+        Ok(Ticket::Pending { service: Arc::clone(self), reply: rx })
     }
 
     /// Answers one popped job.
@@ -341,7 +423,7 @@ impl Shared {
             None => {
                 let started = Instant::now();
                 self.profile_of(job.digest, &job.clip)
-                    .and_then(|p| self.plan(&p, &job.device, job.quality, job.mode, job.policy))
+                    .and_then(|p| plan(&p, &job.device, job.quality, job.mode, job.policy))
                     .map(|track| self.store(job.key, track, job.digest, started))
             }
         };
@@ -354,24 +436,6 @@ impl Shared {
         Counters::bump(&self.counters.hits);
         Counters::bump(&self.counters.completed);
         Some(AnnotationResponse { track, cache_hit: true, clip_digest: digest })
-    }
-
-    /// Cold path: plans and annotates `profile` for one request.
-    fn plan(
-        &self,
-        profile: &LuminanceProfile,
-        device: &DeviceProfile,
-        quality: QualityLevel,
-        mode: AnnotationMode,
-        policy: PolicyKind,
-    ) -> Result<Arc<AnnotationTrack>, ServeError> {
-        let annotated = Annotator::new(device.clone(), quality)
-            .with_mode(mode)
-            .with_policy(policy)
-            .with_parallelism(self.intra)
-            .annotate_profile(profile)
-            .map_err(|e| ServeError::Internal(e.to_string()))?;
-        Ok(Arc::new(annotated.track().clone()))
     }
 
     /// Caches a freshly planned track and counts the miss, charging the
@@ -392,8 +456,8 @@ impl Shared {
 
     /// Returns the memoised luminance profile for `digest`, computing it
     /// on first use. Single-flight: a digest is profiled at most once
-    /// service-wide — racing workers wait for the in-flight computation
-    /// instead of duplicating the scan (which would make more workers
+    /// service-wide — racing callers wait for the in-flight computation
+    /// instead of duplicating the scan (which would make more callers
     /// *slower* on same-clip, many-device workloads).
     fn profile_of(&self, digest: u64, clip: &Clip) -> Result<Arc<LuminanceProfile>, ServeError> {
         {
@@ -411,10 +475,8 @@ impl Shared {
                 }
             }
         }
-        // Compute outside the lock; we own the in-flight slot. The scan
-        // itself is chunked over the intra-clip fan-out (byte-identical
-        // to `LuminanceProfile::of_clip` for every worker count).
-        let computed = annolight_core::parallel::profile_clip(clip, &self.intra)
+        // Compute outside the lock; we own the in-flight slot.
+        let computed = LuminanceProfile::of_clip(clip)
             .map(Arc::new)
             .map_err(|e| ServeError::Internal(e.to_string()));
         let mut slots = self.profiles.slots.lock();
@@ -433,161 +495,6 @@ impl Shared {
             }
         }
     }
-}
-
-/// The sharded, multi-tenant annotation service. Construct with
-/// [`AnnotationService::new`], register clips, then [`Service::call`]
-/// (or [`AnnotationService::submit`] for async use).
-pub struct AnnotationService {
-    catalogue: Mutex<HashMap<String, CatalogueEntry>>,
-    shared: Arc<Shared>,
-    /// The worker threads; none in deterministic mode.
-    threads: Vec<JoinHandle<()>>,
-    tenant_queue_depth: usize,
-}
-
-impl fmt::Debug for AnnotationService {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AnnotationService")
-            .field("catalogue", &self.catalogue.lock().len())
-            .field("cache", &self.shared.cache.stats())
-            .field("workers", &self.threads.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl AnnotationService {
-    /// Builds a service from `config` and spawns its
-    /// [`ServiceConfig::workers`] threads. Returned in an [`Arc`] so
-    /// server and proxy tiers can share one service.
-    #[must_use]
-    pub fn new(config: ServiceConfig) -> Arc<Self> {
-        let shared = Arc::new(Shared {
-            profiles: ProfileMemo { slots: Mutex::new(HashMap::new()), ready: Condvar::new() },
-            cache: AnnotationCache::new(config.cache_shards.max(1), config.cache_bytes),
-            sched: Mutex::new(SchedState::default()),
-            work: Condvar::new(),
-            idle: Condvar::new(),
-            counters: Counters {
-                profile_latency: crate::counters::LatencyHistogram::with_exact_samples(
-                    config.latency_reservoir,
-                ),
-                ..Counters::default()
-            },
-            intra: annolight_core::ParallelConfig::with_workers(config.intra_workers),
-        });
-        let threads = (0..config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("annolight-serve-worker-{i}"))
-                    .spawn(move || shared.run_worker())
-                    .expect("worker thread spawns")
-            })
-            .collect();
-        Arc::new(Self {
-            catalogue: Mutex::new(HashMap::new()),
-            shared,
-            threads,
-            tenant_queue_depth: config.tenant_queue_depth.max(1),
-        })
-    }
-
-    /// Registers `clip` under its own name, returning its content
-    /// digest. Re-registering a name replaces the entry (and, because
-    /// keys are content-addressed, changed bytes can never alias the old
-    /// track).
-    pub fn register_clip(&self, clip: Clip) -> u64 {
-        let digest = clip_digest(&clip);
-        self.catalogue
-            .lock()
-            .insert(clip.name().to_owned(), CatalogueEntry { clip: Arc::new(clip), digest });
-        digest
-    }
-
-    /// Whether queued jobs run inline, in round-robin order, when the
-    /// caller drains them (`workers == 0`).
-    #[must_use]
-    pub fn is_deterministic(&self) -> bool {
-        self.threads.is_empty()
-    }
-
-    /// Drains all queued work inline (deterministic mode) or blocks
-    /// until the workers have answered every queued job (threaded mode).
-    pub fn run_until_idle(&self) {
-        if self.is_deterministic() {
-            loop {
-                let Some(job) = self.shared.sched.lock().pop() else { break };
-                self.shared.dispatch(job);
-            }
-        } else {
-            let sched = self.shared.sched.lock();
-            let _idle = self.shared.idle.wait_while(sched, |s| s.queued > 0 || s.active > 0);
-        }
-    }
-
-    /// Jobs admitted but not yet dispatched, across all tenants.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.shared.sched.lock().queued
-    }
-
-    /// Submits a request without blocking on the answer.
-    ///
-    /// Fast path: a resident cache entry answers immediately
-    /// ([`Ticket::Ready`]). Otherwise the request is admitted to the
-    /// tenant's bounded queue, where a worker (or the next
-    /// [`AnnotationService::run_until_idle`]) picks it up.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownClip`] for names outside the catalogue;
-    /// [`ServeError::InvalidQuality`] for a custom quality outside
-    /// `[0, 1]`; [`ServeError::Overloaded`] when the tenant's queue is
-    /// full.
-    pub fn submit(self: &Arc<Self>, req: AnnotationRequest) -> Result<Ticket, ServeError> {
-        let (clip, digest) = {
-            let cat = self.catalogue.lock();
-            let entry = cat
-                .get(&req.clip)
-                .ok_or_else(|| ServeError::UnknownClip(req.clip.clone()))?;
-            (Arc::clone(&entry.clip), entry.digest)
-        };
-        let key = cache_key(digest, &req.device, req.quality, req.mode, req.policy)?;
-        if let Some(hit) = self.shared.cached(&key, digest) {
-            return Ok(Ticket::Ready(Ok(hit)));
-        }
-        let (tx, rx) = channel::unbounded();
-        let job = PendingJob {
-            key,
-            clip,
-            digest,
-            device: req.device,
-            quality: req.quality,
-            mode: req.mode,
-            policy: req.policy,
-            reply: tx,
-        };
-        {
-            let mut sched = self.shared.sched.lock();
-            let queue = match sched.tenants.iter_mut().position(|(t, _)| *t == req.tenant) {
-                Some(i) => &mut sched.tenants[i].1,
-                None => {
-                    sched.tenants.push((req.tenant.clone(), VecDeque::new()));
-                    let last = sched.tenants.len() - 1;
-                    &mut sched.tenants[last].1
-                }
-            };
-            if queue.len() >= self.tenant_queue_depth {
-                Counters::bump(&self.shared.counters.overloaded);
-                return Err(ServeError::Overloaded { tenant: req.tenant });
-            }
-            queue.push_back(job);
-            sched.queued += 1;
-        }
-        self.shared.work.notify_one();
-        Ok(Ticket::Pending(rx))
-    }
 
     /// The memoised luminance profile of a registered clip, profiling it
     /// now if no request has needed it yet. Server tiers use this for
@@ -603,7 +510,7 @@ impl AnnotationService {
             let entry = cat.get(name).ok_or_else(|| ServeError::UnknownClip(name.to_owned()))?;
             (Arc::clone(&entry.clip), entry.digest)
         };
-        self.shared.profile_of(digest, &clip)
+        self.profile_of(digest, &clip)
     }
 
     /// Synchronous, catalogue-free entry for proxy tiers that already
@@ -625,12 +532,12 @@ impl AnnotationService {
         policy: PolicyKind,
     ) -> Result<AnnotationResponse, ServeError> {
         let key = cache_key(content_digest, device, quality, mode, policy)?;
-        if let Some(hit) = self.shared.cached(&key, content_digest) {
+        if let Some(hit) = self.cached(&key, content_digest) {
             return Ok(hit);
         }
         let started = Instant::now();
-        let track = self.shared.plan(profile, device, quality, mode, policy)?;
-        Ok(self.shared.store(key, track, content_digest, started))
+        let track = plan(profile, device, quality, mode, policy)?;
+        Ok(self.store(key, track, content_digest, started))
     }
 
     /// The cold-latency histogram, for harnesses that need exact
@@ -641,15 +548,15 @@ impl AnnotationService {
     /// [`LatencyHistogram::quantile_us`]: crate::counters::LatencyHistogram::quantile_us
     #[must_use]
     pub fn profile_latency(&self) -> &crate::counters::LatencyHistogram {
-        &self.shared.counters.profile_latency
+        &self.counters.profile_latency
     }
 
     /// A point-in-time counters report (serialisable via
     /// [`CountersReport::to_json_string`]).
     #[must_use]
     pub fn report(&self) -> CountersReport {
-        let counters = &self.shared.counters;
-        let cache = self.shared.cache.stats();
+        let counters = &self.counters;
+        let cache = self.cache.stats();
         let (uppers, counts) = counters.profile_latency.snapshot();
         CountersReport {
             hits: Counters::read(&counters.hits),
@@ -677,9 +584,9 @@ impl AnnotationService {
     ///
     /// Backoff time is *accounted*, not slept: the simulated elapsed
     /// time feeds `policy.next_delay_s`, so deterministic tests replay
-    /// the exact schedule without wall-clock sleeps. In deterministic
-    /// mode each retry drains the queues inline first, mirroring what a
-    /// real deployment's workers would do during the backoff window.
+    /// the exact schedule without wall-clock sleeps. Each retry drains
+    /// the queues on the calling thread first, which is the work the
+    /// backoff window leaves room for.
     ///
     /// Returns the accumulated simulated backoff alongside the
     /// response so callers (e.g. the energy accounting in
@@ -706,9 +613,8 @@ impl AnnotationService {
                     };
                     elapsed += delay;
                     attempt += 1;
-                    // A real deployment's workers drain queues during the
-                    // backoff window; in deterministic mode we do that
-                    // draining explicitly so the retry can succeed.
+                    // The backoff window is when queued work drains;
+                    // drain it here so the retry can be admitted.
                     self.run_until_idle();
                 }
                 Err(other) => return Err(other),
@@ -718,29 +624,25 @@ impl AnnotationService {
     }
 }
 
-impl Drop for AnnotationService {
-    /// Answers every admitted job, inline or on the workers, then joins
-    /// the workers.
-    fn drop(&mut self) {
-        if self.is_deterministic() {
-            self.run_until_idle();
-            return;
-        }
-        self.shared.sched.lock().shutdown = true;
-        self.shared.work.notify_all();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
+/// Cold path: plans and annotates `profile` for one request.
+fn plan(
+    profile: &LuminanceProfile,
+    device: &DeviceProfile,
+    quality: QualityLevel,
+    mode: AnnotationMode,
+    policy: PolicyKind,
+) -> Result<Arc<AnnotationTrack>, ServeError> {
+    let annotated = Annotator::new(device.clone(), quality)
+        .with_mode(mode)
+        .with_policy(policy)
+        .annotate_profile(profile)
+        .map_err(|e| ServeError::Internal(e.to_string()))?;
+    Ok(Arc::new(annotated.track().clone()))
 }
 
 impl Service for Arc<AnnotationService> {
     fn call(&self, req: AnnotationRequest) -> Result<AnnotationResponse, ServeError> {
-        let ticket = self.submit(req)?;
-        if self.is_deterministic() && !ticket.is_ready() {
-            self.run_until_idle();
-        }
-        ticket.wait()
+        self.submit(req)?.wait()
     }
 }
 
@@ -968,9 +870,11 @@ mod tests {
 
     #[test]
     fn same_clip_profiles_once_across_devices_even_threaded() {
-        // Single-flight: three devices annotate the same clip through a
-        // threaded service, yet the clip's pixels are scanned exactly once.
-        let svc = AnnotationService::new(ServiceConfig { workers: 4, ..ServiceConfig::default() });
+        // Single-flight: three devices annotate the same clip, and three
+        // threads start waiting together behind a barrier, so each pops a
+        // job and races to profile; yet the clip's pixels are scanned
+        // exactly once.
+        let svc = AnnotationService::new(ServiceConfig::default());
         svc.register_clip(test_clip("shared", 7));
         let devices =
             [DeviceProfile::ipaq_5555(), DeviceProfile::ipaq_3650(), DeviceProfile::zaurus_sl5600()];
@@ -988,8 +892,13 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        for t in tickets {
-            t.wait().unwrap();
+        let start = std::sync::Barrier::new(tickets.len());
+        let replies = annolight_support::par::fan_out(tickets.len(), tickets, |t| {
+            start.wait();
+            t.wait()
+        });
+        for reply in replies {
+            reply.unwrap();
         }
         let report = svc.report();
         assert_eq!(report.clip_profiles, 1, "one profile for three device keys");

@@ -24,11 +24,12 @@
 //! digest. The same seed always yields the identical trace, byte for
 //! byte (the digest is the CI double-run guard's handle on this).
 //!
-//! [`replay_trace`] then drives the trace against a deterministic
-//! (inline) [`AnnotationService`], one simulated tick at a time: all of
-//! a tick's arrivals are submitted (filling bounded tenant queues;
-//! floods are rejected with `Overloaded`), then the queues drain inline
-//! — modelling workers that keep up between ticks. The outcome is a
+//! [`replay_trace`] then drives the trace against a fresh
+//! [`AnnotationService`] from one thread, one simulated tick at a time:
+//! all of a tick's arrivals are submitted (filling bounded tenant
+//! queues; floods are rejected with `Overloaded`), then the queues drain
+//! on that thread — modelling a server that keeps up between ticks. The
+//! outcome is a
 //! [`ScenarioReport`]: cache hit-rate, rejection rate, and exact
 //! p50/p99/p999 cold/warm latency (via
 //! [`LatencyHistogram::with_exact_samples`]), judged against explicit
@@ -49,7 +50,6 @@ use annolight_support::rng::SmallRng;
 use annolight_video::clip::{Clip, ClipSpec, SceneSpec};
 use annolight_video::content::ContentKind;
 use std::collections::HashSet;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Seed of the synthetic corpus contents (clip specs). Deliberately a
@@ -934,10 +934,10 @@ impl ScenarioReport {
     }
 }
 
-/// Replays `trace` against a fresh deterministic service over the
-/// corpus `cfg` describes, tick by tick: a tick's arrivals are all
-/// submitted (bounded queues reject floods), then the queues drain
-/// inline — the worker fleet catching up between ticks.
+/// Replays `trace` against a fresh service over the corpus `cfg`
+/// describes, tick by tick: a tick's arrivals are all submitted
+/// (bounded queues reject floods), then the queues drain on the calling
+/// thread — the server catching up between ticks.
 ///
 /// Counters in the returned report are a pure function of the trace;
 /// latency quantiles are measured wall-clock.
@@ -954,11 +954,9 @@ pub fn replay_trace(
 ) -> ScenarioReport {
     let corpus = SyntheticCorpus::new(cfg.corpus_clips);
     let svc = AnnotationService::new(ServiceConfig {
-        workers: 0, // inline: counters are replay-exact
         cache_shards: replay.cache_shards,
         cache_bytes: replay.cache_bytes,
         tenant_queue_depth: replay.tenant_queue_depth,
-        intra_workers: 0,
         latency_reservoir: replay.latency_reservoir,
     });
     corpus.register_all(&svc);
@@ -968,15 +966,15 @@ pub fn replay_trace(
     let mut rejected = 0u64;
     let mut pending: Vec<Ticket> = Vec::new();
     let mut tick_cursor = 0u32;
-    let drain = |pending: &mut Vec<Ticket>, svc: &Arc<AnnotationService>| {
-        svc.run_until_idle();
+    // The first wait drains every queue, round-robin, on this thread.
+    let drain = |pending: &mut Vec<Ticket>| {
         for t in pending.drain(..) {
             t.wait().expect("admitted requests complete");
         }
     };
     for req in &trace.requests {
         if req.tick != tick_cursor {
-            drain(&mut pending, &svc);
+            drain(&mut pending);
             tick_cursor = req.tick;
         }
         let request = AnnotationRequest {
@@ -998,7 +996,7 @@ pub fn replay_trace(
             Err(other) => panic!("workload replay hit a non-backpressure error: {other}"),
         }
     }
-    drain(&mut pending, &svc);
+    drain(&mut pending);
 
     let counters = svc.report();
     assert_eq!(counters.overloaded, rejected, "harness and service agree on rejections");

@@ -1,5 +1,5 @@
-//! Determinism acceptance tests: with a deterministic (inline) pool,
-//! identical request traces must produce identical hit/miss sequences,
+//! Determinism acceptance tests: driven from one thread, identical
+//! request traces must produce identical hit/miss sequences,
 //! and the counters report must match the observed sequence exactly.
 
 use annolight_core::track::AnnotationMode;
@@ -32,7 +32,6 @@ fn test_clip(name: &str, seed: u64) -> Clip {
 
 fn service() -> Arc<AnnotationService> {
     let svc = AnnotationService::new(ServiceConfig {
-        workers: 0, // deterministic inline mode
         cache_shards: 4,
         cache_bytes: 1 << 20,
         tenant_queue_depth: 8,

@@ -6,8 +6,9 @@ use annolight_core::track::AnnotationMode;
 use annolight_core::QualityLevel;
 use annolight_display::DeviceProfile;
 use annolight_serve::{
-    AnnotationRequest, AnnotationService, ServeError, Service, ServiceConfig, Ticket,
+    AnnotationRequest, AnnotationService, ServeError, Service, ServiceConfig, Ticket, MAX_TENANTS,
 };
+use annolight_support::par::fan_out;
 use annolight_video::clip::{Clip, ClipSpec, SceneSpec};
 use annolight_video::content::ContentKind;
 
@@ -30,7 +31,7 @@ fn test_clip(name: &str, seed: u64) -> Clip {
 }
 
 /// A request made unique (uncacheable) by a custom quality fraction, so
-/// every admitted job really occupies the pool.
+/// every admitted job really occupies its tenant's queue.
 fn unique_request(tenant: &str, clip: &str, n: u32) -> AnnotationRequest {
     AnnotationRequest {
         tenant: tenant.to_owned(),
@@ -45,7 +46,6 @@ fn unique_request(tenant: &str, clip: &str, n: u32) -> AnnotationRequest {
 #[test]
 fn flooding_tenant_rejections_never_touch_trickler() {
     let svc = AnnotationService::new(ServiceConfig {
-        workers: 2,
         cache_shards: 4,
         cache_bytes: 1 << 22,
         tenant_queue_depth: 4,
@@ -54,35 +54,45 @@ fn flooding_tenant_rejections_never_touch_trickler() {
     svc.register_clip(test_clip("flood-clip", 77));
     svc.register_clip(test_clip("trickle-clip", 88));
 
-    let mut flood_tickets: Vec<Ticket> = Vec::new();
-    let mut flood_rejected = 0u32;
-    let mut trickle_served = 0u32;
-    let mut n = 0u32;
-    // Ten trickle rounds; between each, the flooder slams 20 requests.
-    for round in 0..10 {
-        for _ in 0..20 {
-            n += 1;
-            match svc.submit(unique_request("flooder", "flood-clip", n)) {
-                Ok(t) => flood_tickets.push(t),
-                Err(ServeError::Overloaded { tenant }) => {
-                    assert_eq!(tenant, "flooder", "only the flooder may be rejected");
-                    flood_rejected += 1;
+    // The flooder and the trickler run on threads of their own, ten
+    // rounds each, and each one's waits drain both tenants' queues.
+    let flood = || {
+        let mut rejected = 0u32;
+        for round in 0..10 {
+            // The flooder slams 20 requests, then waits on those admitted.
+            let mut tickets: Vec<Ticket> = Vec::new();
+            for i in 0..20 {
+                match svc.submit(unique_request("flooder", "flood-clip", round * 20 + i)) {
+                    Ok(t) => tickets.push(t),
+                    Err(ServeError::Overloaded { tenant }) => {
+                        assert_eq!(tenant, "flooder", "only the flooder may be rejected");
+                        rejected += 1;
+                    }
+                    Err(other) => panic!("unexpected error: {other}"),
                 }
-                Err(other) => panic!("unexpected error: {other}"),
+            }
+            for t in tickets {
+                t.wait().expect("admitted flood requests still complete");
             }
         }
+        rejected
+    };
+    let trickle = || {
         // The trickler asks once per round and must always be admitted:
         // its own queue is empty.
-        let ticket = svc
-            .submit(unique_request("trickler", "trickle-clip", 1000 + round))
-            .unwrap_or_else(|e| panic!("trickler rejected in round {round}: {e}"));
-        ticket.wait().expect("trickler request completes");
-        trickle_served += 1;
-    }
-    svc.run_until_idle();
-    for t in flood_tickets {
-        t.wait().expect("admitted flood requests still complete");
-    }
+        let mut served = 0u32;
+        for round in 0..10 {
+            let ticket = svc
+                .submit(unique_request("trickler", "trickle-clip", 1000 + round))
+                .unwrap_or_else(|e| panic!("trickler rejected in round {round}: {e}"));
+            ticket.wait().expect("trickler request completes");
+            served += 1;
+        }
+        served
+    };
+    let tenants: [&(dyn Fn() -> u32 + Sync); 2] = [&flood, &trickle];
+    let counts = fan_out(2, tenants, |tenant| tenant());
+    let (flood_rejected, trickle_served) = (counts[0], counts[1]);
     assert_eq!(trickle_served, 10, "trickler served every round");
     let report = svc.report();
     assert_eq!(report.overloaded, u64::from(flood_rejected));
@@ -91,11 +101,10 @@ fn flooding_tenant_rejections_never_touch_trickler() {
 
 #[test]
 fn queue_bound_overflow_is_exact_in_deterministic_mode() {
-    // With an inline pool nothing drains between submits, so admission
-    // arithmetic is exact: depth 4 admits 4 of 20, rejects 16 — every
-    // round, bit-for-bit.
+    // Nothing drains until a caller waits, so admission arithmetic is
+    // exact: depth 4 admits 4 of 20, rejects 16 — every round,
+    // bit-for-bit.
     let svc = AnnotationService::new(ServiceConfig {
-        workers: 0,
         cache_shards: 4,
         cache_bytes: 1 << 22,
         tenant_queue_depth: 4,
@@ -140,7 +149,6 @@ fn retrying_flooder_cannot_starve_trickler() {
     use annolight_support::rng::SmallRng;
 
     let svc = AnnotationService::new(ServiceConfig {
-        workers: 0,
         cache_shards: 4,
         cache_bytes: 1 << 22,
         tenant_queue_depth: 2,
@@ -194,10 +202,9 @@ fn retrying_flooder_cannot_starve_trickler() {
 
 #[test]
 fn round_robin_interleaves_two_queued_tenants() {
-    // Deterministic pool: queue both tenants' jobs first, then drain and
-    // check the service's round-robin alternated between them.
+    // Queue both tenants' jobs first, then drain and check the
+    // service's round-robin alternated between them.
     let svc = AnnotationService::new(ServiceConfig {
-        workers: 0,
         cache_shards: 2,
         cache_bytes: 1 << 22,
         tenant_queue_depth: 16,
@@ -217,4 +224,27 @@ fn round_robin_interleaves_two_queued_tenants() {
         assert!(!resp.cache_hit, "all 8 requests are unique qualities");
     }
     assert_eq!(svc.report().misses, 8);
+}
+
+#[test]
+fn a_tenant_past_the_cap_is_rejected_and_counted() {
+    // Tenant queues are never reclaimed, so distinct names are capped:
+    // name MAX_TENANTS + 1 is rejected, while a tenant that already has
+    // a queue is still admitted.
+    let svc = AnnotationService::new(ServiceConfig::default());
+    svc.register_clip(test_clip("a", 1));
+    let mut tickets: Vec<Ticket> = (0..MAX_TENANTS)
+        .map(|t| svc.submit(unique_request(&format!("t{t}"), "a", 0)).expect("under the cap"))
+        .collect();
+    let err = svc.submit(unique_request("one-too-many", "a", 0)).unwrap_err();
+    assert_eq!(err, ServeError::Overloaded { tenant: "one-too-many".into() });
+    tickets.push(svc.submit(unique_request("t0", "a", 1)).expect("a known tenant is admitted"));
+    for t in tickets {
+        t.wait().expect("admitted requests complete");
+    }
+    let report = svc.report();
+    assert_eq!((report.overloaded, report.completed), (1, MAX_TENANTS as u64 + 1));
+    // A cache hit needs no queue, so a new name is still answered.
+    let hit = svc.call(unique_request("one-too-many", "a", 0)).expect("hits bypass the queues");
+    assert!(hit.cache_hit);
 }

@@ -1,6 +1,5 @@
-//! Service lifecycle: dropping the last handle answers every admitted
-//! ticket, inline or threaded, and an idle threaded service never blocks
-//! the caller that waits for it to go idle.
+//! Service lifecycle: dropping the caller's handle strands no admitted
+//! ticket, because each pending ticket holds its service and drains it.
 //!
 //! Every wait runs on a helper thread behind a watchdog, so a ticket that
 //! is never answered fails its test instead of hanging the suite.
@@ -50,45 +49,29 @@ fn unique_request(tenant: &str, clip: &str, n: u32) -> AnnotationRequest {
 
 #[test]
 fn dropping_the_last_handle_answers_every_admitted_ticket() {
-    for workers in [0, 2] {
-        let svc = AnnotationService::new(ServiceConfig { workers, ..ServiceConfig::default() });
-        svc.register_clip(test_clip("a", 7));
-        svc.register_clip(test_clip("b", 8));
-        let tickets: Vec<Ticket> = (0..6u32)
-            .map(|n| {
-                let (tenant, clip) = if n % 2 == 0 { ("even", "a") } else { ("odd", "b") };
-                svc.submit(unique_request(tenant, clip, n)).expect("queues have room")
-            })
-            .collect();
-        assert!(tickets.iter().all(|t| !t.is_ready()), "workers={workers}: every request misses");
-        drop(svc);
+    let svc = AnnotationService::new(ServiceConfig::default());
+    svc.register_clip(test_clip("a", 7));
+    svc.register_clip(test_clip("b", 8));
+    let tickets: Vec<Ticket> = (0..6u32)
+        .map(|n| {
+            let (tenant, clip) = if n % 2 == 0 { ("even", "a") } else { ("odd", "b") };
+            svc.submit(unique_request(tenant, clip, n)).expect("queues have room")
+        })
+        .collect();
+    assert!(tickets.iter().all(|t| matches!(t, Ticket::Pending { .. })), "every request misses");
+    drop(svc);
 
-        let (tx, rx) = mpsc::channel();
-        let count = tickets.len();
-        for (n, ticket) in tickets.into_iter().enumerate() {
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let _ = tx.send((n, ticket.wait()));
-            });
-        }
-        for _ in 0..count {
-            let (n, reply) = rx
-                .recv_timeout(WATCHDOG)
-                .unwrap_or_else(|_| panic!("workers={workers}: a ticket was never answered"));
-            let resp = reply.unwrap_or_else(|e| panic!("workers={workers}: ticket {n}: {e}"));
-            assert!(!resp.cache_hit, "workers={workers}: ticket {n} is a unique key");
-        }
-    }
-}
-
-#[test]
-fn run_until_idle_on_a_fresh_threaded_service_returns_at_once() {
-    let svc = AnnotationService::new(ServiceConfig { workers: 2, ..ServiceConfig::default() });
     let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        svc.run_until_idle();
-        let _ = tx.send(svc.report());
-    });
-    let report = rx.recv_timeout(WATCHDOG).expect("run_until_idle returned");
-    assert_eq!((report.completed, report.queue_depth), (0, 0));
+    let count = tickets.len();
+    for (n, ticket) in tickets.into_iter().enumerate() {
+        let tx = tx.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send((n, ticket.wait()));
+        });
+    }
+    for _ in 0..count {
+        let (n, reply) = rx.recv_timeout(WATCHDOG).expect("a ticket was never answered");
+        let resp = reply.unwrap_or_else(|e| panic!("ticket {n}: {e}"));
+        assert!(!resp.cache_hit, "ticket {n} is a unique key");
+    }
 }

@@ -1,6 +1,6 @@
-//! Bounded soak test: 64 simulated tenants hammer a threaded service
-//! with a fixed-seed request trace. Run by `scripts/ci.sh` via
-//! `cargo test -q -p annolight-serve --release -- soak`.
+//! Bounded soak test: 64 simulated tenants hammer a service from
+//! [`THREADS`] caller threads with a fixed-seed request trace. Run by
+//! `scripts/ci.sh` via `cargo test -q -p annolight-serve --release -- soak`.
 //!
 //! The assertions are conservation laws, valid under any thread
 //! interleaving: every accepted request completes, every rejection is
@@ -13,13 +13,17 @@ use annolight_serve::workload::{generate_trace, ScenarioKind, SyntheticCorpus, W
 use annolight_serve::{
     AnnotationRequest, AnnotationService, ServeError, Service, ServiceConfig, Ticket,
 };
+use annolight_support::par::fan_out;
 use annolight_video::clip::{Clip, ClipSpec, SceneSpec};
 use annolight_video::content::ContentKind;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const TENANTS: u64 = 64;
 const REQUESTS: usize = 600;
 const SEED: u64 = 0xA550_11FE_DCBA_0042;
+/// Caller threads in the threaded soaks.
+const THREADS: usize = 4;
 
 fn soak_clip(name: &str, seed: u64) -> Clip {
     Clip::new(ClipSpec {
@@ -47,10 +51,40 @@ impl Lcg {
     }
 }
 
+/// Submits `requests` from [`THREADS`] threads: thread `k` submits every
+/// `THREADS`-th request from `k` on, in order, then waits on the tickets
+/// it got, so one thread's waits drain the queues while another still
+/// submits. Returns `(request index, admitted)` sorted by index; every
+/// admitted request has completed, every other one was `Overloaded`.
+fn submit_from_threads(
+    svc: &Arc<AnnotationService>,
+    requests: &[AnnotationRequest],
+) -> Vec<(usize, bool)> {
+    let per_thread = fan_out(THREADS, 0..THREADS, |k| {
+        let mut outcomes = Vec::new();
+        let mut tickets: Vec<(usize, Ticket)> = Vec::new();
+        for i in (k..requests.len()).step_by(THREADS) {
+            match svc.submit(requests[i].clone()) {
+                Ok(t) => tickets.push((i, t)),
+                Err(ServeError::Overloaded { .. }) => outcomes.push((i, false)),
+                Err(other) => panic!("soak must only see Overloaded, got {other}"),
+            }
+        }
+        for (i, t) in tickets {
+            let resp = t.wait().expect("every accepted request completes");
+            assert!(resp.track.frame_count() > 0);
+            outcomes.push((i, true));
+        }
+        outcomes
+    });
+    let mut outcomes: Vec<(usize, bool)> = per_thread.into_iter().flatten().collect();
+    outcomes.sort_unstable();
+    outcomes
+}
+
 #[test]
 fn soak_64_tenants_fixed_seed() {
     let svc = AnnotationService::new(ServiceConfig {
-        workers: 4,
         cache_shards: 8,
         cache_bytes: 1 << 22,
         tenant_queue_depth: 4,
@@ -65,29 +99,23 @@ fn soak_64_tenants_fixed_seed() {
     let qualities = [QualityLevel::Q5, QualityLevel::Q10, QualityLevel::Q15, QualityLevel::Q20];
 
     let mut rng = Lcg(SEED);
-    let mut tickets: Vec<Ticket> = Vec::new();
-    let mut rejected = 0u64;
-    for _ in 0..REQUESTS {
-        let req = AnnotationRequest {
+    let requests: Vec<AnnotationRequest> = (0..REQUESTS)
+        .map(|_| AnnotationRequest {
             tenant: format!("tenant-{:02}", rng.next(TENANTS)),
             clip: clips[rng.next(4) as usize].to_owned(),
             device: devices[rng.next(3) as usize].clone(),
             quality: qualities[rng.next(4) as usize],
-            mode: if rng.next(4) == 0 { AnnotationMode::PerFrame } else { AnnotationMode::PerScene },
+            mode: if rng.next(4) == 0 {
+                AnnotationMode::PerFrame
+            } else {
+                AnnotationMode::PerScene
+            },
             policy: annolight_core::PolicyKind::PeakClip,
-        };
-        match svc.submit(req) {
-            Ok(t) => tickets.push(t),
-            Err(ServeError::Overloaded { .. }) => rejected += 1,
-            Err(other) => panic!("soak trace must only see Overloaded, got {other}"),
-        }
-    }
-    svc.run_until_idle();
-    let accepted = tickets.len() as u64;
-    for t in tickets {
-        let resp = t.wait().expect("every accepted request completes");
-        assert!(resp.track.frame_count() > 0);
-    }
+        })
+        .collect();
+    let outcomes = submit_from_threads(&svc, &requests);
+    let accepted = outcomes.iter().filter(|(_, admitted)| *admitted).count() as u64;
+    let rejected = outcomes.iter().filter(|(_, admitted)| !admitted).count() as u64;
     let report = svc.report();
     assert_eq!(accepted + rejected, REQUESTS as u64, "every request accounted for");
     assert_eq!(report.completed, accepted, "every accepted request completed");
@@ -124,7 +152,7 @@ fn churned_config() -> WorkloadConfig {
 
 /// Threaded churn soak: tenants that arrive mid-run are served, tenants
 /// that depart never strand work, and the conservation laws of the
-/// fixed-fleet soak keep holding under churn.
+/// fixed-fleet soak keep holding under churn and [`THREADS`] callers.
 #[test]
 fn churned_soak_conserves_under_threads() {
     let cfg = churned_config();
@@ -137,7 +165,6 @@ fn churned_soak_conserves_under_threads() {
     );
 
     let svc = AnnotationService::new(ServiceConfig {
-        workers: 4,
         cache_shards: 8,
         cache_bytes: 1 << 22,
         tenant_queue_depth: 4,
@@ -147,32 +174,29 @@ fn churned_soak_conserves_under_threads() {
     corpus.register_all(&svc);
     let devices = DeviceProfile::paper_devices();
 
-    let mut tickets: Vec<Ticket> = Vec::new();
-    let mut rejected = 0u64;
-    let mut accepted_per_tenant: HashMap<u64, u64> = HashMap::new();
-    for req in &trace.requests {
-        let r = AnnotationRequest {
+    let requests: Vec<AnnotationRequest> = trace
+        .requests
+        .iter()
+        .map(|req| AnnotationRequest {
             tenant: req.tenant_name(),
             clip: corpus.name(req.clip_rank),
             device: devices[req.device].clone(),
             quality: req.quality,
             mode: if req.per_frame { AnnotationMode::PerFrame } else { AnnotationMode::PerScene },
             policy: annolight_core::PolicyKind::PeakClip,
-        };
-        match svc.submit(r) {
-            Ok(t) => {
-                *accepted_per_tenant.entry(req.tenant).or_default() += 1;
-                tickets.push(t);
-            }
-            Err(ServeError::Overloaded { .. }) => rejected += 1,
-            Err(other) => panic!("churn soak must only see Overloaded, got {other}"),
+        })
+        .collect();
+    let outcomes = submit_from_threads(&svc, &requests);
+    let mut rejected = 0u64;
+    let mut accepted_per_tenant: HashMap<u64, u64> = HashMap::new();
+    for &(i, admitted) in &outcomes {
+        if admitted {
+            *accepted_per_tenant.entry(trace.requests[i].tenant).or_default() += 1;
+        } else {
+            rejected += 1;
         }
     }
-    svc.run_until_idle();
-    let accepted = tickets.len() as u64;
-    for t in tickets {
-        t.wait().expect("every accepted request completes, churned or not");
-    }
+    let accepted = accepted_per_tenant.values().sum::<u64>();
     let report = svc.report();
     assert_eq!(accepted + rejected, trace.requests.len() as u64);
     assert_eq!(report.completed, accepted);
@@ -202,7 +226,6 @@ fn churned_counters_match_churn_free_replay_of_same_multiset() {
 
     let run = |tenant_of: &dyn Fn(usize, u64) -> String| {
         let svc = AnnotationService::new(ServiceConfig {
-            workers: 0, // inline: totals are replay-exact
             tenant_queue_depth: usize::MAX >> 1,
             ..ServiceConfig::default()
         });

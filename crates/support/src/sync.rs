@@ -52,20 +52,6 @@ impl Condvar {
         self.inner.wait(guard).unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks while `condition` holds (spurious-wakeup safe).
-    pub fn wait_while<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        condition: impl FnMut(&mut T) -> bool,
-    ) -> MutexGuard<'a, T> {
-        self.inner.wait_while(guard, condition).unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Wakes one parked waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
     /// Wakes every parked waiter.
     pub fn notify_all(&self) {
         self.inner.notify_all();
@@ -117,7 +103,10 @@ mod tests {
         let p2 = Arc::clone(&pair);
         let waiter = thread::spawn(move || {
             let (m, cv) = &*p2;
-            let guard = cv.wait_while(m.lock(), |ready| !*ready);
+            let mut guard = m.lock();
+            while !*guard {
+                guard = cv.wait(guard);
+            }
             *guard
         });
         {
@@ -143,7 +132,10 @@ mod tests {
             *p3.0.lock() = 1;
             p3.1.notify_all();
         });
-        let guard = pair.1.wait_while(pair.0.lock(), |v| *v == 0);
+        let mut guard = pair.0.lock();
+        while *guard == 0 {
+            guard = pair.1.wait(guard);
+        }
         assert_eq!(*guard, 1);
         drop(guard);
         notifier.join().unwrap();

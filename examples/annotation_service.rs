@@ -2,12 +2,14 @@
 //!
 //! The paper's Fig. 1 server "stores profiled clips" so that annotation
 //! cost is paid once and amortised across every client. This example
-//! runs that tier at small scale: one shared [`AnnotationService`] with
-//! two worker threads, and eight client threads spread across the three
-//! paper device classes, each requesting clips at its own quality point. The service content-addresses the tracks, so the first request
-//! per `(clip, device, quality, mode)` key profiles and plans; every
-//! later one is a cache hit. At the end we print the counters report —
-//! the same JSON the ops side would scrape.
+//! runs that tier at small scale: one shared [`AnnotationService`] and
+//! eight client threads spread across the three paper device classes,
+//! each requesting clips at its own quality point. The service starts no
+//! thread of its own: each request is profiled and planned on a client
+//! thread that waits for it. The service content-addresses the tracks,
+//! so the first request per `(clip, device, quality, mode)` key profiles
+//! and plans; every later one is a cache hit. At the end we print the
+//! counters report — the same JSON the ops side would scrape.
 //!
 //! ```text
 //! cargo run --release --example annotation_service
@@ -24,9 +26,8 @@ const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 12;
 
 fn main() {
-    // One service for the whole server tier: 2 workers, 8 cache shards.
+    // One service for the whole server tier: 8 cache shards.
     let service = AnnotationService::new(ServiceConfig {
-        workers: 2,
         cache_shards: 8,
         cache_bytes: 8 << 20,
         tenant_queue_depth: 32,

@@ -17,7 +17,7 @@
 //! | [`power`] | `annolight-power` | whole-device power model, energy meter, battery |
 //! | [`core`] | `annolight-core` | **the paper's contribution**: profiling, scene detection, annotation, backlight planning |
 //! | [`stream`] | `annolight-stream` | server → proxy → client session model (Fig. 1) |
-//! | [`serve`] | `annolight-serve` | multi-tenant annotation service: sharded cache, admission control, persistent workers |
+//! | [`serve`] | `annolight-serve` | multi-tenant annotation service: sharded cache, admission control, run on its callers' threads |
 //!
 //! # Quickstart
 //!

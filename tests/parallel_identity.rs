@@ -157,27 +157,6 @@ fn chunk_size_never_affects_output_bytes() {
     }
 }
 
-/// The serve-tier entry point inherits the guarantee: a service with
-/// `intra_workers > 0` returns the same track bytes as the inline one.
-#[test]
-fn service_with_intra_workers_returns_identical_tracks() {
-    use annolight::serve::{AnnotationService, ServiceConfig};
-    let clip = ClipLibrary::paper_clip("fightclub")
-        .unwrap_or_else(|| ClipLibrary::paper_clips().remove(0))
-        .preview(1.5);
-    let mut tracks = Vec::new();
-    for intra_workers in [0usize, 3] {
-        let svc = AnnotationService::new(ServiceConfig {
-            intra_workers,
-            ..ServiceConfig::default()
-        });
-        svc.register_clip(clip.clone());
-        let profile = svc.profile_for(clip.name()).expect("registered clip profiles");
-        tracks.push((to_string(&*profile), intra_workers));
-    }
-    assert_eq!(tracks[0].0, tracks[1].0, "intra-worker profile diverged from inline");
-}
-
 annolight_support::check! {
     /// Randomized differential property: synthetic clips with random
     /// scene structure, random quality, random worker count and chunk
