@@ -45,6 +45,7 @@ pub mod server;
 pub mod session;
 pub mod spatial;
 
+pub use annolight_serve::ServeError;
 pub use client::{PlaybackClient, PlaybackReport};
 pub use faults::{
     AnnotationArrivals, ChannelStats, DegradationConfig, DegradationEvent, DegradationKind,
@@ -60,7 +61,7 @@ pub use machine::{
 pub use message::{grant_quality, ClientHello, PacketKind, ServerOffer, StreamPacket};
 pub use network::WirelessChannel;
 pub use proxy::{Proxy, TranscodeRequest};
-pub use server::{MediaServer, ServeError, ServeRequest, ServedStream};
+pub use server::{MediaServer, ServeRequest, ServedStream};
 pub use session::{
     run_session, run_session_faulty, run_session_with_server, run_shared_sessions,
     FaultySessionReport, SessionConfig, SessionError, SessionReport, SharedSessionOptions,

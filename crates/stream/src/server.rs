@@ -6,14 +6,15 @@
 //! quality, frames compensated server-side, and the RLE annotation track
 //! embedded as a user-data packet ahead of the pictures.
 //!
-//! Since the serve-tier refactor, the expensive work — profiling and
-//! annotation — is delegated to an [`AnnotationService`]
-//! ([`annolight_serve`]): a sharded, content-addressed cache in front of
-//! a work-stealing profiling pool. A server created with
-//! [`MediaServer::new`] owns a private deterministic service; servers
-//! created with [`MediaServer::with_service`] share one service (and
-//! therefore one cache) with other servers and proxies, which is how one
-//! profile pass is amortised across every client of the same content.
+//! The expensive work — profiling and annotation — is delegated to an
+//! [`AnnotationService`] ([`annolight_serve`]): a sharded,
+//! content-addressed cache in front of fair, bounded admission, run on
+//! its callers' threads. A server created with [`MediaServer::new`] owns
+//! a private service; servers created with [`MediaServer::with_service`]
+//! share one service (and therefore one cache) with other servers and
+//! proxies, which is how one profile pass is amortised across every
+//! client of the same content. Serving fails with the service's own
+//! [`ServeError`].
 
 use crate::message::{grant_quality, ClientHello, ServerOffer};
 use annolight_codec::{Encoder, EncoderConfig};
@@ -21,12 +22,10 @@ use annolight_core::track::AnnotationTrack;
 use annolight_core::{Compensation, PolicyKind, QualityLevel};
 use annolight_display::DeviceProfile;
 use annolight_imgproc::Frame;
-use annolight_serve::{AnnotationRequest, AnnotationService, Service, ServiceConfig};
+use annolight_serve::{AnnotationRequest, AnnotationService, ServeError, Service, ServiceConfig};
 use annolight_video::Clip;
 use annolight_core::track::AnnotationMode;
 use std::collections::HashMap;
-use std::error::Error;
-use std::fmt;
 use std::sync::Arc;
 
 /// A client's request, as negotiated at session start (§4.3: "client
@@ -82,56 +81,6 @@ impl ServeRequest {
     }
 }
 
-/// Errors serving a request.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum ServeError {
-    /// The requested clip is not in the server's catalogue.
-    UnknownClip(String),
-    /// The requested quality is a custom fraction that is not finite or
-    /// lies outside `[0, 1]`; carries the reason.
-    InvalidQuality(String),
-    /// The annotation service rejected the request at admission — the
-    /// tenant's queue is full. Back off and retry with
-    /// [`crate::faults::retry::RetryPolicy::service`] (truncated
-    /// exponential backoff with jitter), which
-    /// `annolight_serve::AnnotationService::call_with_retry` implements.
-    Overloaded {
-        /// The tenant whose queue bound was hit.
-        tenant: String,
-    },
-    /// Annotation or encoding failed.
-    Internal(String),
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::UnknownClip(name) => write!(f, "unknown clip {name:?}"),
-            ServeError::InvalidQuality(reason) => write!(f, "invalid quality: {reason}"),
-            ServeError::Overloaded { tenant } => {
-                write!(f, "service overloaded for tenant {tenant:?}")
-            }
-            ServeError::Internal(reason) => write!(f, "serve failed: {reason}"),
-        }
-    }
-}
-
-impl Error for ServeError {}
-
-impl From<annolight_serve::ServeError> for ServeError {
-    fn from(e: annolight_serve::ServeError) -> Self {
-        match e {
-            annolight_serve::ServeError::UnknownClip(name) => ServeError::UnknownClip(name),
-            annolight_serve::ServeError::InvalidQuality(reason) => {
-                ServeError::InvalidQuality(reason)
-            }
-            annolight_serve::ServeError::Overloaded { tenant } => ServeError::Overloaded { tenant },
-            annolight_serve::ServeError::Internal(msg) => ServeError::Internal(msg),
-        }
-    }
-}
-
 /// The outcome of serving: the encoded stream plus server-side metadata.
 #[derive(Debug, Clone)]
 pub struct ServedStream {
@@ -160,14 +109,14 @@ pub struct MediaServer {
 impl MediaServer {
     /// Creates an empty server with the given encoder settings (dimensions
     /// are taken per clip; fps/gop/qscale from the template) and a private
-    /// deterministic [`AnnotationService`].
+    /// [`AnnotationService`].
     pub fn new(encoder_template: EncoderConfig) -> Self {
         Self::with_service(encoder_template, AnnotationService::new(ServiceConfig::default()))
     }
 
     /// Creates a server backed by a shared annotation service: several
     /// servers (and proxies) pointed at the same service share one
-    /// content-addressed track cache and one profiling pool.
+    /// content-addressed track cache and one profile memo.
     pub fn with_service(encoder_template: EncoderConfig, service: Arc<AnnotationService>) -> Self {
         Self { clips: HashMap::new(), service, encoder_template }
     }
@@ -224,7 +173,7 @@ impl MediaServer {
     }
 
     /// Serves a request: obtain the annotation track from the service
-    /// (cache hit or freshly profiled on the pool), compensate every
+    /// (cache hit or freshly profiled), compensate every
     /// frame, encode, and embed the track as user data *before* the
     /// pictures.
     ///
@@ -241,17 +190,14 @@ impl MediaServer {
 
         // The fairness domain is the requesting device class: every
         // device model shares one queue at the service.
-        let response = self
-            .service
-            .call(AnnotationRequest {
-                tenant: req.device.name().to_owned(),
-                clip: req.clip_name.clone(),
-                device: req.device.clone(),
-                quality: req.quality,
-                mode: req.mode,
-                policy: req.policy,
-            })
-            .map_err(ServeError::from)?;
+        let response = self.service.call(AnnotationRequest {
+            tenant: req.device.name().to_owned(),
+            clip: req.clip_name.clone(),
+            device: req.device.clone(),
+            quality: req.quality,
+            mode: req.mode,
+            policy: req.policy,
+        })?;
         let track = response.track;
         let track_bytes = track.to_rle_bytes();
 
@@ -266,7 +212,7 @@ impl MediaServer {
         enc.push_user_data(&track_bytes);
         // DVFS hints and HEBS remaps need the luminance profile; the
         // service memoises it, so this is a lookup, not a re-profile.
-        let profile = self.service.profile_for(&req.clip_name).map_err(ServeError::from)?;
+        let profile = self.service.profile_for(&req.clip_name)?;
         if req.dvfs {
             let hints = annolight_core::extensions::dvfs_hints(&profile, &track.spans());
             enc.push_user_data(&annolight_core::extensions::hints_to_bytes(&hints));

@@ -13,12 +13,13 @@ use crate::client::{PlaybackClient, PlaybackError, PlaybackReport};
 use crate::faults::{DegradationConfig, DegradationEvent, FaultConfig, FaultReport, LossyDelivery};
 use crate::network::WirelessChannel;
 use crate::proxy::Proxy;
-use crate::server::{MediaServer, ServeError, ServeRequest};
+use crate::server::{MediaServer, ServeRequest};
 use annolight_codec::{EncodedStream, EncoderConfig};
 use annolight_core::track::AnnotationMode;
 use annolight_core::{PolicyKind, QualityLevel};
 use annolight_display::DeviceProfile;
 use annolight_power::{EnergyMeter, SystemPowerModel};
+use annolight_serve::ServeError;
 use annolight_video::Clip;
 use std::error::Error;
 use std::fmt;
@@ -102,8 +103,7 @@ pub enum SessionError {
     /// Negotiation failed before any media moved: the server answered
     /// the client's hello with a typed refusal (e.g. an unknown clip
     /// name). This is the client-visible form of
-    /// [`crate::server::ServeError::UnknownClip`] — a protocol outcome,
-    /// not a panic.
+    /// [`ServeError::UnknownClip`] — a protocol outcome, not a panic.
     Negotiation(ServeError),
     /// The server refused the request.
     Serve(ServeError),
