@@ -4,10 +4,10 @@
 //! process the video stream in real-time, on-the-fly (example in
 //! videoconferencing)". A live source has no finished clip to profile, so
 //! the [`OnlineAnnotator`] works incrementally: frames are pushed as they
-//! arrive, scene boundaries are detected with the same max-luminance
-//! heuristic, and an [`AnnotationEntry`] is emitted as soon as a scene
-//! closes — or when the bounded lookahead fills, which caps the added
-//! latency.
+//! arrive, scene boundaries are detected by the offline detector's own
+//! rule (one push-based cutter in [`crate::scenes`]), and an
+//! [`AnnotationEntry`] is emitted as soon as a scene closes — or when the
+//! bounded lookahead fills, which caps the added latency.
 //!
 //! Unlike offline profiling, the emitted entry describes a scene whose
 //! *future* frames are unknown; the entry is computed from the frames seen
@@ -15,7 +15,7 @@
 
 use crate::plan::plan_levels;
 use crate::quality::QualityLevel;
-use crate::scenes::SceneDetectorConfig;
+use crate::scenes::{SceneCutter, SceneDetectorConfig};
 use crate::track::AnnotationEntry;
 use annolight_display::DeviceProfile;
 use annolight_imgproc::{Frame, Histogram};
@@ -48,17 +48,12 @@ use annolight_imgproc::{Frame, Histogram};
 pub struct OnlineAnnotator {
     device: DeviceProfile,
     quality: QualityLevel,
-    detector: SceneDetectorConfig,
     fps: f64,
     lookahead: u32,
-    /// Index of the next frame to be pushed.
-    next_frame: u32,
-    /// First frame of the running scene.
-    scene_start: u32,
+    /// Scene boundaries, with the lookahead forcing cuts.
+    cutter: SceneCutter,
     /// Merged histogram of the running scene.
     scene_hist: Histogram,
-    /// Max-luminance reference for the running scene (envelope-tracked).
-    reference: f64,
 }
 
 impl OnlineAnnotator {
@@ -76,25 +71,23 @@ impl OnlineAnnotator {
         Self {
             device,
             quality,
-            detector: SceneDetectorConfig::default(),
             fps,
             lookahead,
-            next_frame: 0,
-            scene_start: 0,
+            cutter: SceneCutter::new(SceneDetectorConfig::default(), fps, lookahead),
             scene_hist: Histogram::new(),
-            reference: 0.0,
         }
     }
 
-    /// Overrides the scene-detection thresholds.
+    /// Overrides the scene-detection thresholds. Call it before pushing
+    /// frames: it starts a fresh cutter.
     pub fn with_detector(mut self, detector: SceneDetectorConfig) -> Self {
-        self.detector = detector;
+        self.cutter = SceneCutter::new(detector, self.fps, self.lookahead);
         self
     }
 
     /// Number of frames pushed so far.
     pub fn frames_seen(&self) -> u32 {
-        self.next_frame
+        self.cutter.frames_seen()
     }
 
     /// Worst-case latency this annotator adds, in seconds.
@@ -105,59 +98,29 @@ impl OnlineAnnotator {
     /// Pushes the next live frame; returns an [`AnnotationEntry`] whenever
     /// a scene closes (at a detected cut or when the lookahead fills).
     pub fn push_frame(&mut self, frame: &Frame) -> Option<AnnotationEntry> {
-        let idx = self.next_frame;
-        self.next_frame += 1;
         let hist = frame.luma_histogram();
-        let max = f64::from(hist.max_nonzero().unwrap_or(0));
-
-        if idx == self.scene_start {
-            // First frame of a new scene.
-            self.scene_hist = hist;
-            self.reference = max.max(1.0);
-            return None;
-        }
-
-        let min_frames = (self.detector.min_interval_s * self.fps).ceil().max(1.0) as u32;
-        let rel_change = (max - self.reference).abs() / self.reference.max(1.0);
-        let scene_len = idx - self.scene_start;
-        let cut = rel_change >= self.detector.change_threshold && scene_len >= min_frames;
-        let forced = scene_len >= self.lookahead;
-
-        if cut || forced {
-            let entry = self.close_scene();
-            // The current frame opens the next scene.
-            self.scene_start = idx;
-            self.scene_hist = hist;
-            self.reference = max.max(1.0);
-            Some(entry)
+        let entry = self.cutter.push(hist.max_nonzero().unwrap_or(0)).map(|s| self.entry(s.start));
+        if entry.is_some() {
+            self.scene_hist = hist; // the frame opens the next scene
         } else {
             self.scene_hist.merge(&hist);
-            if max > self.reference {
-                self.reference = max;
-            }
-            None
         }
+        entry
     }
 
     /// Flushes the running scene at end of stream.
     pub fn finish(&mut self) -> Option<AnnotationEntry> {
-        if self.next_frame == self.scene_start {
-            return None;
-        }
-        let entry = self.close_scene();
-        self.scene_start = self.next_frame;
-        Some(entry)
+        let entry = self.cutter.finish().map(|s| self.entry(s.start));
+        self.scene_hist = Histogram::new();
+        entry
     }
 
-    fn close_scene(&self) -> AnnotationEntry {
+    /// The entry of the scene starting at `start_frame`, planned from the
+    /// running scene's histogram.
+    fn entry(&self, start_frame: u32) -> AnnotationEntry {
         let effective = self.scene_hist.clip_level(self.quality.clip_fraction());
         let (k, backlight) = plan_levels(&self.device, effective);
-        AnnotationEntry {
-            start_frame: self.scene_start,
-            backlight,
-            compensation: k,
-            effective_max_luma: effective,
-        }
+        AnnotationEntry { start_frame, backlight, compensation: k, effective_max_luma: effective }
     }
 }
 

@@ -80,38 +80,86 @@ impl SceneDetector {
         self.config
     }
 
-    /// Splits the profile into scenes.
+    /// Splits the profile into scenes by feeding its max-luminance series
+    /// to the scene rule, frame by frame, with no lookahead (the live
+    /// annotator runs the same rule with one).
     ///
     /// The returned spans are non-empty, contiguous and cover
     /// `0..profile.len()`.
     pub fn detect(&self, profile: &LuminanceProfile) -> Vec<SceneSpan> {
-        let series = profile.max_luma_series();
-        let min_frames = (self.config.min_interval_s * profile.fps()).ceil().max(1.0) as u32;
-        let mut spans = Vec::new();
-        let mut start = 0u32;
-        // Reference level for the running scene; a boundary is declared
-        // when the current frame's max luminance deviates from it by the
-        // relative threshold, provided the running scene is long enough.
-        let mut reference = f64::from(series[0].max(1));
-        for (i, &m) in series.iter().enumerate().skip(1) {
-            let i = i as u32;
-            let cur = f64::from(m);
-            let rel_change = (cur - reference).abs() / reference.max(1.0);
-            if rel_change >= self.config.change_threshold && i - start >= min_frames {
-                spans.push(SceneSpan { start, end: i });
-                start = i;
-                reference = cur.max(1.0);
-            } else {
-                // Track slow drift within the scene so a gradual fade does
-                // not accumulate into a spurious cut at its end: the
-                // reference follows the running maximum envelope.
-                if cur > reference {
-                    reference = cur;
-                }
-            }
-        }
-        spans.push(SceneSpan { start, end: series.len() as u32 });
+        let mut cutter = SceneCutter::new(self.config, profile.fps(), u32::MAX);
+        let mut spans: Vec<SceneSpan> =
+            profile.max_luma_series().into_iter().filter_map(|m| cutter.push(m)).collect();
+        spans.extend(cutter.finish());
         spans
+    }
+}
+
+/// The scene rule, one frame at a time. [`SceneDetector::detect`] runs
+/// it over a finished profile with no lookahead;
+/// [`crate::online::OnlineAnnotator`] runs it over a live stream, where a
+/// scene that reaches the lookahead is cut as well.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SceneCutter {
+    change_threshold: f64,
+    /// The guard interval, in frames.
+    min_frames: u32,
+    /// Scene length that forces a cut.
+    lookahead: u32,
+    /// Index of the next frame to be pushed.
+    next: u32,
+    /// First frame of the running scene (`next` while none is open).
+    start: u32,
+    /// Max-luminance reference of the running scene.
+    reference: f64,
+}
+
+impl SceneCutter {
+    /// A cutter for a stream at `fps`; a `lookahead` of `u32::MAX`
+    /// never forces a cut.
+    pub(crate) fn new(config: SceneDetectorConfig, fps: f64, lookahead: u32) -> Self {
+        let min_frames = (config.min_interval_s * fps).ceil().max(1.0) as u32;
+        let change_threshold = config.change_threshold;
+        Self { change_threshold, min_frames, lookahead, next: 0, start: 0, reference: 0.0 }
+    }
+
+    /// Number of frames pushed so far.
+    pub(crate) fn frames_seen(&self) -> u32 {
+        self.next
+    }
+
+    /// Pushes the next frame's max luminance. The frame opens a new scene,
+    /// and the running one is returned, when its level deviates from the
+    /// running scene's reference by the relative threshold after the
+    /// guard interval, or when the running scene has reached the
+    /// lookahead.
+    pub(crate) fn push(&mut self, max_luma: u8) -> Option<SceneSpan> {
+        let idx = self.next;
+        self.next += 1;
+        let cur = f64::from(max_luma);
+        let len = idx - self.start;
+        let rel_change = (cur - self.reference).abs() / self.reference.max(1.0);
+        let cut = (rel_change >= self.change_threshold && len >= self.min_frames)
+            || len >= self.lookahead;
+        if len > 0 && !cut {
+            // Track slow drift within the scene so a gradual fade does
+            // not accumulate into a spurious cut at its end: the
+            // reference follows the running maximum envelope.
+            self.reference = self.reference.max(cur);
+            return None;
+        }
+        // The frame opens a scene: the stream's first, or one after a cut.
+        let closed = SceneSpan { start: self.start, end: idx };
+        self.start = idx;
+        self.reference = cur.max(1.0);
+        (len > 0).then_some(closed)
+    }
+
+    /// Closes the running scene at end of stream, if it has a frame.
+    pub(crate) fn finish(&mut self) -> Option<SceneSpan> {
+        let closed = SceneSpan { start: self.start, end: self.next };
+        self.start = self.next;
+        (!closed.is_empty()).then_some(closed)
     }
 }
 
