@@ -13,6 +13,14 @@
 //! the old bit-at-a-time code, including trailing-byte zero padding, and
 //! every read returns the old value or error.
 //!
+//! Run/level pairs go through tables in [`crate::zigzag`]: the reader's
+//! crate-private `peek12` / `skip` pair lets the block decoder take a
+//! whole pair from its next 12 bits at once (the reference reader never
+//! offers a peeked bit, so it keeps reading code by code), and the
+//! block encoder writes a pair's precomputed code with one
+//! [`BitWriter::put_bits`]. A value with no code a reader accepts (`ue`
+//! `u32::MAX`, `se` `i32::MIN`) panics in every build.
+//!
 //! The pre-word-level implementations are retained behind
 //! [`BitWriter::new_reference`] / [`BitReader::new_reference`]: one bit
 //! per iteration, exactly as the codec shipped before the fast path.
@@ -21,6 +29,22 @@
 //! can be timed against the fast path by `codec_throughput`.
 
 use crate::error::CodecError;
+
+/// The panic message of a value whose Exp-Golomb code needs a prefix of
+/// 32 zeros or more: the readers stop at 31, so `ue` ends at
+/// `u32::MAX - 1` and `se` at ±`i32::MAX`.
+const NO_CODE: &str = "value has no Exp-Golomb code a reader accepts";
+
+/// The `ue` code number of a signed value (0, 1, −1, 2, −2, … →
+/// 0, 1, 2, 3, 4, …), panicking with [`NO_CODE`] for `i32::MIN`.
+#[inline(always)]
+fn se_code_number(value: i32) -> u32 {
+    if value > 0 {
+        value as u32 * 2 - 1
+    } else {
+        value.unsigned_abs().checked_mul(2).expect(NO_CODE)
+    }
+}
 
 /// Writes bits MSB-first into a growable byte buffer.
 #[derive(Debug, Clone, Default)]
@@ -115,9 +139,14 @@ impl BitWriter {
     }
 
     /// Appends an unsigned Exp-Golomb code.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "value has no Exp-Golomb code a reader accepts" if
+    /// `value` is `u32::MAX`, whose code needs a 32-zero prefix.
     #[inline]
     pub fn put_ue(&mut self, value: u32) {
-        let v = value + 1;
+        let v = value.checked_add(1).expect(NO_CODE);
         let bits = 32 - v.leading_zeros() as u8; // position of MSB, >= 1
         if bits <= 16 {
             // Single call: `v`'s leading zeros double as the Exp-Golomb
@@ -130,14 +159,14 @@ impl BitWriter {
     }
 
     /// Appends a signed Exp-Golomb code (0, 1, −1, 2, −2, … mapping).
+    ///
+    /// # Panics
+    ///
+    /// Panics with "value has no Exp-Golomb code a reader accepts" if
+    /// `value` is `i32::MIN`, whose code number 2³² needs a 32-zero prefix.
     #[inline]
     pub fn put_se(&mut self, value: i32) {
-        let mapped = if value > 0 {
-            (value as u32) * 2 - 1
-        } else {
-            (-(value as i64) as u32) * 2
-        };
-        self.put_ue(mapped);
+        self.put_ue(se_code_number(value));
     }
 
     /// Appends an unsigned Exp-Golomb code followed by a signed one —
@@ -146,14 +175,16 @@ impl BitWriter {
     /// sequence. When both codes fit one 32-bit field (the common case:
     /// a run/level pair) they are concatenated into a single
     /// [`BitWriter::put_bits`] call.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "value has no Exp-Golomb code a reader accepts" if
+    /// `first` is `u32::MAX` or `second` is `i32::MIN`, as the two calls it
+    /// stands for do.
     #[inline]
     pub fn put_ue_then_se(&mut self, first: u32, second: i32) {
-        let mapped = if second > 0 {
-            (second as u32) * 2 - 1
-        } else {
-            (-(second as i64) as u32) * 2
-        };
-        let v1 = first + 1;
+        let mapped = se_code_number(second);
+        let v1 = first.checked_add(1).expect(NO_CODE);
         let v2 = mapped + 1;
         let b1 = 32 - v1.leading_zeros();
         let b2 = 32 - v2.leading_zeros();
@@ -370,6 +401,29 @@ impl<'a> BitReader<'a> {
         } else {
             Ok(-((v / 2) as i32))
         }
+    }
+
+    /// The next 12 bits of the input, right-aligned, and how many of them
+    /// are loaded and may be [`Self::skip`]ped: all 12 away from the end
+    /// of the input (bits past the loaded ones are zeros or the input
+    /// bits that follow), and none on the reference reader, whose callers
+    /// then read code by code.
+    #[inline(always)]
+    pub(crate) fn peek12(&mut self) -> (usize, u32) {
+        if self.bitwise {
+            return (0, 0);
+        }
+        if self.acc_bits < 12 {
+            self.refill();
+        }
+        ((self.acc >> 52) as usize, self.acc_bits)
+    }
+
+    /// Drops `count` (`1..=12`) bits that [`Self::peek12`] reported loaded.
+    #[inline(always)]
+    pub(crate) fn skip(&mut self, count: u32) {
+        debug_assert!(count <= self.acc_bits && !self.bitwise, "skip past the peeked bits");
+        self.consume(count);
     }
 
     /// Current bit position (bits consumed so far).
@@ -666,6 +720,41 @@ mod tests {
             assert!(r.get_bit().unwrap());
             assert!(r.get_bit().is_err());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "value has no Exp-Golomb code a reader accepts")]
+    fn put_ue_of_u32_max_panics() {
+        BitWriter::new().put_ue(u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "value has no Exp-Golomb code a reader accepts")]
+    fn put_se_of_i32_min_panics() {
+        BitWriter::new().put_se(i32::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "value has no Exp-Golomb code a reader accepts")]
+    fn put_ue_then_se_of_i32_min_panics() {
+        BitWriter::new().put_ue_then_se(0, i32::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "value has no Exp-Golomb code a reader accepts")]
+    fn put_ue_then_se_of_u32_max_panics() {
+        BitWriter::new().put_ue_then_se(u32::MAX, 0);
+    }
+
+    #[test]
+    fn peek12_offers_only_loaded_bits_and_none_on_the_reference_reader() {
+        let bytes = [0b1011_0011, 0b1100_0000];
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(r.peek12(), (0b1011_0011_1100, 16));
+        r.skip(5);
+        assert_eq!(r.bit_pos(), 5);
+        assert_eq!(r.peek12(), (0b0111_1000_0000, 11));
+        assert_eq!(BitReader::new_reference(&bytes).peek12(), (0, 0));
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! * `check!` properties for early-exit/exhaustive SAD equivalence,
 //!   word-level vs. bit-at-a-time bit I/O equivalence, the leading-zero
 //!   Exp-Golomb reader vs. the bit-at-a-time reader (values, error texts
-//!   and bit positions), and the nonzero-mask block emitter vs. the
-//!   original 63-step scan loop;
+//!   and bit positions), the pair-table block decoder vs. the reference
+//!   reader's code-at-a-time loop (levels, DC, error texts and bit
+//!   positions), and the nonzero-mask block emitter vs. the original
+//!   63-step scan loop;
 //! * a malformed-bitstream fuzz property: random garbage and bit-flipped
 //!   real streams must decode to `Err` or a frame, never panic, and the
 //!   fast and reference decoders must accept and reject the same streams
@@ -25,7 +27,7 @@
 use annolight_codec::bitio::{BitReader, BitWriter};
 use annolight_codec::motion::{self, MotionVector, SearchMode};
 use annolight_codec::quant::{QBlock, QScale};
-use annolight_codec::zigzag::{encode_block, ZIGZAG};
+use annolight_codec::zigzag::{decode_block_into, encode_block, ZIGZAG};
 use annolight_codec::{Decoder, EncodedStream, Encoder, EncoderConfig};
 use annolight_imgproc::{Frame, Yuv420Frame};
 use annolight_support::check;
@@ -252,6 +254,70 @@ fn same_block_walk(bytes: &[u8]) -> usize {
     both.reads
 }
 
+/// One [`decode_block_into`] on both readers of `both`: the levels, the
+/// returned DC or error text, and the bit position after a success must
+/// agree. Returns the DC, or `None` on error.
+fn same_block(both: &mut Lockstep<'_>, dc_pred: i16) -> Option<i16> {
+    let (mut fast, mut slow) = ([0i16; 64], [0i16; 64]);
+    let fast_dc = decode_block_into(&mut both.fast, dc_pred, &mut fast).map_err(|e| e.to_string());
+    let slow_dc = decode_block_into(&mut both.slow, dc_pred, &mut slow).map_err(|e| e.to_string());
+    both.reads += 1;
+    let i = both.reads;
+    assert_eq!(fast_dc, slow_dc, "block at step {i}");
+    assert_eq!(fast, slow, "levels of the block at step {i}");
+    if fast_dc.is_ok() {
+        assert_eq!(both.fast.bit_pos(), both.slow.bit_pos(), "bit_pos after step {i}");
+    }
+    fast_dc.ok()
+}
+
+/// Walks `bytes` in lockstep as the blocks of a picture, as the picture
+/// parser does, until the first error: an intra picture's macroblocks
+/// chain their DC per component, and a P picture's each start with the
+/// inter flag (then a motion vector) and predict every DC from 0.
+/// Returns the number of blocks decoded.
+fn same_picture_walk(bytes: &[u8], intra: bool) -> usize {
+    let mut both = Lockstep::new(bytes);
+    let mut dc = [0i16; 3];
+    let mut blocks = 0;
+    loop {
+        if !intra {
+            let header = match both.step(Read::Bits(1)) {
+                Some(1) => both.step(Read::Se).and_then(|_| both.step(Read::Se)),
+                flag => flag,
+            };
+            if header.is_none() {
+                return blocks;
+            }
+        }
+        for c in [0, 0, 0, 0, 1, 2] {
+            let pred = if intra { dc[c] } else { 0 };
+            match same_block(&mut both, pred) {
+                Some(next) => dc[c] = next,
+                None => return blocks,
+            }
+            blocks += 1;
+        }
+    }
+}
+
+/// A real intra payload of a small frame and a P payload predicted from
+/// its reconstruction, without their qscale bytes.
+fn intra_and_p_entropy(seed: u32, q: u8) -> [Vec<u8>; 2] {
+    let frame = |shift: u32| {
+        Frame::from_fn(32, 16, |x, y| {
+            let v = ((x * 7 + y * 13 + seed + shift * (x % 5)) % 256) as u8;
+            [v, v.wrapping_mul(3), 255 - v]
+        })
+        .to_yuv420()
+        .expect("even dimensions")
+    };
+    let q = QScale::new(q);
+    let intra = annolight_codec::picture::encode_intra(&frame(0), q);
+    let p = annolight_codec::picture::encode_inter(&frame(3), &intra.reconstruction, q);
+    [intra.bytes[1..].to_vec(), p.bytes[1..].to_vec()]
+}
+
 /// A `ue` value for the reader property: mostly short codes, with the
 /// longest legal codes (a 31-zero prefix, values from `u32::MAX / 2`)
 /// and the values just below them.
@@ -430,6 +496,47 @@ check! {
         assert!(same_block_walk(entropy) > 0);
         for cut in 0..entropy.len() {
             same_block_walk(&entropy[..cut]);
+        }
+    }
+
+    /// The pair-table block decoder reads what the reference reader's
+    /// code-at-a-time loop reads — levels, DC, error text and bit
+    /// position, block for block — over drawn blocks (dense ±2047 levels,
+    /// runs reaching position 63) written with the intra DC chain,
+    /// bit-flipped real intra and P payloads, and random bytes.
+    fn pair_table_decoder_equals_reference_reader(g, cases = 128) {
+        let blocks = g.vec(1usize..24, draw_block);
+        let mut w = BitWriter::new();
+        let mut dc = [0i16; 3];
+        for (b, c) in blocks.iter().zip([0, 0, 0, 0, 1, 2].into_iter().cycle()) {
+            dc[c] = encode_block(&mut w, b, dc[c]);
+        }
+        let bytes = w.into_bytes();
+        assert!(same_picture_walk(&bytes, true) >= blocks.len());
+
+        let intra = g.any::<bool>();
+        let [i_payload, p_payload] = intra_and_p_entropy(g.draw(0u32..1000), g.draw(1u8..=31));
+        let mut flipped = if intra { i_payload } else { p_payload };
+        for _ in 0..g.draw(1usize..=8) {
+            let bit = g.draw(0usize..flipped.len() * 8);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        same_picture_walk(&flipped, intra);
+
+        let random = g.vec(0usize..64, |g| g.any::<u8>());
+        same_picture_walk(&random, true);
+        same_picture_walk(&random, false);
+    }
+
+    /// Every truncation of a real intra and P payload decodes block for
+    /// block alike on the pair-table decoder and the reference reader.
+    fn truncated_payloads_decode_blocks_identically(g, cases = 4) {
+        let [i_payload, p_payload] = intra_and_p_entropy(g.draw(0u32..1000), g.draw(1u8..=31));
+        for (payload, intra) in [(i_payload, true), (p_payload, false)] {
+            assert!(same_picture_walk(&payload, intra) > 0);
+            for cut in 0..payload.len() {
+                same_picture_walk(&payload[..cut], intra);
+            }
         }
     }
 

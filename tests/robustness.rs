@@ -236,6 +236,24 @@ fn bitflips_in_picture_payloads_do_not_panic() {
     }
 }
 
+/// A DC difference with a 31-zero prefix (`i32::MAX`) on a predictor of
+/// 2047 overflowed the sum in `zigzag::decode_block_into`: the debug
+/// build panicked and release reported a wrapped DC. The random-bytes
+/// rows never draw so long a prefix.
+#[test]
+fn dc_difference_near_i32_max_is_reported_unwrapped() {
+    use annolight::codec::bitio::BitWriter;
+    let mut w = BitWriter::new();
+    w.put_bits(8, 8); // qscale
+    w.put_se(2047); // first luma block: DC 2047, end of block
+    w.put_ue(63);
+    w.put_se(i32::MAX); // second: 2047 + i32::MAX
+    w.put_ue(63);
+    let payload = w.into_bytes();
+    let err = annolight::codec::picture::decode_intra(&payload, 16, 16).unwrap_err();
+    assert!(err.to_string().contains("DC overflow: 2147485694"), "{err}");
+}
+
 #[test]
 fn client_rejects_stream_with_corrupted_track() {
     // Serve a proper stream, then corrupt the annotation payload only: the
