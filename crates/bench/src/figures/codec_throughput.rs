@@ -285,13 +285,22 @@ pub fn run(preview_s: f64, reps: u32) -> CodecThroughput {
         &|workers| transcode_pass(&stream, cfg, workers),
     );
 
-    let inline_decode = rows
-        .iter()
-        .find(|r| r.stage == "decode" && r.workers == 0 && r.label.starts_with("fast path"))
-        .expect("inline fast-path decode row present");
+    let inline_decode = inline_row(&rows, "decode");
     let client = client_cost(inline_decode.elapsed_ms * 1e6 / f64::from(n), reps);
 
     CodecThroughput { clip: clip.name().to_owned(), frames: n, macroblocks, reps, rows, client }
+}
+
+/// The inline fast-path row of `stage` (`encode`, `decode` or
+/// `transcode`).
+///
+/// # Panics
+///
+/// Panics if `rows` has no such row.
+pub fn inline_row<'a>(rows: &'a [CodecRow], stage: &str) -> &'a CodecRow {
+    rows.iter()
+        .find(|r| r.stage == stage && r.workers == 0 && r.label.starts_with("fast path"))
+        .unwrap_or_else(|| panic!("no inline fast-path {stage} row"))
 }
 
 /// Renders the codec throughput table as text.

@@ -125,7 +125,7 @@ cargo run -q --release --offline -p annolight-bench --bin serve_slo -- --test
 echo "== pipeline throughput smoke (--test mode, >=2x best-SIMD-row floor vs scalar LUT) =="
 cargo run -q --release --offline -p annolight-bench --bin pipeline_throughput -- --test
 
-echo "== codec throughput smoke (--test mode, >=3x inline encode floor; §4.3 client work under 1 % of a decoded frame and under per-frame histogram analysis) =="
+echo "== codec throughput smoke (--test mode, >=3x inline encode and >=4.25x inline decode floors; §4.3 client work under 1 % of a decoded frame and under per-frame histogram analysis) =="
 cargo run -q --release --offline -p annolight-bench --bin codec_throughput -- --test
 
 echo "== non-test lines per crate (informational, not a gate) =="
