@@ -6,10 +6,9 @@
 //!
 //! * **encode** — [`annolight_codec::Encoder::push_yuv_frames`]: AAN
 //!   fDCT, fused quant, early-exit seeded motion search, word-level bit
-//!   output, per-band and per-GOP fan-out;
+//!   output, per-GOP fan-out;
 //! * **decode** — [`annolight_codec::Decoder::decode_all_yuv`]:
-//!   word-level bit input, fused dequant, AAN iDCT, per-band and
-//!   per-GOP fan-out;
+//!   word-level bit input, fused dequant, AAN iDCT, per-GOP fan-out;
 //! * **transcode** — the full [`annolight_stream::Proxy`] decode →
 //!   profile → annotate → compensate → re-encode loop.
 //!
@@ -31,7 +30,7 @@
 //!
 //! * every *encode* row — reference or fast, any worker count — emits a
 //!   **byte-identical bitstream** for a given kernel choice; early-exit
-//!   SAD and the band/GOP fan-out never change output bytes
+//!   SAD and the GOP fan-out never change output bytes
 //!   (`crates/codec/tests/fastpath_identity.rs`);
 //! * every *decode* row reconstructs **byte-identical frames** for a
 //!   given kernel choice.

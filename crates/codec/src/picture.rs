@@ -7,30 +7,28 @@
 //! The encoder reconstructs exactly what the decoder will, so there is no
 //! drift across a GOP.
 //!
-//! # Fast path and parallel stage split
+//! # Stages
 //!
-//! Each picture is processed in two stages:
+//! Each picture is coded in two passes, both on the calling thread:
 //!
-//! 1. **Compute** (parallel): per macroblock *band* ([`BAND_MB_ROWS`]
-//!    rows), DCT/quantisation (and on P pictures, motion search and
-//!    compensation) produce quantised levels plus reconstruction strips.
-//!    Bands are self-contained — motion-vector predictors (left, and up
-//!    *within the band*) never cross a band boundary, so the result is
-//!    identical for every worker count. Fan-out goes through
-//!    [`annolight_support::par::fan_out`] (one band per work item);
-//!    `workers == 0` is the inline serial reference.
-//! 2. **Entropy** (serial): Exp-Golomb coding and the intra-DC prediction
-//!    chain, which is inherently sequential (every bit position depends on
-//!    all previous symbols), runs over the precomputed levels in raster
-//!    order.
+//! 1. **Compute**: macroblock rows in raster order run the mode
+//!    decision, DCT/quantisation (and on P pictures, motion search and
+//!    compensation), keep the quantised levels and write the
+//!    reconstruction straight into the output frame. The left
+//!    motion-vector predictor is row-local, and the up predictor resets
+//!    at every [`BAND_MB_ROWS`] boundary.
+//! 2. **Entropy**: Exp-Golomb coding and the intra-DC prediction chain,
+//!    which is inherently sequential (every bit position depends on all
+//!    previous symbols), runs over the kept levels in raster order.
 //!
-//! The decoder mirrors the split: a serial *parse* pass (bit I/O + DC
-//! chain) recovers per-macroblock levels, then a parallel *reconstruction*
-//! pass runs dequantisation, the inverse DCT and motion compensation per
-//! band.
+//! The decoder mirrors the split: a *parse* pass (bit I/O + DC chain)
+//! recovers per-macroblock levels, then a *reconstruction* pass runs
+//! dequantisation, the inverse DCT and motion compensation row by row.
+//! Nothing fans out inside a picture: the codec's one parallel unit is
+//! the closed GOP ([`crate::stream`]).
 //!
 //! Kernels come in two flavours selected by
-//! [`CodecOptions::reference_kernels`]: the canonical fixed-point AAN path
+//! [`Encoder::with_reference_kernels`]: the canonical fixed-point AAN path
 //! ([`crate::dct::forward_aan`] with fused tables) and the retained float
 //! matrix reference. Encoder reconstruction and decoder always run the
 //! *same* kernels, so encode→decode round-trip identity holds for both.
@@ -40,6 +38,8 @@
 //! P pictures searched with [`SearchMode::EarlyExit`] pad the reference
 //! luma once (into a buffer kept in the codec's scratch) and every
 //! macroblock's search reads that copy.
+//!
+//! [`Encoder::with_reference_kernels`]: crate::stream::Encoder::with_reference_kernels
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::dct::{self, IntBlock};
@@ -52,19 +52,16 @@ use crate::quant::{
 use crate::simd::Avx2;
 use crate::zigzag::{decode_block_into, encode_block};
 use annolight_imgproc::{kernel_tier, Yuv420Frame};
-use annolight_support::par::{fan_out, ParallelConfig};
 
-/// Macroblock rows per compute band. Motion predictors are band-local, so
-/// this fixed constant (not the chunk size) is what guarantees identical
-/// bitstreams across worker counts.
+/// Macroblock rows per motion-predictor band: a macroblock in a band's
+/// first row searches with no up predictor. The seeds fix the vectors
+/// the search picks, so this is a rule of the bitstream the encoder
+/// emits, not a unit of work: changing it changes P-picture bytes.
 pub const BAND_MB_ROWS: usize = 2;
 
-/// Per-picture coding options: intra-picture parallelism, motion search
-/// mode, and kernel selection.
+/// Per-picture coding options: motion search mode and kernel selection.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CodecOptions {
-    /// Band fan-out configuration (`workers == 0` = inline serial).
-    pub parallel: ParallelConfig,
+pub(crate) struct CodecOptions {
     /// Motion SAD evaluation mode (early-exit vs exhaustive — both return
     /// bit-identical vectors; see [`crate::motion`]).
     pub search: SearchMode,
@@ -288,7 +285,7 @@ fn blit8(dst: &mut [u8], stride: usize, px: usize, py: usize, block: &[u8; 64]) 
 }
 
 // ---------------------------------------------------------------------------
-// Band structures.
+// Macroblock structures.
 // ---------------------------------------------------------------------------
 
 /// How one macroblock was coded.
@@ -309,15 +306,12 @@ struct MbOut {
     blocks: [QBlock; 6],
 }
 
-/// Output sink for one macroblock row of reconstruction: the destination
-/// planes (either a band's strip buffers or a full frame's planes) plus
-/// the first macroblock row those planes cover.
+/// Where macroblock rows write their reconstruction: the output frame's
+/// planes.
 struct RowSink<'a> {
     y: &'a mut [u8],
     u: &'a mut [u8],
     v: &'a mut [u8],
-    /// Macroblock row that `y[0..]` / `u[0..]` / `v[0..]` start at.
-    mb_row0: usize,
 }
 
 /// Reusable per-codec working memory for the `*_into` entry points:
@@ -338,87 +332,23 @@ pub(crate) struct CodecScratch {
     pub(crate) payload: Vec<u8>,
 }
 
-/// One band's compute-stage output: macroblocks in raster order plus the
-/// reconstruction strips covering the band's rows.
-struct BandOut {
-    mbs: Vec<MbOut>,
-    y: Vec<u8>,
-    u: Vec<u8>,
-    v: Vec<u8>,
-}
-
-fn band_count(mbs_y: usize) -> usize {
-    mbs_y.div_ceil(BAND_MB_ROWS)
-}
-
-fn band_rows(band: usize, mbs_y: usize) -> std::ops::Range<usize> {
-    band * BAND_MB_ROWS..((band + 1) * BAND_MB_ROWS).min(mbs_y)
-}
-
-/// Runs `compute` on every band through [`fan_out`], one band per work
-/// item (the band structure, not the scheduling, carries the
-/// determinism).
-fn map_bands<F>(mbs_y: usize, parallel: &ParallelConfig, compute: F) -> Vec<BandOut>
-where
-    F: Fn(usize) -> BandOut + Sync,
-{
-    fan_out(parallel.workers, 0..band_count(mbs_y), compute)
-}
-
-/// Copies band reconstruction strips back into a full frame.
-fn stitch_bands(bands: &[BandOut], recon: &mut Yuv420Frame, mbs_y: usize) {
-    let (luma, chroma) = plane_dims(recon);
-    for (b, band) in bands.iter().enumerate() {
-        let rows = band_rows(b, mbs_y);
-        let y0 = rows.start * 16;
-        let c0 = rows.start * 8;
-        recon.y_plane_mut()[y0 * luma.w..y0 * luma.w + band.y.len()].copy_from_slice(&band.y);
-        recon.u_plane_mut()[c0 * chroma.w..c0 * chroma.w + band.u.len()].copy_from_slice(&band.u);
-        recon.v_plane_mut()[c0 * chroma.w..c0 * chroma.w + band.v.len()].copy_from_slice(&band.v);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Encoding.
 // ---------------------------------------------------------------------------
 
-/// Encodes an intra (I) picture with default (serial, fast-path) options.
+/// Encodes an intra (I) picture with the fast-path kernels.
 pub fn encode_intra(frame: &Yuv420Frame, qscale: QScale) -> CodedPicture {
-    encode_intra_opts(frame, qscale, &CodecOptions::default())
-}
-
-/// Encodes an intra (I) picture.
-pub fn encode_intra_opts(frame: &Yuv420Frame, qscale: QScale, opts: &CodecOptions) -> CodedPicture {
-    encode_picture(frame, None, qscale, opts)
+    encode_picture(frame, None, qscale, &CodecOptions::default())
 }
 
 /// Encodes a predicted (P) picture against `reference` (the previous
-/// reconstruction) with default options.
+/// reconstruction) with the fast-path kernels.
 ///
 /// # Panics
 ///
 /// Panics if the frames have different dimensions.
 pub fn encode_inter(frame: &Yuv420Frame, reference: &Yuv420Frame, qscale: QScale) -> CodedPicture {
-    encode_inter_opts(frame, reference, qscale, &CodecOptions::default())
-}
-
-/// Encodes a predicted (P) picture against `reference`.
-///
-/// # Panics
-///
-/// Panics if the frames have different dimensions.
-pub fn encode_inter_opts(
-    frame: &Yuv420Frame,
-    reference: &Yuv420Frame,
-    qscale: QScale,
-    opts: &CodecOptions,
-) -> CodedPicture {
-    assert_eq!(
-        (frame.width(), frame.height()),
-        (reference.width(), reference.height()),
-        "reference dimensions must match"
-    );
-    encode_picture(frame, Some(reference), qscale, opts)
+    encode_picture(frame, Some(reference), qscale, &CodecOptions::default())
 }
 
 fn encode_picture(
@@ -435,14 +365,9 @@ fn encode_picture(
 }
 
 /// Encodes one picture into caller-owned buffers: the reconstruction into
-/// `recon` and the payload into `scratch.payload`. Byte-identical to
-/// [`encode_intra_opts`] / [`encode_inter_opts`] for every configuration.
-///
-/// Serial configurations (`workers <= 1`, where the band fan-out would
-/// run inline anyway) take a direct-write path: macroblock rows write
-/// straight into `recon`'s planes, with the motion-predictor rows reset
-/// at every [`BAND_MB_ROWS`] boundary — the invariant that keeps the
-/// bitstream identical to the banded path without allocating band strips.
+/// `recon` and the payload into `scratch.payload`. Macroblock rows write
+/// straight into `recon`'s planes, and the up motion predictor resets at
+/// every [`BAND_MB_ROWS`] boundary.
 ///
 /// # Panics
 ///
@@ -496,49 +421,41 @@ pub(crate) fn encode_picture_into(
     w.put_bits(u32::from(qscale.value()), 8);
 
     scratch.mbs.clear();
-    if opts.parallel.workers <= 1 {
-        scratch.up_mvs.clear();
-        scratch.up_mvs.resize(mbs_x, None);
-        scratch.cur_mvs.clear();
-        scratch.cur_mvs.resize(mbs_x, None);
-        let (py, pu, pv) = recon.planes_mut();
-        let mut sink = RowSink { y: py, u: pu, v: pv, mb_row0: 0 };
-        for mby in 0..mbs_y {
-            if mby % BAND_MB_ROWS == 0 {
-                scratch.up_mvs.fill(None);
-            }
-            scratch.cur_mvs.fill(None);
-            encode_mb_row(
-                mby,
-                frame,
-                reference,
-                search,
-                &kernels,
-                &luma,
-                &chroma,
-                mbs_x,
-                &scratch.up_mvs,
-                &mut scratch.cur_mvs,
-                &mut sink,
-                &mut scratch.mbs,
-            );
-            std::mem::swap(&mut scratch.up_mvs, &mut scratch.cur_mvs);
+    scratch.up_mvs.clear();
+    scratch.up_mvs.resize(mbs_x, None);
+    scratch.cur_mvs.clear();
+    scratch.cur_mvs.resize(mbs_x, None);
+    let (py, pu, pv) = recon.planes_mut();
+    let mut sink = RowSink { y: py, u: pu, v: pv };
+    for mby in 0..mbs_y {
+        if mby % BAND_MB_ROWS == 0 {
+            scratch.up_mvs.fill(None);
         }
-        write_entropy(&mut w, scratch.mbs.iter(), intra_picture);
-    } else {
-        let bands = map_bands(mbs_y, &opts.parallel, |b| {
-            encode_band(b, frame, reference, search, &kernels, &luma, &chroma, mbs_x, mbs_y)
-        });
-        stitch_bands(&bands, recon, mbs_y);
-        write_entropy(&mut w, bands.iter().flat_map(|b| b.mbs.iter()), intra_picture);
+        scratch.cur_mvs.fill(None);
+        encode_mb_row(
+            mby,
+            frame,
+            reference,
+            search,
+            &kernels,
+            &luma,
+            &chroma,
+            mbs_x,
+            &scratch.up_mvs,
+            &mut scratch.cur_mvs,
+            &mut sink,
+            &mut scratch.mbs,
+        );
+        std::mem::swap(&mut scratch.up_mvs, &mut scratch.cur_mvs);
     }
+    write_entropy(&mut w, &scratch.mbs, intra_picture);
     scratch.payload = w.into_bytes();
 }
 
-/// Serial entropy stage: Exp-Golomb coding plus the intra-DC prediction
-/// chain over precomputed macroblock levels, in raster order. Inherently
+/// Entropy stage: Exp-Golomb coding plus the intra-DC prediction chain
+/// over precomputed macroblock levels, in raster order. Inherently
 /// sequential — every bit position depends on all previous symbols.
-fn write_entropy<'a>(w: &mut BitWriter, mbs: impl Iterator<Item = &'a MbOut>, intra_picture: bool) {
+fn write_entropy(w: &mut BitWriter, mbs: &[MbOut], intra_picture: bool) {
     let mut dc = [0i16; 3];
     for mb in mbs {
         if intra_picture {
@@ -569,63 +486,13 @@ fn write_entropy<'a>(w: &mut BitWriter, mbs: impl Iterator<Item = &'a MbOut>, in
     }
 }
 
-/// Compute stage for one band of an I or P picture.
-#[allow(clippy::too_many_arguments)]
-fn encode_band(
-    band: usize,
-    frame: &Yuv420Frame,
-    reference: Option<&Yuv420Frame>,
-    search: Option<SearchRef<'_>>,
-    kernels: &Kernels,
-    luma: &PlaneDims,
-    chroma: &PlaneDims,
-    mbs_x: usize,
-    mbs_y: usize,
-) -> BandOut {
-    let rows = band_rows(band, mbs_y);
-    let n_rows = rows.len();
-    let mut out = BandOut {
-        mbs: Vec::with_capacity(n_rows * mbs_x),
-        y: vec![0u8; n_rows * 16 * luma.w],
-        u: vec![0u8; n_rows * 8 * chroma.w],
-        v: vec![0u8; n_rows * 8 * chroma.w],
-    };
-    // Band-local motion predictors: `up_mvs` holds the previous row's
-    // vectors (within this band only).
-    let mut up_mvs: Vec<Option<MotionVector>> = vec![None; mbs_x];
-    let mut cur_mvs: Vec<Option<MotionVector>> = vec![None; mbs_x];
-    let mb_row0 = rows.start;
-    for mby in rows {
-        cur_mvs.fill(None);
-        let mut sink = RowSink { y: &mut out.y, u: &mut out.u, v: &mut out.v, mb_row0 };
-        encode_mb_row(
-            mby,
-            frame,
-            reference,
-            search,
-            kernels,
-            luma,
-            chroma,
-            mbs_x,
-            &up_mvs,
-            &mut cur_mvs,
-            &mut sink,
-            &mut out.mbs,
-        );
-        std::mem::swap(&mut up_mvs, &mut cur_mvs);
-    }
-    out
-}
-
 /// Encodes one macroblock row: mode decisions, transforms and
 /// reconstruction writes into `sink`; quantised levels appended to `mbs`.
 ///
 /// `search` is `Some` exactly when `reference` is: the form of the
 /// reference luma the motion search reads. `up_mvs` carries the
-/// predictor row above (all-`None` at a band boundary), `cur_mvs`
-/// receives this row's vectors, and `left` is row-local. Shared verbatim
-/// by the banded parallel path and the serial direct-write path, which is
-/// what makes their bitstreams identical by construction.
+/// predictor row above (all-`None` at a [`BAND_MB_ROWS`] boundary),
+/// `cur_mvs` receives this row's vectors, and `left` is row-local.
 #[allow(clippy::too_many_arguments)]
 fn encode_mb_row(
     mby: usize,
@@ -641,7 +508,6 @@ fn encode_mb_row(
     sink: &mut RowSink<'_>,
     mbs: &mut Vec<MbOut>,
 ) {
-    let local = mby - sink.mb_row0;
     let mut left: Option<MotionVector> = None;
     for mbx in 0..mbs_x {
         let mode = match search {
@@ -693,7 +559,7 @@ fn encode_mb_row(
                     );
                     blocks[k] = kernels.intra_levels(&src);
                     let rec = kernels.intra_recon(&blocks[k]);
-                    blit8(sink.y, luma.w, mbx * 16 + bx * 8, local * 16 + by * 8, &rec);
+                    blit8(sink.y, luma.w, mbx * 16 + bx * 8, mby * 16 + by * 8, &rec);
                 }
                 for (k, (plane, strip)) in [
                     (frame.u_plane(), &mut *sink.u),
@@ -705,7 +571,7 @@ fn encode_mb_row(
                     let src = extract_shifted(plane, chroma.w, mbx * 8, mby * 8);
                     blocks[4 + k] = kernels.intra_levels(&src);
                     let rec = kernels.intra_recon(&blocks[4 + k]);
-                    blit8(strip, chroma.w, mbx * 8, local * 8, &rec);
+                    blit8(strip, chroma.w, mbx * 8, mby * 8, &rec);
                 }
                 left = None;
                 cur_mvs[mbx] = None;
@@ -741,7 +607,7 @@ fn encode_mb_row(
                     );
                     blocks[k] = kernels.residual_levels(&res);
                     let rec = kernels.residual_recon(&blocks[k], &pred, 16, bx * 8, by * 8);
-                    blit8(sink.y, luma.w, mbx * 16 + bx * 8, local * 16 + by * 8, &rec);
+                    blit8(sink.y, luma.w, mbx * 16 + bx * 8, mby * 16 + by * 8, &rec);
                 }
                 // Chroma: halved vector (luma half-pels → chroma half-pels).
                 let (cdx2, cdy2) = (i32::from(mv.dx2) / 2, i32::from(mv.dy2) / 2);
@@ -763,7 +629,7 @@ fn encode_mb_row(
                     );
                     blocks[4 + k] = kernels.residual_levels(&res);
                     let rec = kernels.residual_recon(&blocks[4 + k], &cpred, 8, 0, 0);
-                    blit8(strip, chroma.w, mbx * 8, local * 8, &rec);
+                    blit8(strip, chroma.w, mbx * 8, mby * 8, &rec);
                 }
                 let fp = MotionVector { dx: (mv.dx2 / 2) as i8, dy: (mv.dy2 / 2) as i8 };
                 left = Some(fp);
@@ -795,73 +661,42 @@ fn mean_deviation(plane: &[u8], stride: usize, px: usize, py: usize, size: usize
 // Decoding.
 // ---------------------------------------------------------------------------
 
-/// Decodes an intra (I) picture payload with default options.
+/// Decodes an intra (I) picture payload with the fast-path kernels.
 ///
 /// # Errors
 ///
 /// Returns [`CodecError`] for malformed payloads or bad dimensions.
 pub fn decode_intra(bytes: &[u8], width: u32, height: u32) -> Result<Yuv420Frame, CodecError> {
-    decode_intra_opts(bytes, width, height, &CodecOptions::default())
+    decode_picture(bytes, width, height, None, &CodecOptions::default())
 }
 
-/// Decodes an intra (I) picture payload.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] for malformed payloads or bad dimensions.
-pub fn decode_intra_opts(
-    bytes: &[u8],
-    width: u32,
-    height: u32,
-    opts: &CodecOptions,
-) -> Result<Yuv420Frame, CodecError> {
-    let mut frame = Yuv420Frame::new(width, height)
-        .map_err(|e| CodecError::Malformed { reason: e.to_string() })?;
-    decode_picture(bytes, None, &mut frame, opts)?;
-    Ok(frame)
-}
-
-/// Decodes a predicted (P) picture payload against `reference` with
-/// default options.
+/// Decodes a predicted (P) picture payload against `reference` with the
+/// fast-path kernels.
 ///
 /// # Errors
 ///
 /// Returns [`CodecError`] for malformed payloads.
 pub fn decode_inter(bytes: &[u8], reference: &Yuv420Frame) -> Result<Yuv420Frame, CodecError> {
-    decode_inter_opts(bytes, reference, &CodecOptions::default())
-}
-
-/// Decodes a predicted (P) picture payload against `reference`.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] for malformed payloads.
-pub fn decode_inter_opts(
-    bytes: &[u8],
-    reference: &Yuv420Frame,
-    opts: &CodecOptions,
-) -> Result<Yuv420Frame, CodecError> {
-    let mut frame = Yuv420Frame::new(reference.width(), reference.height())
-        .map_err(|e| CodecError::Malformed { reason: e.to_string() })?;
-    decode_picture(bytes, Some(reference), &mut frame, opts)?;
-    Ok(frame)
+    let (width, height) = (reference.width(), reference.height());
+    decode_picture(bytes, width, height, Some(reference), &CodecOptions::default())
 }
 
 fn decode_picture(
     bytes: &[u8],
+    width: u32,
+    height: u32,
     reference: Option<&Yuv420Frame>,
-    frame: &mut Yuv420Frame,
     opts: &CodecOptions,
-) -> Result<(), CodecError> {
-    let mut scratch = CodecScratch::default();
-    decode_picture_into(bytes, reference, frame, opts, &mut scratch)
+) -> Result<Yuv420Frame, CodecError> {
+    let mut frame = Yuv420Frame::new(width, height)
+        .map_err(|e| CodecError::Malformed { reason: e.to_string() })?;
+    decode_picture_into(bytes, reference, &mut frame, opts, &mut CodecScratch::default())?;
+    Ok(frame)
 }
 
 /// Decodes one picture into `frame`, reusing `scratch`'s parsed-level
-/// storage across calls. Byte-identical to [`decode_intra_opts`] /
-/// [`decode_inter_opts`] for every configuration; serial configurations
-/// (`workers <= 1`) reconstruct straight into `frame`'s planes with no
-/// band strips.
+/// storage across calls: macroblock rows reconstruct straight into
+/// `frame`'s planes.
 pub(crate) fn decode_picture_into(
     bytes: &[u8],
     reference: Option<&Yuv420Frame>,
@@ -876,27 +711,15 @@ pub(crate) fn decode_picture_into(
     let kernels = Kernels::new(qscale, opts.reference_kernels);
     let intra_picture = reference.is_none();
     parse_picture(&mut r, intra_picture, mbs_x * mbs_y, &mut scratch.mbs)?;
-
-    if opts.parallel.workers <= 1 {
-        // Direct-write serial path: reconstruction has no cross-row
-        // state, so rows write straight into the frame's planes.
-        let (py, pu, pv) = frame.planes_mut();
-        let mut sink = RowSink { y: py, u: pu, v: pv, mb_row0: 0 };
-        for mby in 0..mbs_y {
-            decode_mb_row(mby, &scratch.mbs, reference, &kernels, &luma, &chroma, mbs_x, &mut sink);
-        }
-    } else {
-        // Parallel reconstruction stage: dequant + iDCT + MC per band.
-        let mbs = &scratch.mbs;
-        let bands = map_bands(mbs_y, &opts.parallel, |b| {
-            decode_band(b, mbs, reference, &kernels, &luma, &chroma, mbs_x, mbs_y)
-        });
-        stitch_bands(&bands, frame, mbs_y);
+    let (py, pu, pv) = frame.planes_mut();
+    let mut sink = RowSink { y: py, u: pu, v: pv };
+    for mby in 0..mbs_y {
+        decode_mb_row(mby, &scratch.mbs, reference, &kernels, &luma, &chroma, mbs_x, &mut sink);
     }
     Ok(())
 }
 
-/// Serial parse stage: entropy-decodes every macroblock of a payload into
+/// Parse stage: entropy-decodes every macroblock of a payload into
 /// `mbs`, in place: the vector is resized to `mb_count` (reusing its
 /// storage) and each block is zeroed and then written by
 /// [`decode_block_into`], so no level block is built and copied per block.
@@ -945,37 +768,8 @@ fn parse_picture(
     Ok(())
 }
 
-/// Reconstruction stage for one band of a parsed picture.
-#[allow(clippy::too_many_arguments)]
-fn decode_band(
-    band: usize,
-    mbs: &[MbOut],
-    reference: Option<&Yuv420Frame>,
-    kernels: &Kernels,
-    luma: &PlaneDims,
-    chroma: &PlaneDims,
-    mbs_x: usize,
-    mbs_y: usize,
-) -> BandOut {
-    let rows = band_rows(band, mbs_y);
-    let n_rows = rows.len();
-    let mut out = BandOut {
-        mbs: Vec::new(), // decode bands carry only reconstruction strips
-        y: vec![0u8; n_rows * 16 * luma.w],
-        u: vec![0u8; n_rows * 8 * chroma.w],
-        v: vec![0u8; n_rows * 8 * chroma.w],
-    };
-    let mb_row0 = rows.start;
-    for mby in rows {
-        let mut sink = RowSink { y: &mut out.y, u: &mut out.u, v: &mut out.v, mb_row0 };
-        decode_mb_row(mby, mbs, reference, kernels, luma, chroma, mbs_x, &mut sink);
-    }
-    out
-}
-
 /// Reconstruction for one macroblock row of a parsed picture: dequant,
-/// inverse transform and motion compensation written into `sink`. Shared
-/// by the banded parallel path and the serial direct-write path.
+/// inverse transform and motion compensation written into `sink`.
 #[allow(clippy::too_many_arguments)]
 fn decode_mb_row(
     mby: usize,
@@ -987,7 +781,6 @@ fn decode_mb_row(
     mbs_x: usize,
     sink: &mut RowSink<'_>,
 ) {
-    let local = mby - sink.mb_row0;
     for mbx in 0..mbs_x {
         let mb = &mbs[mby * mbs_x + mbx];
         match mb.mode {
@@ -997,12 +790,12 @@ fn decode_mb_row(
                     .enumerate()
                 {
                     let rec = kernels.intra_recon(&mb.blocks[k]);
-                    blit8(sink.y, luma.w, mbx * 16 + bx * 8, local * 16 + by * 8, &rec);
+                    blit8(sink.y, luma.w, mbx * 16 + bx * 8, mby * 16 + by * 8, &rec);
                 }
                 let rec_u = kernels.intra_recon(&mb.blocks[4]);
-                blit8(sink.u, chroma.w, mbx * 8, local * 8, &rec_u);
+                blit8(sink.u, chroma.w, mbx * 8, mby * 8, &rec_u);
                 let rec_v = kernels.intra_recon(&mb.blocks[5]);
-                blit8(sink.v, chroma.w, mbx * 8, local * 8, &rec_v);
+                blit8(sink.v, chroma.w, mbx * 8, mby * 8, &rec_v);
             }
             MbMode::Inter(mv) => {
                 let r = reference.expect("parse stage rejects P pictures without reference");
@@ -1024,7 +817,7 @@ fn decode_mb_row(
                     .enumerate()
                 {
                     let rec = kernels.residual_recon(&mb.blocks[k], &pred, 16, bx * 8, by * 8);
-                    blit8(sink.y, luma.w, mbx * 16 + bx * 8, local * 16 + by * 8, &rec);
+                    blit8(sink.y, luma.w, mbx * 16 + bx * 8, mby * 16 + by * 8, &rec);
                 }
                 let (cdx2, cdy2) = (i32::from(mv.dx2) / 2, i32::from(mv.dy2) / 2);
                 let mut cpred = [0u8; 64];
@@ -1035,7 +828,7 @@ fn decode_mb_row(
                         cdx2, cdy2, 8, &mut cpred,
                     );
                     let rec = kernels.residual_recon(&mb.blocks[4 + k], &cpred, 8, 0, 0);
-                    blit8(strip, chroma.w, mbx * 8, local * 8, &rec);
+                    blit8(strip, chroma.w, mbx * 8, mby * 8, &rec);
                 }
             }
         }
@@ -1183,10 +976,6 @@ mod tests {
         }
     }
 
-    fn opts(workers: usize) -> CodecOptions {
-        CodecOptions { parallel: ParallelConfig::with_workers(workers), ..Default::default() }
-    }
-
     #[test]
     fn fast_intra_cost_matches_reference_loop() {
         let f = test_frame(1);
@@ -1203,36 +992,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_encode_decode_byte_identical() {
-        let a = test_frame(0);
-        let b = test_frame(2);
-        let serial = opts(0);
-        let i_s = encode_intra_opts(&a, QScale::new(4), &serial);
-        let p_s = encode_inter_opts(&b, &i_s.reconstruction, QScale::new(4), &serial);
-        for workers in [1, 2, 3, 7] {
-            let par = opts(workers);
-            let i_p = encode_intra_opts(&a, QScale::new(4), &par);
-            assert_eq!(i_p.bytes, i_s.bytes, "intra bytes differ at {workers} workers");
-            assert_eq!(i_p.reconstruction, i_s.reconstruction);
-            let p_p = encode_inter_opts(&b, &i_p.reconstruction, QScale::new(4), &par);
-            assert_eq!(p_p.bytes, p_s.bytes, "inter bytes differ at {workers} workers");
-            assert_eq!(p_p.reconstruction, p_s.reconstruction);
-            let di = decode_intra_opts(&i_s.bytes, 48, 32, &par).unwrap();
-            assert_eq!(di, i_s.reconstruction);
-            let dp = decode_inter_opts(&p_s.bytes, &di, &par).unwrap();
-            assert_eq!(dp, p_s.reconstruction);
-        }
-    }
-
-    #[test]
     fn search_mode_does_not_change_bitstream() {
         let a = test_frame(0);
         let b = test_frame(3);
         let early = CodecOptions { search: SearchMode::EarlyExit, ..Default::default() };
         let exhaustive = CodecOptions { search: SearchMode::Exhaustive, ..Default::default() };
         let ia = encode_intra(&a, QScale::new(4));
-        let pe = encode_inter_opts(&b, &ia.reconstruction, QScale::new(4), &early);
-        let px = encode_inter_opts(&b, &ia.reconstruction, QScale::new(4), &exhaustive);
+        let pe = encode_picture(&b, Some(&ia.reconstruction), QScale::new(4), &early);
+        let px = encode_picture(&b, Some(&ia.reconstruction), QScale::new(4), &exhaustive);
         assert_eq!(pe.bytes, px.bytes);
         assert_eq!(pe.reconstruction, px.reconstruction);
     }
@@ -1242,11 +1009,11 @@ mod tests {
         let a = test_frame(0);
         let b = test_frame(2);
         let refk = CodecOptions { reference_kernels: true, ..Default::default() };
-        let ia = encode_intra_opts(&a, QScale::new(4), &refk);
-        let di = decode_intra_opts(&ia.bytes, 48, 32, &refk).unwrap();
+        let ia = encode_picture(&a, None, QScale::new(4), &refk);
+        let di = decode_picture(&ia.bytes, 48, 32, None, &refk).unwrap();
         assert_eq!(di, ia.reconstruction);
-        let pb = encode_inter_opts(&b, &ia.reconstruction, QScale::new(4), &refk);
-        let dp = decode_inter_opts(&pb.bytes, &ia.reconstruction, &refk).unwrap();
+        let pb = encode_picture(&b, Some(&ia.reconstruction), QScale::new(4), &refk);
+        let dp = decode_picture(&pb.bytes, 48, 32, Some(&ia.reconstruction), &refk).unwrap();
         assert_eq!(dp, pb.reconstruction);
         // The reference path stays a faithful encoder in its own right.
         assert!(luma_mad(&a, &ia.reconstruction) < 3.0);
@@ -1259,8 +1026,9 @@ mod tests {
         // ~1 LSB on smooth content (bitstreams may differ slightly).
         let a = test_frame(0);
         let fast = encode_intra(&a, QScale::new(4));
-        let refk = encode_intra_opts(
+        let refk = encode_picture(
             &a,
+            None,
             QScale::new(4),
             &CodecOptions { reference_kernels: true, ..Default::default() },
         );

@@ -223,6 +223,9 @@ fn fps_from_millihertz(mhz: u32) -> f64 {
 pub struct Encoder {
     config: EncoderConfig,
     opts: CodecOptions,
+    /// The workers of the batch entry points: their closed-GOP fan-out
+    /// and `push_frames`' RGB→4:2:0 conversion.
+    parallel: ParallelConfig,
     body: ByteBuf,
     frame_count: u32,
     reference: Option<Yuv420Frame>,
@@ -279,6 +282,7 @@ impl Encoder {
         Ok(Self {
             config,
             opts: CodecOptions::default(),
+            parallel: ParallelConfig::default(),
             body: ByteBuf::new(),
             frame_count: 0,
             reference: None,
@@ -289,14 +293,15 @@ impl Encoder {
         })
     }
 
-    /// Fans per-picture transform/quant/motion work out over `parallel`
-    /// worker threads, and — for [`Encoder::push_frames`] — encodes closed
-    /// GOPs concurrently. `workers == 0` (the default) is the inline
-    /// serial reference; every worker count produces byte-identical
-    /// streams.
+    /// Encodes closed GOPs concurrently over `parallel` worker threads in
+    /// [`Encoder::push_frames`] and [`Encoder::push_yuv_frames`], and fans
+    /// `push_frames`' RGB→4:2:0 conversion out over them too. Each
+    /// picture is coded on one thread. `workers == 0` (the default) is the
+    /// inline serial reference; every worker count produces
+    /// byte-identical streams.
     #[must_use]
     pub fn with_parallelism(mut self, parallel: ParallelConfig) -> Self {
-        self.opts.parallel = parallel;
+        self.parallel = parallel;
         self
     }
 
@@ -317,11 +322,6 @@ impl Encoder {
     pub fn with_reference_kernels(mut self, reference: bool) -> Self {
         self.opts.reference_kernels = reference;
         self
-    }
-
-    /// The per-picture coding options.
-    pub fn options(&self) -> &CodecOptions {
-        &self.opts
     }
 
     /// The encoder configuration.
@@ -423,11 +423,12 @@ impl Encoder {
     ///
     /// Each GOP after the first intra boundary depends only on its own
     /// frames (the intra picture resets the prediction chain), so GOPs are
-    /// independent jobs. Inside a GOP job the per-picture band fan-out is
-    /// forced serial to avoid nested thread spawning. Packets are emitted
-    /// in display order regardless of completion order, so the stream is
-    /// byte-identical to an equivalent sequence of [`Encoder::push_frame`]
-    /// calls for every worker count.
+    /// independent jobs, and each job codes its pictures one after
+    /// another. The RGB→4:2:0 conversion fans out over the same workers,
+    /// one frame per work item. Packets are emitted in display order
+    /// regardless of completion order, so the stream is byte-identical to
+    /// an equivalent sequence of [`Encoder::push_frame`] calls for every
+    /// worker count.
     ///
     /// Falls back to the serial per-frame path when rate control is
     /// active (the controller's qscale feedback chains every picture to
@@ -451,7 +452,7 @@ impl Encoder {
         // Convert up front, one frame per work item (conversion is
         // per-frame deterministic, so the order of work does not affect
         // the output), then run the batch through the YUV-domain path.
-        let yuv = fan_out(self.opts.parallel.workers, frames, |f| {
+        let yuv = fan_out(self.parallel.workers, frames, |f| {
             f.to_yuv420().map_err(|e| CodecError::Malformed { reason: e.to_string() })
         })
         .into_iter()
@@ -472,7 +473,7 @@ impl Encoder {
     /// match the configured dimensions (checked up front: no frame is
     /// consumed on error).
     pub fn push_yuv_frames(&mut self, frames: &[Yuv420Frame]) -> Result<(), CodecError> {
-        let parallel = self.opts.parallel;
+        let parallel = self.parallel;
         encode_yuv_batched(std::slice::from_mut(self), &[frames], &parallel)
     }
 
@@ -581,6 +582,8 @@ pub struct Decoder {
     next: usize,
     reference: Option<Yuv420Frame>,
     opts: CodecOptions,
+    /// The closed-GOP fan-out of [`Decoder::decode_all`].
+    parallel: ParallelConfig,
     /// Reusable parsed-level storage — see [`picture::CodecScratch`].
     scratch: picture::CodecScratch,
 }
@@ -666,17 +669,19 @@ impl Decoder {
             next: 0,
             reference: None,
             opts: CodecOptions::default(),
+            parallel: ParallelConfig::default(),
             scratch: picture::CodecScratch::default(),
         })
     }
 
-    /// Fans per-picture band reconstruction out over `parallel` worker
-    /// threads, and — for [`Decoder::decode_all`] — decodes closed GOPs
-    /// concurrently. Every worker count produces byte-identical frames;
-    /// `workers == 0` (the default) is the inline serial reference.
+    /// Decodes closed GOPs concurrently over `parallel` worker threads in
+    /// [`Decoder::decode_all`] and [`Decoder::decode_all_yuv`]; each
+    /// picture decodes on one thread. Every worker count produces
+    /// byte-identical frames; `workers == 0` (the default) is the inline
+    /// serial reference.
     #[must_use]
     pub fn with_parallelism(mut self, parallel: ParallelConfig) -> Self {
-        self.opts.parallel = parallel;
+        self.parallel = parallel;
         self
     }
 
@@ -687,11 +692,6 @@ impl Decoder {
     pub fn with_reference_kernels(mut self, reference: bool) -> Self {
         self.opts.reference_kernels = reference;
         self
-    }
-
-    /// The per-picture coding options.
-    pub fn options(&self) -> &CodecOptions {
-        &self.opts
     }
 
     /// All user-data payloads, in stream order — available before any
@@ -798,9 +798,8 @@ impl Decoder {
     ///
     /// Each intra picture resets the prediction chain, so the pictures
     /// from one I packet up to (excluding) the next are an independent
-    /// job. Inside a GOP job the per-picture band fan-out is forced serial
-    /// to avoid nested thread spawning, and each picture converts to RGB
-    /// inside its job. Results are reassembled in display order: every
+    /// job, which decodes its pictures one after another and converts
+    /// each to RGB. Results are reassembled in display order: every
     /// worker count returns byte-identical frames.
     ///
     /// # Errors
@@ -827,7 +826,7 @@ impl Decoder {
         T: Send,
         F: Fn(&Yuv420Frame) -> T + Sync,
     {
-        let parallel = self.opts.parallel;
+        let parallel = self.parallel;
         let mut outs = decode_all_batched(std::slice::from_mut(self), &parallel, map)?;
         Ok(outs.pop().expect("one decoder, one output"))
     }
@@ -930,8 +929,7 @@ pub fn encode_yuv_batched(
     let shared: &[Encoder] = encoders;
     let outs = fan_out(parallel.workers, &units, |&(job, frames)| {
         let enc = &shared[job];
-        let inner = CodecOptions { parallel: ParallelConfig::serial(), ..enc.opts };
-        encode_gop(frames, enc.config.qscale, &inner)
+        encode_gop(frames, enc.config.qscale, &enc.opts)
     });
     for (&(job, _), out) in units.iter().zip(outs) {
         encoders[job].append_gop(out);
@@ -995,8 +993,7 @@ where
     let shared: &[Decoder] = decoders;
     let results = fan_out(parallel.workers, &units, |(job, pics)| {
         let d = &shared[*job];
-        let inner = CodecOptions { parallel: ParallelConfig::serial(), ..d.opts };
-        decode_gop(&d.stream, &d.pictures[pics.clone()], d.width, d.height, &inner, &map)
+        decode_gop(&d.stream, &d.pictures[pics.clone()], d.width, d.height, &d.opts, &map)
     });
     for ((job, pics), result) in units.into_iter().zip(results) {
         let (frames, last) = result?;

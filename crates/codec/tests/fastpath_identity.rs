@@ -1,7 +1,7 @@
 //! Fast-path identity matrix + robustness properties.
 //!
 //! The codec fast path (fixed-point AAN transforms, fused quant,
-//! early-exit seeded motion search, word-level bit I/O, band/GOP
+//! early-exit seeded motion search, word-level bit I/O, closed-GOP
 //! fan-out) is only allowed to change *wall-clock*, never bytes. This
 //! suite pins that contract:
 //!

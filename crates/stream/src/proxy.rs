@@ -130,7 +130,7 @@ impl Proxy {
 
     /// Fans the proxy's decode, profiling, compensation and re-encode
     /// stages out over an intra-clip worker pool (the codec endpoints
-    /// fan out per closed GOP and per macroblock band). The default
+    /// fan out per closed GOP). The default
     /// (`workers == 0`) is the serial reference path; every worker count
     /// produces a byte-identical output stream (see
     /// `tests/parallel_identity.rs`).
