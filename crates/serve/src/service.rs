@@ -34,7 +34,9 @@
 use crate::cache::{AnnotationCache, CacheKey};
 use crate::counters::{Counters, CountersReport};
 use annolight_core::track::{AnnotationMode, AnnotationTrack};
-use annolight_core::{clip_digest, Annotator, LuminanceProfile, PolicyKind, QualityLevel};
+use annolight_core::{
+    clip_digest, Annotator, CoreError, LuminanceProfile, PolicyKind, QualityLevel,
+};
 use annolight_display::DeviceProfile;
 use annolight_support::channel::{self, Receiver, Sender};
 use annolight_support::retry::RetryPolicy;
@@ -279,6 +281,25 @@ struct ProfileMemo {
     ready: Condvar,
 }
 
+/// A digest's in-flight memo slot, owned by the caller profiling it.
+/// Dropped while armed, it removes the slot and wakes the waiters, so
+/// a profiling step that fails or unwinds never leaves a slot that later
+/// requests for the clip would wait on forever.
+struct InFlightSlot<'a> {
+    memo: &'a ProfileMemo,
+    digest: u64,
+    armed: bool,
+}
+
+impl Drop for InFlightSlot<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            self.memo.slots.lock().remove(&self.digest);
+            self.memo.ready.notify_all();
+        }
+    }
+}
+
 /// The cache key of a request. A custom quality outside `[0, 1]` is
 /// rejected here; [`CacheKey::new`] would panic on it.
 fn cache_key(
@@ -460,6 +481,17 @@ impl AnnotationService {
     /// instead of duplicating the scan (which would make more callers
     /// *slower* on same-clip, many-device workloads).
     fn profile_of(&self, digest: u64, clip: &Clip) -> Result<Arc<LuminanceProfile>, ServeError> {
+        self.profile_with(digest, || LuminanceProfile::of_clip(clip))
+    }
+
+    /// [`AnnotationService::profile_of`] with the profiling step given as
+    /// `profile`. A panic in `profile` reaches the caller, and the clip's
+    /// other requests then profile it afresh instead of waiting.
+    fn profile_with(
+        &self,
+        digest: u64,
+        profile: impl FnOnce() -> Result<LuminanceProfile, CoreError>,
+    ) -> Result<Arc<LuminanceProfile>, ServeError> {
         {
             let mut slots = self.profiles.slots.lock();
             loop {
@@ -475,25 +507,16 @@ impl AnnotationService {
                 }
             }
         }
-        // Compute outside the lock; we own the in-flight slot.
-        let computed = LuminanceProfile::of_clip(clip)
-            .map(Arc::new)
-            .map_err(|e| ServeError::Internal(e.to_string()));
-        let mut slots = self.profiles.slots.lock();
-        match computed {
-            Ok(profile) => {
-                Counters::bump(&self.counters.clip_profiles);
-                slots.insert(digest, ProfileSlot::Ready(Arc::clone(&profile)));
-                self.profiles.ready.notify_all();
-                Ok(profile)
-            }
-            Err(e) => {
-                // Clear the marker so a later request can retry.
-                slots.remove(&digest);
-                self.profiles.ready.notify_all();
-                Err(e)
-            }
-        }
+        // Compute outside the lock; we own the in-flight slot, and
+        // `slot` clears it on an error (so a later request can retry) or
+        // a panic.
+        let mut slot = InFlightSlot { memo: &self.profiles, digest, armed: true };
+        let profile = Arc::new(profile().map_err(|e| ServeError::Internal(e.to_string()))?);
+        slot.armed = false;
+        Counters::bump(&self.counters.clip_profiles);
+        self.profiles.slots.lock().insert(digest, ProfileSlot::Ready(Arc::clone(&profile)));
+        self.profiles.ready.notify_all();
+        Ok(profile)
     }
 
     /// The memoised luminance profile of a registered clip, profiling it
@@ -904,6 +927,31 @@ mod tests {
         assert_eq!(report.clip_profiles, 1, "one profile for three device keys");
         assert_eq!(report.completed, 3);
         assert_eq!(report.hits + report.misses, 3);
+    }
+
+    #[test]
+    fn a_panic_while_profiling_frees_the_clip_for_later_requests() {
+        const DIGEST: u64 = 7;
+        let svc = AnnotationService::new(ServiceConfig::default());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.profile_with(DIGEST, || panic!("profiling panicked"))
+        }));
+        assert!(panicked.is_err(), "the panic reaches its caller");
+        // Without the slot guard this call waits forever on the
+        // abandoned in-flight slot, so it runs on its own thread under
+        // a watchdog.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let second = Arc::clone(&svc);
+        let handle = std::thread::spawn(move || {
+            let clip = test_clip("a", 7);
+            let _ = tx.send(second.profile_with(DIGEST, || LuminanceProfile::of_clip(&clip)));
+        });
+        let reply = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a later request for the clip returns within 20 s");
+        handle.join().expect("the second request's thread finishes");
+        assert!(reply.is_ok(), "{reply:?}");
+        assert_eq!(svc.report().clip_profiles, 1);
     }
 
     #[test]
