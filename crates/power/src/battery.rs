@@ -57,44 +57,6 @@ impl Battery {
         assert!(power_w > 0.0, "power draw {power_w} must be positive");
         self.usable_energy_j() / power_w
     }
-
-    /// Extra runtime bought by a fractional power saving, seconds: the
-    /// difference between running at `(1 − saving)·power` and at `power`.
-    ///
-    /// ```
-    /// use annolight_power::Battery;
-    /// // An 18% saving at 3.2 W buys roughly a quarter hour of playback.
-    /// let extra = Battery::ipaq_5555().extra_runtime_s(3.2, 0.18);
-    /// assert!(extra > 10.0 * 60.0);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ saving < 1` and `power_w > 0`.
-    pub fn extra_runtime_s(&self, power_w: f64, saving: f64) -> f64 {
-        assert!((0.0..1.0).contains(&saving), "saving {saving} outside [0, 1)");
-        self.runtime_s(power_w * (1.0 - saving)) - self.runtime_s(power_w)
-    }
-}
-
-impl Battery {
-    /// Peukert-corrected runtime: real cells deliver less usable charge at
-    /// higher discharge currents. `exponent` is the Peukert exponent
-    /// (1.0 = ideal; Li-ion packs of the era ≈ 1.03–1.08). The reference
-    /// current is the 1C rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `power_w > 0` and `exponent ≥ 1`.
-    pub fn runtime_s_peukert(&self, power_w: f64, exponent: f64) -> f64 {
-        assert!(power_w > 0.0, "power draw {power_w} must be positive");
-        assert!(exponent >= 1.0, "Peukert exponent {exponent} must be >= 1");
-        let current_a = power_w / self.voltage_v;
-        let c_rate = self.capacity_mah / 1000.0; // 1C current in amps
-        let ideal = self.runtime_s(power_w);
-        // t = t_ideal · (I_ref / I)^(k-1)
-        ideal * (c_rate / current_a).powf(exponent - 1.0)
-    }
 }
 
 /// Live charge state: the quantity the closed-loop quality governor
@@ -169,55 +131,11 @@ impl BatteryState {
     pub fn budget_clamp_j(&self, budget_j: f64) -> f64 {
         budget_j.min(self.remaining_j).max(0.0)
     }
-
-    /// Fraction of the pack's usable energy a projected spend would
-    /// consume (0 for a zero-length clip; can exceed 1 when the
-    /// projection outruns the pack).
-    #[must_use]
-    pub fn projected_drain_fraction(&self, energy_j: f64) -> f64 {
-        energy_j / self.battery.usable_energy_j()
-    }
-
-    /// Remaining runtime at a constant draw, seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a non-positive power draw.
-    #[must_use]
-    pub fn runtime_at_w(&self, power_w: f64) -> f64 {
-        assert!(power_w > 0.0, "power draw {power_w} must be positive");
-        self.remaining_j / power_w
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn peukert_one_is_ideal() {
-        let b = Battery::ipaq_5555();
-        assert!((b.runtime_s_peukert(3.0, 1.0) - b.runtime_s(3.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn peukert_penalises_high_draw() {
-        let b = Battery::ipaq_5555();
-        // Streaming draws ~0.86 A, well above the 1.25 A·h pack's... no:
-        // 3.2 W / 3.7 V ≈ 0.86 A < 1C (1.25 A) — mild *bonus* below 1C,
-        // penalty above. Check both sides of the 1C point.
-        let below_1c = 3.2; // 0.86 A
-        let above_1c = 6.0; // 1.62 A
-        assert!(b.runtime_s_peukert(below_1c, 1.05) >= b.runtime_s(below_1c));
-        assert!(b.runtime_s_peukert(above_1c, 1.05) < b.runtime_s(above_1c));
-    }
-
-    #[test]
-    fn peukert_monotone_in_exponent_above_1c() {
-        let b = Battery::ipaq_5555();
-        let p = 6.0;
-        assert!(b.runtime_s_peukert(p, 1.08) < b.runtime_s_peukert(p, 1.03));
-    }
 
     #[test]
     fn stock_pack_energy_is_plausible() {
@@ -232,19 +150,6 @@ mod tests {
         // of WiFi video playback on the hardware class.
         let rt = Battery::ipaq_5555().runtime_s(3.2);
         assert!((3500.0..6000.0).contains(&rt), "{rt} s");
-    }
-
-    #[test]
-    fn extra_runtime_from_savings() {
-        let b = Battery::ipaq_5555();
-        // An 18% total saving at 3.2 W buys roughly 17 extra minutes.
-        let extra_min = b.extra_runtime_s(3.2, 0.18) / 60.0;
-        assert!((12.0..25.0).contains(&extra_min), "{extra_min} min");
-    }
-
-    #[test]
-    fn zero_saving_buys_nothing() {
-        assert_eq!(Battery::ipaq_5555().extra_runtime_s(3.0, 0.0), 0.0);
     }
 
     #[test]
@@ -320,9 +225,8 @@ mod tests {
     #[test]
     fn golden_zero_length_clip_projects_zero_drain() {
         let mut s = BatteryState::full(Battery::ipaq_5555());
-        // A zero-length clip projects zero energy: no drain, no
-        // projected fraction, state untouched.
-        assert_eq!(s.projected_drain_fraction(0.0), 0.0);
+        // A zero-length clip projects zero energy: no drain, state
+        // untouched.
         assert_eq!(s.drain_j(0.0), 0.0);
         assert_eq!(s.remaining_j(), IPAQ_USABLE_J);
         assert_eq!(s.fraction(), 1.0);
@@ -332,10 +236,6 @@ mod tests {
     fn fraction_is_clamped_and_runtime_tracks_charge() {
         let s = BatteryState::at_fraction(Battery::ipaq_5555(), 1.7);
         assert_eq!(s.fraction(), 1.0);
-        let half = BatteryState::at_fraction(Battery::ipaq_5555(), 0.5);
-        assert_eq!(half.runtime_at_w(3.0), 7659.0 / 3.0);
-        // Over-projection is visible, not hidden.
-        assert!(half.projected_drain_fraction(20_000.0) > 1.0);
     }
 
     #[test]
