@@ -371,26 +371,20 @@ impl FaultyChannel {
     /// the packet up). The RNG draw order is exactly
     /// [`Self::send`]-then-[`Self::retransmit`], so fates are
     /// byte-identical to calling the two by hand — a property the
-    /// `fault_props` tier pins.
+    /// `fault_props` tier pins. The fate's arrivals are held inline
+    /// ([`Copies`]), so the call never touches the heap.
     pub fn try_deliver(
         &mut self,
         bytes: usize,
         recovery: impl FnOnce(f64) -> Option<RetryPolicy>,
     ) -> DeliveredCopies {
         let fate = self.send(bytes);
-        let mut copies = Vec::new();
-        match fate.arrival_s {
-            Some(a) => {
-                copies.push(a);
-                copies.extend(fate.duplicate_arrival_s);
-            }
-            None => {
-                if let Some(policy) = recovery(fate.sent_s) {
-                    let out = self.retransmit(bytes, &policy, fate.sent_s);
-                    copies.extend(out.delivered_s);
-                }
-            }
-        }
+        let copies = match fate.arrival_s {
+            Some(first) => Copies::new(first, fate.duplicate_arrival_s),
+            None => recovery(fate.sent_s)
+                .and_then(|policy| self.retransmit(bytes, &policy, fate.sent_s).delivered_s)
+                .map_or(Copies::NONE, |recovered| Copies::new(recovered, None)),
+        };
         DeliveredCopies { sent_s: fate.sent_s, lost_first: fate.arrival_s.is_none(), copies }
     }
 
@@ -424,8 +418,9 @@ impl FaultyChannel {
 
 /// Every arrival produced for one packet by [`FaultyChannel::try_deliver`]:
 /// the primary copy (or its recovered retransmission) first, then any
-/// duplicate — the order the receiver is offered them.
-#[derive(Debug, Clone, PartialEq)]
+/// duplicate — the order the receiver is offered them. A plain `Copy`
+/// value: the arrivals sit inline in [`Copies`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeliveredCopies {
     /// When the first transmission finished serialising, seconds.
     pub sent_s: f64,
@@ -434,7 +429,49 @@ pub struct DeliveredCopies {
     pub lost_first: bool,
     /// Arrival times of every delivered copy; empty = the packet never
     /// reached the receiver.
-    pub copies: Vec<f64>,
+    pub copies: Copies,
+}
+
+/// The arrival times of one packet's delivered copies, held inline.
+///
+/// A fate delivers at most two copies: the first and its duplicate, or
+/// one recovered retransmission (a lost packet is never duplicated).
+/// Derefs to the filled slots in arrival-offer order; `Debug` and
+/// `PartialEq` see only those.
+#[derive(Clone, Copy)]
+pub struct Copies {
+    at: [f64; 2],
+    len: u8,
+}
+
+impl Copies {
+    /// No copy reached the receiver.
+    const NONE: Self = Self { at: [0.0; 2], len: 0 };
+
+    /// `first`, then `duplicate` if the hop made one.
+    fn new(first: f64, duplicate: Option<f64>) -> Self {
+        Self { at: [first, duplicate.unwrap_or(0.0)], len: 1 + u8::from(duplicate.is_some()) }
+    }
+}
+
+impl std::ops::Deref for Copies {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.at[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for Copies {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for Copies {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
 }
 
 /// Per-sequence arrival record for the annotation hint stream: when (and
@@ -528,12 +565,6 @@ impl AnnotationArrivals {
             .filter(|(a, d)| a.is_some_and(|a| a > **d))
             .count()
     }
-
-    /// Whether every delta made its deadline.
-    #[must_use]
-    pub fn all_on_time(&self) -> bool {
-        self.lost() == 0 && self.late() == 0
-    }
 }
 
 /// Summary of one lossy delivery, serialisable for the bench tables and
@@ -621,11 +652,6 @@ impl HintPlan {
     }
 }
 
-/// The `(arrival, wire)` copies of one packet that reach the receiver:
-/// the primary or recovered copy first, then a duplicate if the hop made
-/// one.
-pub type PacketCopies = Vec<(f64, Vec<u8>)>;
-
 /// The sender half of lossy delivery as a resumable **pull** engine: the
 /// packet plan plus the [`FaultyChannel`] that decides each packet's fate.
 ///
@@ -634,9 +660,9 @@ pub type PacketCopies = Vec<(f64, Vec<u8>)>;
 /// its scene starts ([`RetryPolicy::annotation`]), while picture packets
 /// use the generous [`RetryPolicy::reliable`] budget. One [`Self::pump`]
 /// call drives exactly one packet — a bounded, non-blocking slice of work
-/// — whose copies the caller offers to a [`LossyCollector`]; once the plan
-/// is exhausted, [`Self::finish`] folds the two back into a
-/// [`LossyDelivery`].
+/// — whose one wire the caller offers to a [`LossyCollector`] once per
+/// arrival; once the plan is exhausted, [`Self::finish`] folds the two
+/// back into a [`LossyDelivery`].
 ///
 /// The embedded track stays inside the (reliable) picture bytes — it
 /// describes the compensation already baked into the pixels. What the
@@ -684,14 +710,16 @@ impl LossyEngine {
         self.chan.clock_s()
     }
 
-    /// Drives the next packet's fate. Returns the copies the receiver
-    /// sees, or `None` once the plan is exhausted.
+    /// Drives the next packet's fate. Returns the packet's one wire with
+    /// the arrival time of every copy the receiver sees, in the order it
+    /// sees them (empty if the packet was lost), or `None` once the plan
+    /// is exhausted.
     ///
     /// # Errors
     ///
     /// Returns a descriptive string when a picture packet exhausts even
     /// the reliable retry budget (only possible under certain loss).
-    pub fn pump(&mut self) -> Result<Option<PacketCopies>, String> {
+    pub fn pump(&mut self) -> Result<Option<(Copies, Vec<u8>)>, String> {
         // Annotations ride ahead of the data (§3): all hints first.
         if self.next_delta < self.plan.deltas.len() {
             let i = self.next_delta;
@@ -703,7 +731,7 @@ impl LossyEngine {
             });
             self.next_delta += 1;
             self.seq += 1;
-            return Ok(Some(fate.copies.iter().map(|&a| (a, wire.clone())).collect()));
+            return Ok(Some((fate.copies, wire)));
         }
         // Picture data: reliable.
         if self.chunk_off < self.bytes.len() {
@@ -716,7 +744,7 @@ impl LossyEngine {
             }
             self.chunk_off = end;
             self.seq += 1;
-            return Ok(Some(fate.copies.iter().map(|&a| (a, wire.clone())).collect()));
+            return Ok(Some((fate.copies, wire)));
         }
         Ok(None)
     }
@@ -1064,13 +1092,13 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(a.lost(), 1);
         assert_eq!(a.late(), 1);
-        assert!(!a.all_on_time());
         assert!(a.arrived_by(0, 0.0));
         assert!(!a.arrived_by(1, 1.0)); // arrives at wall 1.5 = now 1.4
         assert!(a.arrived_by(1, 1.5));
         assert!(!a.arrived_by(2, 100.0));
         assert!(!a.arrived_by(99, 100.0), "out of range is never arrived");
-        assert!(AnnotationArrivals::punctual(4).all_on_time());
+        let punctual = AnnotationArrivals::punctual(4);
+        assert_eq!((punctual.lost(), punctual.late()), (0, 0));
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl SessionMachine {
 
     fn deliver(&mut self, mut d: Box<Delivery>) -> Result<Step, SessionError> {
         for _ in 0..PACKETS_PER_STEP {
-            let Some(copies) = d.engine.pump().map_err(SessionError::Pipeline)? else {
+            let Some((copies, wire)) = d.engine.pump().map_err(SessionError::Pipeline)? else {
                 let Delivery { engine, collector, then } = *d;
                 let lossy = engine.finish(collector).map_err(SessionError::Pipeline)?;
                 return Ok(match then {
@@ -183,7 +183,7 @@ impl SessionMachine {
                     }
                 });
             };
-            for (arrival, wire) in copies {
+            for &arrival in copies.iter() {
                 d.collector.offer(arrival, &wire).map_err(SessionError::Pipeline)?;
             }
         }
@@ -415,7 +415,7 @@ impl Task for ScaleSession {
                 if let Some(&first) = fate.copies.first() {
                     self.arrivals[i] = Some(first);
                 }
-                for &a in &fate.copies {
+                for &a in fate.copies.iter() {
                     self.digest.write_f64(a);
                 }
                 self.next += 1;
@@ -425,7 +425,7 @@ impl Task for ScaleSession {
                 if fate.copies.is_empty() {
                     self.undeliverable += 1;
                 }
-                for &a in &fate.copies {
+                for &a in fate.copies.iter() {
                     self.digest.write_f64(a);
                 }
                 self.next += 1;

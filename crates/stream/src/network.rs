@@ -25,20 +25,9 @@ impl WirelessChannel {
         Self { bandwidth_bps: 5_000_000.0, latency_s: 0.004, mtu: 1500 }
     }
 
-    /// Number of packets needed for `bytes`.
-    pub fn packets_for(&self, bytes: usize) -> usize {
-        bytes.div_ceil(self.mtu).max(1)
-    }
-
     /// Time to deliver `bytes` (serialisation + latency), seconds.
     pub fn transfer_time_s(&self, bytes: usize) -> f64 {
         (bytes as f64 * 8.0) / self.bandwidth_bps + self.latency_s
-    }
-
-    /// Whether a stream of `bytes` total, playing for `duration_s`, can be
-    /// delivered in real time over this channel.
-    pub fn sustains_real_time(&self, bytes: usize, duration_s: f64) -> bool {
-        self.transfer_time_s(bytes) <= duration_s
     }
 }
 
@@ -57,23 +46,5 @@ mod tests {
         let ch = WirelessChannel { bandwidth_bps: 1_000_000.0, latency_s: 0.01, mtu: 1500 };
         // 125000 bytes = 1 Mbit → 1 s + 10 ms latency.
         assert!((ch.transfer_time_s(125_000) - 1.01).abs() < 1e-9);
-    }
-
-    #[test]
-    fn packetisation_rounds_up() {
-        let ch = WirelessChannel::wifi_80211b();
-        assert_eq!(ch.packets_for(1), 1);
-        assert_eq!(ch.packets_for(1500), 1);
-        assert_eq!(ch.packets_for(1501), 2);
-        assert_eq!(ch.packets_for(0), 1);
-    }
-
-    #[test]
-    fn real_time_check() {
-        let ch = WirelessChannel::wifi_80211b();
-        // A 1 MB clip playing for 60 s is easily real-time on 5 Mbit/s.
-        assert!(ch.sustains_real_time(1_000_000, 60.0));
-        // 100 MB in one second is not.
-        assert!(!ch.sustains_real_time(100_000_000, 1.0));
     }
 }

@@ -127,13 +127,6 @@ impl RetryPolicy {
         }
         Some(self.jittered_delay_s(attempt, rng))
     }
-
-    /// The worst-case total backoff across all permitted retries (no
-    /// jitter), seconds — a bound for deadline-budget assertions.
-    #[must_use]
-    pub fn total_backoff_s(&self) -> f64 {
-        (0..self.max_retries).map(|a| self.delay_s(a)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +215,9 @@ mod tests {
             attempt += 1;
         }
         assert_eq!(attempt, p.max_retries);
-        assert!(total <= p.total_backoff_s() * 1.25 + 1e-12);
+        // The un-jittered schedule's sum, stretched by the ±25 % jitter.
+        let unjittered: f64 = (0..p.max_retries).map(|a| p.delay_s(a)).sum();
+        assert!(total <= unjittered * 1.25 + 1e-12);
     }
 
     #[test]

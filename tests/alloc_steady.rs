@@ -13,6 +13,12 @@
 //! * rendering — [`Clip::frame_into`] writes each synthetic frame into
 //!   one reused frame, across scene boundaries.
 //!
+//! The wireless hop allocates nothing per packet either:
+//! [`FaultyChannel::try_deliver`] holds a fate's arrivals inline with every
+//! fault class on, and stepping a [`ScaleSession`] to `Done` allocates the
+//! same for a short stream as for a long one (only its final report's
+//! channel send).
+//!
 //! Clip profiling keeps per-frame statistics, so it allocates per frame,
 //! but [`LuminanceProfile::of_clip`] renders into one reused frame per
 //! chunk: a longer preview costs it less than one frame buffer per extra
@@ -30,7 +36,13 @@ use annolight_core::{LuminanceProfile, QualityLevel};
 use annolight_display::{BacklightLevel, DeviceProfile};
 use annolight_imgproc::{CompensationLut, Frame, Histogram, Yuv420Frame};
 use annolight_power::SystemPowerModel;
-use annolight_stream::PlaybackClient;
+use annolight_stream::faults::retry::RetryPolicy;
+use annolight_stream::{
+    FaultConfig, FaultyChannel, PlaybackClient, ScaleSession, ScaleSpec, WirelessChannel,
+};
+use annolight_support::channel;
+use annolight_support::reactor::{Step, Task};
+use std::sync::Arc;
 use annolight_video::library::PAPER_CLIP_NAMES;
 use annolight_video::{Clip, ClipLibrary, ContentKind};
 
@@ -273,5 +285,79 @@ fn clip_profile_allocates_less_than_a_frame_buffer_per_frame() {
         long.frame_count(),
         short.frame_count(),
         growth / extra_frames
+    );
+}
+
+/// Every fault class at once: independent and burst loss, duplication,
+/// reordering and jitter.
+fn every_fault(seed: u64) -> FaultConfig {
+    FaultConfig {
+        drop_p: 0.1,
+        dup_p: 0.1,
+        reorder_p: 0.1,
+        reorder_window: 4,
+        jitter_s: 0.002,
+        ..FaultConfig::bursty(seed)
+    }
+}
+
+#[test]
+fn packet_fates_allocate_nothing() {
+    const PACKETS: usize = 1_000;
+    let mut ch = FaultyChannel::new(WirelessChannel::wifi_80211b(), every_fault(0xA110));
+    let (mut none, mut two) = (0, 0);
+
+    let before = counts();
+    for i in 0..PACKETS {
+        let bytes = 40 + (i * 53) % 1400;
+        let fate = if i % 2 == 0 {
+            ch.try_deliver(bytes, |_| Some(RetryPolicy::reliable()))
+        } else {
+            // A hint's deadline: retried only until its scene starts.
+            ch.try_deliver(bytes, |sent_s| {
+                Some(RetryPolicy::annotation().with_deadline((0.05 - sent_s).max(0.0)))
+            })
+        };
+        none += usize::from(fate.copies.is_empty());
+        two += usize::from(fate.copies.len() == 2);
+    }
+    let (calls, bytes) = counts();
+    let (calls, bytes) = (calls - before.0, bytes - before.1);
+
+    assert_eq!(
+        (calls, bytes),
+        (0, 0),
+        "{PACKETS} packet fates made {calls} allocation calls / {bytes} bytes"
+    );
+    // Sanity: every fault class fired, and fates both lost a packet
+    // outright and delivered a duplicate.
+    let st = ch.stats();
+    assert!(st.dropped > 0 && st.duplicated > 0 && st.reordered > 0 && st.burst_packets > 0);
+    assert!(st.retransmits > 0 && st.retransmit_failures > 0);
+    assert!(none > 0 && two > 0, "{none} fates lost, {two} duplicated");
+}
+
+#[test]
+fn scale_session_allocations_do_not_grow_with_stream_length() {
+    let link = WirelessChannel::wifi_80211b();
+    let run = |stream: &EncodedStream| {
+        let spec = Arc::new(ScaleSpec::from_stream(stream, &link, 0.25).expect("stream plans"));
+        let (tx, rx) = channel::unbounded();
+        let mut session = ScaleSession::new(Arc::clone(&spec), every_fault(7), 0, tx);
+        let before = counts().0;
+        while session.step() != Step::Done {}
+        let calls = counts().0 - before;
+        let (_, outcome) = rx.recv().expect("the session reports");
+        assert_eq!(outcome.packets, spec.packets() as u64);
+        assert!(outcome.dropped > 0, "the faulty hop drops packets");
+        (calls, outcome.packets)
+    };
+    let (short, long) = (annotated_stream(WARMUP_FRAMES), annotated_stream(4 * WARMUP_FRAMES));
+    let ((short_calls, short_packets), (long_calls, long_packets)) = (run(&short), run(&long));
+    assert!(long_packets > short_packets);
+    assert_eq!(
+        short_calls, long_calls,
+        "a scale session must not allocate per packet: {short_calls} allocation calls for \
+         {short_packets} packets vs {long_calls} for {long_packets}"
     );
 }
