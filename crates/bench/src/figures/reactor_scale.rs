@@ -6,7 +6,10 @@
 //! from the deterministic log) alongside the schedule's trace digest and
 //! the fleet's aggregate fault/degradation totals (deterministic per
 //! seed — the CI guard double-runs and `cmp`s them). Peak resident
-//! memory is read from `/proc/self/status` `VmHWM` where available.
+//! memory is read from `/proc/self/status` `VmHWM` where available. The
+//! report records the host it ran on (cores, kernel tier, build profile),
+//! the fields annobench's header prints; they too stay out of the
+//! deterministic log.
 
 use crate::table::Table;
 use annolight_core::QualityLevel;
@@ -24,7 +27,7 @@ use std::time::Instant;
 pub const BASELINE_SEED: u64 = 0x5CA1E;
 
 /// Schema version of the exported report (bump on field changes).
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// One fleet size's measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,11 +72,20 @@ pub struct BenchReactor {
     pub schema_version: u64,
     /// Master seed every fleet was scheduled from.
     pub seed: u64,
+    /// Cores available to the process (`available_parallelism`, 0 if
+    /// unknown; not deterministic).
+    pub cores: u64,
+    /// The imgproc kernel tier the process selected (not deterministic).
+    pub kernel_tier: String,
+    /// The build profile, `release` or `debug` (not deterministic).
+    pub profile: String,
     /// One point per fleet size, ascending.
     pub points: Vec<ScalePoint>,
 }
 
-annolight_support::impl_json!(struct BenchReactor { schema_version, seed, points });
+annolight_support::impl_json!(struct BenchReactor {
+    schema_version, seed, cores, kernel_tier, profile, points
+});
 
 impl BenchReactor {
     /// Pretty JSON for `BENCH_reactor.json`.
@@ -189,10 +201,24 @@ pub fn run_point(spec: &Arc<ScaleSpec>, seed: u64, sessions: usize) -> ScalePoin
     }
 }
 
+/// The report of `points`, scheduled from `seed`, stamped with this
+/// host's cores, kernel tier and build profile.
+fn on_this_host(seed: u64, points: Vec<ScalePoint>) -> BenchReactor {
+    let cores = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
+    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    BenchReactor {
+        schema_version: SCHEMA_VERSION,
+        seed,
+        cores: cores as u64,
+        kernel_tier: annolight_imgproc::kernel_tier().name().to_owned(),
+        profile: profile.to_owned(),
+        points,
+    }
+}
+
 fn run_points(seed: u64, sizes: &[usize]) -> BenchReactor {
     let spec = fleet_spec().expect("fleet spec builds from the paper clip");
-    let points = sizes.iter().map(|&n| run_point(&spec, seed, n)).collect();
-    BenchReactor { schema_version: SCHEMA_VERSION, seed, points }
+    on_this_host(seed, sizes.iter().map(|&n| run_point(&spec, seed, n)).collect())
 }
 
 /// The full 1k / 10k / 100k sweep.
@@ -208,8 +234,8 @@ pub fn run_small(seed: u64) -> BenchReactor {
     run_points(seed, &[1_000, 100_000])
 }
 
-/// The deterministic projections — everything except wall-clock and
-/// RSS — serialised for the CI double-run `cmp` guard.
+/// The deterministic projections — everything except wall-clock, RSS
+/// and the host fields — serialised for the CI double-run `cmp` guard.
 #[must_use]
 pub fn deterministic_log(bench: &BenchReactor) -> String {
     let mut s = format!("seed {:#x} schema {}\n", bench.seed, bench.schema_version);
@@ -287,8 +313,7 @@ mod tests {
             b.degraded_frames
         ));
         assert!(a.dropped > 0, "a lossy fleet must drop packets");
-        let bench =
-            BenchReactor { schema_version: SCHEMA_VERSION, seed: 9, points: vec![a] };
+        let bench = on_this_host(9, vec![a]);
         let back = BenchReactor::from_json_string(&bench.to_json_string()).unwrap();
         assert_eq!(back, bench);
     }
