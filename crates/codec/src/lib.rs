@@ -71,5 +71,5 @@ pub use error::CodecError;
 pub use metrics::{psnr, psnr_luma};
 pub use stream::{
     decode_all_batched, decode_all_yuv_batched, encode_yuv_batched, Decoder, EncodedStream,
-    Encoder, EncoderConfig, PacketKind,
+    Encoder, EncoderConfig, FrameSource, PacketKind,
 };

@@ -24,6 +24,7 @@ use crate::quant::QScale;
 use annolight_imgproc::{Frame, Yuv420Frame};
 use annolight_support::bytes::{ByteBuf, Bytes};
 use annolight_support::par::{fan_out, ParallelConfig};
+use std::ops::Range;
 
 const MAGIC: &[u8; 4] = b"ALV1";
 
@@ -177,6 +178,18 @@ struct Header {
 impl Header {
     const LEN: usize = 4 + 2 + 2 + 4 + 4 + 1;
 
+    /// The header's bytes for a stream of `frame_count` pictures.
+    fn write(config: &EncoderConfig, fps_millihertz: u32, frame_count: u32) -> [u8; Self::LEN] {
+        let mut out = [0; Self::LEN];
+        out[..4].copy_from_slice(MAGIC);
+        out[4..6].copy_from_slice(&(config.width as u16).to_le_bytes());
+        out[6..8].copy_from_slice(&(config.height as u16).to_le_bytes());
+        out[8..12].copy_from_slice(&fps_millihertz.to_le_bytes());
+        out[12..16].copy_from_slice(&frame_count.to_le_bytes());
+        out[16] = config.gop_size;
+        out
+    }
+
     fn parse(bytes: &[u8]) -> Result<Self, CodecError> {
         if bytes.len() < Self::LEN || &bytes[..4] != MAGIC {
             return Err(CodecError::Malformed { reason: "bad or missing stream header".into() });
@@ -223,9 +236,10 @@ fn fps_from_millihertz(mhz: u32) -> f64 {
 pub struct Encoder {
     config: EncoderConfig,
     opts: CodecOptions,
-    /// The workers of the batch entry points: their closed-GOP fan-out
-    /// and `push_frames`' RGB→4:2:0 conversion.
+    /// The workers of the batch entry points' closed-GOP fan-out.
     parallel: ParallelConfig,
+    /// The stream: [`Header::LEN`] bytes held for the header, which
+    /// [`Encoder::finish`] writes in place, then the packets.
     body: ByteBuf,
     frame_count: u32,
     reference: Option<Yuv420Frame>,
@@ -279,11 +293,13 @@ impl Encoder {
             }
             None => None,
         };
+        let mut body = ByteBuf::new();
+        body.put_slice(&[0; Header::LEN]);
         Ok(Self {
             config,
             opts: CodecOptions::default(),
             parallel: ParallelConfig::default(),
-            body: ByteBuf::new(),
+            body,
             frame_count: 0,
             reference: None,
             rate,
@@ -294,11 +310,12 @@ impl Encoder {
     }
 
     /// Encodes closed GOPs concurrently over `parallel` worker threads in
-    /// [`Encoder::push_frames`] and [`Encoder::push_yuv_frames`], and fans
-    /// `push_frames`' RGB→4:2:0 conversion out over them too. Each
-    /// picture is coded on one thread. `workers == 0` (the default) is the
-    /// inline serial reference; every worker count produces
-    /// byte-identical streams.
+    /// [`Encoder::push_frames`], [`Encoder::push_yuv_frames`] and
+    /// [`Encoder::push_frames_from`]; each GOP job also produces its own
+    /// frames (`push_frames`' RGB→4:2:0 conversion, a source's
+    /// rendering). Each picture is coded on one thread. `workers == 0`
+    /// (the default) is the inline serial reference; every worker count
+    /// produces byte-identical streams.
     #[must_use]
     pub fn with_parallelism(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = parallel;
@@ -423,12 +440,11 @@ impl Encoder {
     ///
     /// Each GOP after the first intra boundary depends only on its own
     /// frames (the intra picture resets the prediction chain), so GOPs are
-    /// independent jobs, and each job codes its pictures one after
-    /// another. The RGB→4:2:0 conversion fans out over the same workers,
-    /// one frame per work item. Packets are emitted in display order
-    /// regardless of completion order, so the stream is byte-identical to
-    /// an equivalent sequence of [`Encoder::push_frame`] calls for every
-    /// worker count.
+    /// independent jobs, and each job converts its frames to 4:2:0 and
+    /// codes its pictures one after another. Packets are emitted in
+    /// display order regardless of completion order, so the stream is
+    /// byte-identical to an equivalent sequence of [`Encoder::push_frame`]
+    /// calls for every worker count.
     ///
     /// Falls back to the serial per-frame path when rate control is
     /// active (the controller's qscale feedback chains every picture to
@@ -449,15 +465,8 @@ impl Encoder {
                 });
             }
         }
-        // Convert up front, one frame per work item (conversion is
-        // per-frame deterministic, so the order of work does not affect
-        // the output), then run the batch through the YUV-domain path.
-        let yuv = fan_out(self.parallel.workers, frames, |f| {
-            f.to_yuv420().map_err(|e| CodecError::Malformed { reason: e.to_string() })
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        self.push_yuv_frames(&yuv)
+        let (w, h) = (self.config.width, self.config.height);
+        self.push_frames_from(frames.len(), || RgbFrames { frames, yuv: blank_frame(w, h) })
     }
 
     /// [`Encoder::push_frames`] for frames already in planar 4:2:0: the
@@ -477,14 +486,44 @@ impl Encoder {
         encode_yuv_batched(std::slice::from_mut(self), &[frames], &parallel)
     }
 
-    /// Appends a GOP job's packets and takes its last reconstruction as
-    /// the live reference.
+    /// Encodes and appends `frames` frames that sources made by `source`
+    /// produce on demand, fanning **closed GOPs** out across the
+    /// configured worker pool.
+    ///
+    /// Each GOP job makes its own source and asks it for the job's frames
+    /// in display order, each just before coding it, so a source that
+    /// renders into working memory it owns holds one frame per job, never
+    /// the batch. The frames before the first GOP boundary (continuing an
+    /// open GOP) and every frame of a serial or rate-controlled encoder go
+    /// through one source and [`Encoder::push_yuv_frame`]. The stream is
+    /// byte-identical to pushing the same frames one by one, for every
+    /// worker count.
+    ///
+    /// # Errors
+    ///
+    /// The first error in display order, from a source or a frame whose
+    /// size does not match the configuration. The frames before the
+    /// first GOP boundary may already be appended; no fanned-out GOP is.
+    pub fn push_frames_from<S, M>(&mut self, frames: usize, source: M) -> Result<(), S::Error>
+    where
+        S: FrameSource,
+        S::Error: Send,
+        M: Fn() -> S + Sync,
+    {
+        let parallel = self.parallel;
+        encode_batch(std::slice::from_mut(self), &[frames], &parallel, |_| source())
+    }
+
+    /// Appends a GOP job's packets; the batch's last GOP also hands over
+    /// its last reconstruction as the live reference.
     fn append_gop(&mut self, out: GopOut) {
         for (kind, range) in &out.packets {
             self.put_packet(*kind, &out.payloads[range.clone()]);
         }
         self.frame_count += out.packets.len() as u32;
-        self.reference = Some(out.last_reconstruction);
+        if let Some(last) = out.last_reconstruction {
+            self.reference = Some(last);
+        }
     }
 
     fn put_packet(&mut self, kind: PacketKind, payload: &[u8]) {
@@ -504,20 +543,18 @@ impl Encoder {
 
     /// Finalises and returns the stream. Its [`EncodedStream::fps`] is the
     /// rate the header carries (millihertz precision), so it equals what
-    /// [`EncodedStream::from_bytes`] reads back.
-    pub fn finish(self) -> EncodedStream {
+    /// [`EncodedStream::from_bytes`] reads back. The header is written
+    /// into the space held for it, so no packet byte is copied.
+    pub fn finish(mut self) -> EncodedStream {
         let fps_millihertz =
             fps_millihertz(self.config.fps).expect("Encoder::new checked the frame rate");
-        let mut out = ByteBuf::with_capacity(Header::LEN + self.body.len());
-        out.put_slice(MAGIC);
-        out.put_u16_le(self.config.width as u16);
-        out.put_u16_le(self.config.height as u16);
-        out.put_u32_le(fps_millihertz);
-        out.put_u32_le(self.frame_count);
-        out.put_u8(self.config.gop_size);
-        out.put_slice(&self.body);
+        self.body[..Header::LEN].copy_from_slice(&Header::write(
+            &self.config,
+            fps_millihertz,
+            self.frame_count,
+        ));
         EncodedStream {
-            bytes: out.freeze(),
+            bytes: self.body.freeze(),
             width: self.config.width,
             height: self.config.height,
             fps: fps_from_millihertz(fps_millihertz),
@@ -526,40 +563,109 @@ impl Encoder {
     }
 }
 
-/// One closed GOP's worth of encoded output, produced by a worker: every
-/// picture payload back to back in `payloads`, indexed by `packets`.
-struct GopOut {
-    packets: Vec<(PacketKind, std::ops::Range<usize>)>,
-    payloads: Vec<u8>,
-    last_reconstruction: Yuv420Frame,
+/// The frames of a batch, produced one at a time for the encoder's
+/// closed-GOP fan-out ([`Encoder::push_frames_from`]).
+///
+/// Each GOP job makes its own source and asks it for the job's frames in
+/// display order, each just before coding it. A slice of planar frames is
+/// a source that copies nothing; a source may instead render or convert
+/// each frame into memory it owns and reuses.
+pub trait FrameSource {
+    /// What producing a frame can fail with; the encoder's own errors
+    /// convert into it.
+    type Error: From<CodecError>;
+
+    /// Frame `i` of the batch (counted from the batch's first frame) in
+    /// planar 4:2:0.
+    ///
+    /// # Errors
+    ///
+    /// Whatever producing the frame fails with.
+    fn frame(&mut self, i: usize) -> Result<&Yuv420Frame, Self::Error>;
 }
 
-/// Encodes one closed GOP (first frame intra, rest predicted) serially,
-/// with one [`picture::CodecScratch`] for the whole job and the
-/// reconstruction ping-ponged with the reference, as
-/// [`Encoder::push_yuv_frame`] does.
-fn encode_gop(frames: &[Yuv420Frame], qscale: QScale, opts: &CodecOptions) -> GopOut {
-    let (first, rest) = frames.split_first().expect("encode_gop called with at least one frame");
-    let new_frame = || {
-        Yuv420Frame::new(first.width(), first.height()).expect("source frame dimensions are valid")
-    };
+impl FrameSource for &[Yuv420Frame] {
+    type Error = CodecError;
+
+    fn frame(&mut self, i: usize) -> Result<&Yuv420Frame, CodecError> {
+        Ok(&self[i])
+    }
+}
+
+/// [`Encoder::push_frames`]' source: each RGB frame converted to 4:2:0
+/// into one reused frame.
+struct RgbFrames<'a> {
+    frames: &'a [Frame],
+    yuv: Yuv420Frame,
+}
+
+impl FrameSource for RgbFrames<'_> {
+    type Error = CodecError;
+
+    fn frame(&mut self, i: usize) -> Result<&Yuv420Frame, CodecError> {
+        self.frames[i]
+            .to_yuv420_into(&mut self.yuv)
+            .map_err(|e| CodecError::Malformed { reason: e.to_string() })?;
+        Ok(&self.yuv)
+    }
+}
+
+/// A planar frame of an encoder's validated dimensions.
+fn blank_frame(width: u32, height: u32) -> Yuv420Frame {
+    Yuv420Frame::new(width, height).expect("Encoder::new checked the dimensions")
+}
+
+/// One closed GOP's worth of encoded output, produced by a worker: every
+/// picture payload back to back in `payloads`, indexed by `packets`.
+/// Only a batch's last GOP keeps its last reconstruction, the reference
+/// for whatever the encoder codes next.
+struct GopOut {
+    packets: Vec<(PacketKind, Range<usize>)>,
+    payloads: Vec<u8>,
+    last_reconstruction: Option<Yuv420Frame>,
+}
+
+/// Encodes one closed GOP, frames `frames` of `source` (the first intra,
+/// the rest predicted), serially, with one [`picture::CodecScratch`] for
+/// the whole job and the reconstruction ping-ponged with the reference,
+/// as [`Encoder::push_yuv_frame`] does. The payloads are trimmed to their
+/// length, since the GOP waits for the rest of the batch.
+fn encode_gop<S: FrameSource>(
+    source: &mut S,
+    frames: Range<usize>,
+    enc: &Encoder,
+    keep_reconstruction: bool,
+) -> Result<GopOut, S::Error> {
+    let (width, height) = (enc.config.width, enc.config.height);
     let mut scratch = picture::CodecScratch::default();
     let mut packets = Vec::with_capacity(frames.len());
     let mut payloads = Vec::new();
-    let mut reference = new_frame();
-    picture::encode_picture_into(first, None, qscale, opts, &mut scratch, &mut reference);
-    let mut push = |kind, payload: &[u8]| {
-        packets.push((kind, payloads.len()..payloads.len() + payload.len()));
-        payloads.extend_from_slice(payload);
-    };
-    push(PacketKind::IntraPicture, &scratch.payload);
-    let mut recon = new_frame();
-    for yuv in rest {
-        picture::encode_picture_into(yuv, Some(&reference), qscale, opts, &mut scratch, &mut recon);
-        push(PacketKind::PredictedPicture, &scratch.payload);
-        std::mem::swap(&mut reference, &mut recon);
+    let mut reference: Option<Yuv420Frame> = None;
+    let mut recon = blank_frame(width, height);
+    for i in frames {
+        let yuv = source.frame(i)?;
+        if (yuv.width(), yuv.height()) != (width, height) {
+            return Err(CodecError::FrameSizeMismatch {
+                expected: (width, height),
+                actual: (yuv.width(), yuv.height()),
+            }
+            .into());
+        }
+        let kind = if reference.is_some() {
+            PacketKind::PredictedPicture
+        } else {
+            PacketKind::IntraPicture
+        };
+        let qscale = enc.config.qscale;
+        picture::encode_picture_into(yuv, reference.as_ref(), qscale, &enc.opts, &mut scratch, &mut recon);
+        packets.push((kind, payloads.len()..payloads.len() + scratch.payload.len()));
+        payloads.extend_from_slice(&scratch.payload);
+        recon = reference.replace(recon).unwrap_or_else(|| blank_frame(width, height));
     }
-    GopOut { packets, payloads, last_reconstruction: reference }
+    payloads.shrink_to_fit();
+    let last_reconstruction =
+        keep_reconstruction.then(|| reference.expect("encode_gop codes at least one frame"));
+    Ok(GopOut { packets, payloads, last_reconstruction })
 }
 
 /// The streaming decoder.
@@ -912,27 +1018,52 @@ pub fn encode_yuv_batched(
             }
         }
     }
-    // Serial prefixes (frames extending each job's open GOP chain, or the
-    // whole job when it runs serially); every `gop_size` frames after
-    // that form a closed GOP, one work item each.
-    let mut units: Vec<(usize, &[Yuv420Frame])> = Vec::new();
-    for (job, (enc, &clip)) in encoders.iter_mut().zip(clips).enumerate() {
+    let lens: Vec<usize> = clips.iter().map(|clip| clip.len()).collect();
+    encode_batch(encoders, &lens, parallel, |job| clips[job])
+}
+
+/// The one batch body: `lens[job]` frames for `encoders[job]`, produced
+/// by the sources `source(job)` makes.
+///
+/// Each job's serial prefix (the frames continuing its open GOP, or the
+/// whole job when it runs serially) goes through one source and
+/// [`Encoder::push_yuv_frame`]; every `gop_size` frames after that form
+/// a closed GOP, one work item of a single [`fan_out`] across all jobs.
+/// Packets are appended in GOP order once every GOP has succeeded, and
+/// the first error in GOP order is returned otherwise.
+fn encode_batch<S, M>(
+    encoders: &mut [Encoder],
+    lens: &[usize],
+    parallel: &ParallelConfig,
+    source: M,
+) -> Result<(), S::Error>
+where
+    S: FrameSource,
+    S::Error: Send,
+    M: Fn(usize) -> S + Sync,
+{
+    let mut units: Vec<(usize, Range<usize>)> = Vec::new();
+    for (job, (enc, &len)) in encoders.iter_mut().zip(lens).enumerate() {
         let serial = parallel.workers <= 1 || enc.rate.is_some();
         let mut idx = 0;
-        while idx < clip.len() && (serial || !enc.next_is_intra()) {
-            enc.push_yuv_frame(&clip[idx])?;
-            idx += 1;
+        if len > 0 && (serial || !enc.next_is_intra()) {
+            let mut frames = source(job);
+            while idx < len && (serial || !enc.next_is_intra()) {
+                enc.push_yuv_frame(frames.frame(idx)?)?;
+                idx += 1;
+            }
         }
         let gop = usize::from(enc.config.gop_size);
-        units.extend(clip[idx..].chunks(gop).map(|frames| (job, frames)));
+        units.extend((idx..len).step_by(gop).map(|start| (job, start..(start + gop).min(len))));
     }
     let shared: &[Encoder] = encoders;
-    let outs = fan_out(parallel.workers, &units, |&(job, frames)| {
-        let enc = &shared[job];
-        encode_gop(frames, enc.config.qscale, &enc.opts)
+    let outs = fan_out(parallel.workers, &units, |(job, frames)| {
+        let last = frames.end == lens[*job];
+        encode_gop(&mut source(*job), frames.clone(), &shared[*job], last)
     });
-    for (&(job, _), out) in units.iter().zip(outs) {
-        encoders[job].append_gop(out);
+    let outs = outs.into_iter().collect::<Result<Vec<_>, _>>()?;
+    for ((job, _), out) in units.iter().zip(outs) {
+        encoders[*job].append_gop(out);
     }
     Ok(())
 }
@@ -1220,6 +1351,107 @@ mod tests {
             let stream = enc.finish();
             assert_eq!(stream.as_bytes(), serial.as_bytes(), "workers {workers}");
         }
+    }
+
+    /// A test source: converts RGB frames on demand, counts the sources
+    /// made, and fails at the frames in `fail_at` with their index.
+    struct Converting<'a> {
+        frames: &'a [Frame],
+        yuv: Yuv420Frame,
+        fail_at: &'a [usize],
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum SourceError {
+        Failed(usize),
+        Codec(CodecError),
+    }
+
+    impl From<CodecError> for SourceError {
+        fn from(e: CodecError) -> Self {
+            SourceError::Codec(e)
+        }
+    }
+
+    impl FrameSource for Converting<'_> {
+        type Error = SourceError;
+
+        fn frame(&mut self, i: usize) -> Result<&Yuv420Frame, SourceError> {
+            if self.fail_at.contains(&i) {
+                return Err(SourceError::Failed(i));
+            }
+            self.frames[i].to_yuv420_into(&mut self.yuv).unwrap();
+            Ok(&self.yuv)
+        }
+    }
+
+    /// Encodes `fs` through [`Encoder::push_frames_from`] at `workers`,
+    /// then `tail` one frame at a time (predicted from the batch's last
+    /// reconstruction), returning the result and how many sources the
+    /// batch made.
+    fn encode_from(
+        fs: &[Frame],
+        tail: &[Frame],
+        config: EncoderConfig,
+        workers: usize,
+        fail_at: &[usize],
+    ) -> (Result<EncodedStream, SourceError>, usize) {
+        let made = std::sync::atomic::AtomicUsize::new(0);
+        let mut enc = Encoder::new(config)
+            .unwrap()
+            .with_parallelism(ParallelConfig::with_workers(workers));
+        enc.push_user_data(b"ud");
+        let pushed = enc.push_frames_from(fs.len(), || {
+            made.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Converting { frames: fs, yuv: blank_frame(config.width, config.height), fail_at }
+        });
+        let pushed = pushed.map(|()| {
+            for f in tail {
+                enc.push_frame(f).unwrap();
+            }
+            enc.finish()
+        });
+        (pushed, made.into_inner())
+    }
+
+    #[test]
+    fn frame_source_batches_match_push_frame_for_every_worker_count() {
+        let config = EncoderConfig { gop_size: 12, ..cfg(48, 32) };
+        for n in [1, 11, 12, 13, 25] {
+            // One frame past the batch, which a partial last GOP codes
+            // against the batch's last reconstruction.
+            let fs = frames(n + 1, 48, 32);
+            let serial = encode(&fs, config, &[b"ud"]);
+            let (batch, tail) = fs.split_at(n as usize);
+            for workers in [0, 1, 2, 4] {
+                let (stream, made) = encode_from(batch, tail, config, workers, &[]);
+                let stream = stream.unwrap();
+                assert_eq!(stream.as_bytes(), serial.as_bytes(), "{n} frames, workers {workers}");
+                // One source per closed GOP when the batch fans out.
+                let gops = if workers > 1 { (n as usize).div_ceil(12) } else { 1 };
+                assert_eq!(made, gops, "{n} frames, workers {workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_source_failing_in_two_gops_returns_the_earlier_error() {
+        let config = EncoderConfig { gop_size: 12, ..cfg(32, 32) };
+        let fs = frames(25, 32, 32);
+        for workers in [0, 1, 2, 4] {
+            let (result, _) = encode_from(&fs, &[], config, workers, &[17, 5]);
+            assert_eq!(result.unwrap_err(), SourceError::Failed(5), "workers {workers}");
+        }
+    }
+
+    #[test]
+    fn a_rate_controlled_frame_source_batch_codes_serially() {
+        let rc = EncoderConfig { target_bitrate_bps: Some(150_000.0), gop_size: 4, ..cfg(32, 32) };
+        let fs = frames(13, 32, 32);
+        let serial = encode(&fs, rc, &[b"ud"]);
+        let (stream, made) = encode_from(&fs, &[], rc, 4, &[]);
+        assert_eq!(stream.unwrap().as_bytes(), serial.as_bytes());
+        assert_eq!(made, 1, "one source feeds the serial chain");
     }
 
     #[test]

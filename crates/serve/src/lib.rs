@@ -14,9 +14,10 @@
 //! | [`workload`] | trace-driven planetary workload model (Zipf popularity, diurnal/flash-crowd curves, tenant churn) + SLO replay harness |
 //!
 //! Everything is hermetic: the only dependencies are sibling workspace
-//! crates. The service starts no thread: a pending [`Ticket`] drains the
+//! crates. The service keeps no thread: a pending [`Ticket`] drains the
 //! queues on the thread that waits on it, and is answered on an
-//! [`annolight_support::channel`].
+//! [`annolight_support::channel`]. Only a clip's one profile scan fans
+//! out, through `support::par`'s scoped fan-out, over the host's cores.
 //!
 //! ## Example
 //!

@@ -23,13 +23,15 @@
 //!   mode)` key is resident is answered at submission without being
 //!   queued at all; the dispatch path double-checks the cache so that
 //!   N queued requests for the same key cost one profile, not N.
-//! * **Callers' threads.** The service starts no thread. A pending
+//! * **Callers' threads.** The service keeps no thread. A pending
 //!   [`Ticket`] holds its service, and [`Ticket::wait`] drains the
 //!   queues on the waiting thread before it receives its answer, so
 //!   concurrent callers share the dispatch, the round-robin pops and the
 //!   single-flight profile memo. One caller draining an identical
 //!   request trace gets identical hit/miss sequences *and* identical
 //!   counter reports — the property the determinism tests pin down.
+//!   A clip's one profile scan fans out over the host's cores for the
+//!   length of the scan (`support::par::available_workers`).
 
 use crate::cache::{AnnotationCache, CacheKey};
 use crate::counters::{Counters, CountersReport};
@@ -37,8 +39,10 @@ use annolight_core::track::{AnnotationMode, AnnotationTrack};
 use annolight_core::{
     clip_digest, Annotator, CoreError, LuminanceProfile, PolicyKind, QualityLevel,
 };
+use annolight_core::parallel::profile_clip;
 use annolight_display::DeviceProfile;
 use annolight_support::channel::{self, Receiver, Sender};
+use annolight_support::par::{available_workers, ParallelConfig};
 use annolight_support::retry::RetryPolicy;
 use annolight_support::rng::SmallRng;
 use annolight_support::sync::{Condvar, Mutex};
@@ -47,6 +51,10 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Frames per work item of the profile memo's fan-out: a 5 s preview
+/// at 12 fps splits into 15 items, so two workers finish close together.
+const PROFILE_CHUNK_FRAMES: usize = 4;
 
 /// Distinct tenant names a service ever queues work for. Tenant queues
 /// are never reclaimed (that would move the round-robin order), so a
@@ -479,9 +487,13 @@ impl AnnotationService {
     /// on first use. Single-flight: a digest is profiled at most once
     /// service-wide — racing callers wait for the in-flight computation
     /// instead of duplicating the scan (which would make more callers
-    /// *slower* on same-clip, many-device workloads).
+    /// *slower* on same-clip, many-device workloads). The one scan fans
+    /// out over [`available_workers`] threads in chunks of
+    /// [`PROFILE_CHUNK_FRAMES`] frames; every count gives the same bytes.
     fn profile_of(&self, digest: u64, clip: &Clip) -> Result<Arc<LuminanceProfile>, ServeError> {
-        self.profile_with(digest, || LuminanceProfile::of_clip(clip))
+        let cfg =
+            ParallelConfig::with_workers(available_workers()).with_chunk_frames(PROFILE_CHUNK_FRAMES);
+        self.profile_with(digest, || profile_clip(clip, &cfg))
     }
 
     /// [`AnnotationService::profile_of`] with the profiling step given as

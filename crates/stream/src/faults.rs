@@ -672,7 +672,8 @@ impl HintPlan {
 pub struct LossyEngine {
     chan: FaultyChannel,
     plan: HintPlan,
-    bytes: Vec<u8>,
+    /// The stream being sent; a clone shares its bytes.
+    stream: EncodedStream,
     mtu: usize,
     next_delta: usize,
     chunk_off: usize,
@@ -695,7 +696,7 @@ impl LossyEngine {
         Ok(Self {
             chan: FaultyChannel::new(*link, *cfg),
             plan: HintPlan::of(stream, link, cfg.startup_buffer_s)?,
-            bytes: stream.as_bytes().to_vec(),
+            stream: stream.clone(),
             mtu: link.mtu,
             next_delta: 0,
             chunk_off: 0,
@@ -734,10 +735,10 @@ impl LossyEngine {
             return Ok(Some((fate.copies, wire)));
         }
         // Picture data: reliable.
-        if self.chunk_off < self.bytes.len() {
-            let end = (self.chunk_off + self.mtu).min(self.bytes.len());
-            let wire =
-                StreamPacket::picture(self.seq, self.bytes[self.chunk_off..end].to_vec()).to_wire();
+        let bytes = self.stream.as_bytes();
+        if self.chunk_off < bytes.len() {
+            let end = (self.chunk_off + self.mtu).min(bytes.len());
+            let wire = StreamPacket::picture(self.seq, bytes[self.chunk_off..end].to_vec()).to_wire();
             let fate = self.chan.try_deliver(wire.len(), |_| Some(RetryPolicy::reliable()));
             if fate.copies.is_empty() {
                 return Err(format!("picture packet {} undeliverable", self.seq));

@@ -203,10 +203,12 @@ pub(crate) struct GovernedPrep {
 
 impl GovernedPrep {
     /// Builds the ladder for a served stream. `config` is the
-    /// post-negotiation session config (its quality is the granted one).
+    /// post-negotiation session config (its quality is the granted one),
+    /// and `profile` is its clip's luminance profile.
     fn build(
         stream: &EncodedStream,
         config: &SessionConfig,
+        profile: &LuminanceProfile,
         control: &GovernorControl,
     ) -> Result<Self, SessionError> {
         let granted = config.quality;
@@ -220,11 +222,9 @@ impl GovernedPrep {
         let track = track
             .ok_or_else(|| pipeline("governed session needs an annotated stream".into()))?;
 
-        // The plan ladder: one profile pass, one plan per ladder level
-        // (the same annotator pipeline the server ran for the granted
-        // level, so scene spans line up with the served track).
-        let profile =
-            LuminanceProfile::of_clip(&config.clip).map_err(|e| pipeline(e.to_string()))?;
+        // The plan ladder: one plan per ladder level from the server's
+        // profile (the same annotator pipeline the server ran for the
+        // granted level, so scene spans line up with the served track).
         let mut spans: Option<Vec<SceneSpan>> = None;
         let mut backlight_w: Vec<Vec<f64>> = Vec::with_capacity(control.levels.len());
         let mut levels: Vec<Vec<u8>> = Vec::with_capacity(control.levels.len());
@@ -232,7 +232,7 @@ impl GovernedPrep {
             let annotated = Annotator::new(config.device.clone(), level)
                 .with_mode(AnnotationMode::PerScene)
                 .with_policy(config.policy)
-                .annotate_profile(&profile)
+                .annotate_profile(profile)
                 .map_err(|e| pipeline(e.to_string()))?;
             let plan = annotated.plan();
             if spans.is_none() {
@@ -601,8 +601,8 @@ pub(crate) fn prepare_governed(
 ) -> Result<(EncodedStream, GovernedPrep, SessionConfig), SessionError> {
     // Full resolution always: the governor's ladders price quality levels
     // against a fixed stream geometry, so spatial rescaling is pinned off.
-    let (stream, _, config) = negotiate_and_serve_at(cfg.session.clone(), false)?;
-    let prep = GovernedPrep::build(&stream, &config, &cfg.control)?;
+    let (stream, _, config, profile) = negotiate_and_serve_at(cfg.session.clone(), false)?;
+    let prep = GovernedPrep::build(&stream, &config, &profile, &cfg.control)?;
     Ok((stream, prep, config))
 }
 

@@ -15,17 +15,24 @@
 //! proxies, which is how one profile pass is amortised across every
 //! client of the same content. Serving fails with the service's own
 //! [`ServeError`].
+//!
+//! A served clip's closed GOPs fan out over the host's cores
+//! ([`available_workers`]): each GOP job renders, compensates, converts
+//! and codes its own frames, and the packets land in GOP order, so the
+//! stream is the same bytes on any host.
 
 use crate::message::{grant_quality, ClientHello, ServerOffer};
-use annolight_codec::{Encoder, EncoderConfig};
+use annolight_codec::{CodecError, Encoder, EncoderConfig, FrameSource};
 use annolight_core::track::AnnotationTrack;
 use annolight_core::{Compensation, PolicyKind, QualityLevel};
 use annolight_display::DeviceProfile;
-use annolight_imgproc::Frame;
+use annolight_imgproc::{Frame, Yuv420Frame};
 use annolight_serve::{AnnotationRequest, AnnotationService, ServeError, Service, ServiceConfig};
+use annolight_support::par::{available_workers, ParallelConfig};
 use annolight_video::Clip;
 use annolight_core::track::AnnotationMode;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A client's request, as negotiated at session start (§4.3: "client
@@ -175,7 +182,8 @@ impl MediaServer {
     /// Serves a request: obtain the annotation track from the service
     /// (cache hit or freshly profiled), compensate every
     /// frame, encode, and embed the track as user data *before* the
-    /// pictures.
+    /// pictures. The clip's closed GOPs fan out over
+    /// [`available_workers`] threads.
     ///
     /// # Errors
     ///
@@ -183,6 +191,16 @@ impl MediaServer {
     /// [`ServeError::Overloaded`] when the service sheds load, and
     /// [`ServeError::Internal`] for annotation/encode failures.
     pub fn serve(&self, req: &ServeRequest) -> Result<ServedStream, ServeError> {
+        self.serve_with(req, available_workers())
+    }
+
+    /// [`MediaServer::serve`] with its closed GOPs fanned out over
+    /// `workers` threads; every count serves the same bytes.
+    pub(crate) fn serve_with(
+        &self,
+        req: &ServeRequest,
+        workers: usize,
+    ) -> Result<ServedStream, ServeError> {
         let clip = self
             .clips
             .get(&req.clip_name)
@@ -208,7 +226,8 @@ impl MediaServer {
             fps: clip.fps(),
             ..self.encoder_template
         })
-        .map_err(|e| ServeError::Internal(e.to_string()))?;
+        .map_err(|e| ServeError::Internal(e.to_string()))?
+        .with_parallelism(ParallelConfig::with_workers(workers));
         enc.push_user_data(&track_bytes);
         // DVFS hints and HEBS remaps need the luminance profile; the
         // service memoises it, so this is a lookup, not a re-profile.
@@ -219,26 +238,59 @@ impl MediaServer {
         }
 
         let compensation = Compensation::new(&track, req.policy, &profile);
-        let mut clipped = 0u64;
-        let mut total = 0u64;
-        let mut frame = Frame::new(w, h);
-        for i in 0..clip.frame_count() {
-            clip.frame_into(i, &mut frame);
-            let stats = compensation
-                .apply(&mut frame, i)
-                .map_err(|e| ServeError::Internal(e.to_string()))?;
-            clipped += stats.clipped_pixels;
-            total += stats.total_pixels;
-            enc.push_frame(&frame).map_err(|e| ServeError::Internal(e.to_string()))?;
-        }
+        let (clipped, total) = (AtomicU64::new(0), AtomicU64::new(0));
+        enc.push_frames_from(clip.frame_count() as usize, || ServedFrames {
+            clip,
+            compensation: &compensation,
+            rgb: Frame::new(w, h),
+            yuv: Yuv420Frame::new(w, h).expect("the encoder accepted these dimensions"),
+            clipped: &clipped,
+            total: &total,
+        })
+        .map_err(|Internal(e)| ServeError::Internal(e))?;
         Ok(ServedStream {
             stream: enc.finish(),
             annotation_bytes: track_bytes.len(),
             track,
             cache_hit: response.cache_hit,
-            clipped_pixels: clipped,
-            total_pixels: total,
+            clipped_pixels: clipped.into_inner(),
+            total_pixels: total.into_inner(),
         })
+    }
+}
+
+/// A serve job's frames: each rendered into one reused frame, compensated
+/// and converted to 4:2:0, with the clipping statistics summed into
+/// counters the request's jobs share (a sum, so job order cannot move it).
+struct ServedFrames<'a> {
+    clip: &'a Clip,
+    compensation: &'a Compensation<'a>,
+    rgb: Frame,
+    yuv: Yuv420Frame,
+    clipped: &'a AtomicU64,
+    total: &'a AtomicU64,
+}
+
+/// A failure while serving a frame, reported as [`ServeError::Internal`].
+struct Internal(String);
+
+impl From<CodecError> for Internal {
+    fn from(e: CodecError) -> Self {
+        Self(e.to_string())
+    }
+}
+
+impl FrameSource for ServedFrames<'_> {
+    type Error = Internal;
+
+    fn frame(&mut self, i: usize) -> Result<&Yuv420Frame, Internal> {
+        let i = i as u32;
+        self.clip.frame_into(i, &mut self.rgb);
+        let stats = self.compensation.apply(&mut self.rgb, i).map_err(|e| Internal(e.to_string()))?;
+        self.clipped.fetch_add(stats.clipped_pixels, Ordering::Relaxed);
+        self.total.fetch_add(stats.total_pixels, Ordering::Relaxed);
+        self.rgb.to_yuv420_into(&mut self.yuv).map_err(|e| Internal(e.to_string()))?;
+        Ok(&self.yuv)
     }
 }
 
@@ -397,6 +449,26 @@ mod tests {
         assert!(frac <= 0.10 + 0.02, "hebs clipped fraction {frac}");
         // Distinct policy => distinct cache entry, not a collision.
         assert!(!hebs.cache_hit);
+    }
+
+    #[test]
+    fn every_worker_count_serves_the_same_bytes_and_clip_counts() {
+        for name in annolight_video::library::PAPER_CLIP_NAMES {
+            let (server, name) = server_with(name, 3.0);
+            for policy in [PolicyKind::PeakClip, PolicyKind::Hebs] {
+                let req = request(&name).with_policy(policy);
+                let reference = server.serve_with(&req, 0).unwrap();
+                assert!(reference.total_pixels > 0);
+                for workers in [1, 2, 4] {
+                    let served = server.serve_with(&req, workers).unwrap();
+                    let at = format!("{name} {policy:?} workers {workers}");
+                    assert_eq!(served.stream.as_bytes(), reference.stream.as_bytes(), "{at}");
+                    assert_eq!(served.clipped_pixels, reference.clipped_pixels, "{at}");
+                    assert_eq!(served.total_pixels, reference.total_pixels, "{at}");
+                    assert_eq!(served.annotation_bytes, reference.annotation_bytes, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

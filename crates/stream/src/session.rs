@@ -16,13 +16,14 @@ use crate::proxy::Proxy;
 use crate::server::{MediaServer, ServeRequest};
 use annolight_codec::{EncodedStream, EncoderConfig};
 use annolight_core::track::AnnotationMode;
-use annolight_core::{PolicyKind, QualityLevel};
+use annolight_core::{LuminanceProfile, PolicyKind, QualityLevel};
 use annolight_display::DeviceProfile;
 use annolight_power::{EnergyMeter, SystemPowerModel};
 use annolight_serve::ServeError;
 use annolight_video::Clip;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Where annotations are inserted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,9 +177,11 @@ pub(crate) fn negotiate_and_serve(
     config: SessionConfig,
 ) -> Result<(EncodedStream, usize, SessionConfig), SessionError> {
     negotiate_and_serve_at(config, true)
+        .map(|(stream, annotation_bytes, config, _)| (stream, annotation_bytes, config))
 }
 
-/// [`negotiate_and_serve`] with the spatial-scaling escape hatch.
+/// [`negotiate_and_serve`] with the spatial-scaling escape hatch, also
+/// handing back the clip's luminance profile from the server's memo.
 ///
 /// `allow_spatial: false` pins the stream to full resolution even when the
 /// negotiated policy is [`PolicyKind::SpatialScale`] — the governor uses
@@ -187,12 +190,14 @@ pub(crate) fn negotiate_and_serve(
 pub(crate) fn negotiate_and_serve_at(
     config: SessionConfig,
     allow_spatial: bool,
-) -> Result<(EncodedStream, usize, SessionConfig), SessionError> {
+) -> Result<(EncodedStream, usize, SessionConfig, Arc<LuminanceProfile>), SessionError> {
     let clip_name = config.clip.name().to_owned();
 
     // --- Server-side preparation (Fig. 1, wired segment) ----------------
     let mut server = MediaServer::new(config.encoder);
     server.add_clip(config.clip.clone());
+    // `add_clip` profiled the clip into the memo, so this is a lookup.
+    let profile = server.service().profile_for(&clip_name).map_err(SessionError::Serve)?;
 
     // --- Negotiation (§4.3): the client sends its device profile and ---
     // --- requested quality; the server answers with a typed offer ------
@@ -239,7 +244,7 @@ pub(crate) fn negotiate_and_serve_at(
                 policy: config.policy,
             })
             .map_err(SessionError::Serve)?;
-        return Ok((served.stream, served.annotation_bytes, config));
+        return Ok((served.stream, served.annotation_bytes, config, profile));
     }
 
     // The Fig. 1 proxy annotates the server's stream on the fly. That
@@ -271,7 +276,7 @@ pub(crate) fn negotiate_and_serve_at(
         .user_data()
         .first()
         .map_or(0, |b| b.len());
-    Ok((out, annotation_bytes, config))
+    Ok((out, annotation_bytes, config, profile))
 }
 
 /// The outcome of a fault-injected session ([`run_session_faulty`]).

@@ -4,7 +4,7 @@
 
 use std::borrow::Borrow;
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Shared Debug body for the two buffer types: length plus a short hex
@@ -26,22 +26,25 @@ macro_rules! fmt_bytes_debug {
 }
 
 /// An immutable, reference-counted byte string. Cloning is O(1).
+///
+/// It shares one `Vec<u8>`, so converting a vector (or freezing a
+/// [`ByteBuf`]) moves the buffer in without copying its bytes.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
 }
 
 impl Bytes {
     /// An empty buffer.
     #[must_use]
     pub fn new() -> Self {
-        Self { data: Arc::from(&[][..]) }
+        Self::default()
     }
 
     /// Copies a slice into a new buffer.
     #[must_use]
     pub fn copy_from_slice(slice: &[u8]) -> Self {
-        Self { data: Arc::from(slice) }
+        Self::from(slice.to_vec())
     }
 
     /// The contents as a plain slice.
@@ -72,7 +75,7 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Self { data: Arc::from(v.into_boxed_slice()) }
+        Self { data: Arc::new(v) }
     }
 }
 
@@ -124,7 +127,7 @@ impl fmt::Debug for Bytes {
     fmt_bytes_debug!();
 }
 
-/// A growable byte buffer with little-endian `put_*` writers, replacing
+/// A growable byte buffer with `put_*` writers, replacing
 /// `bytes::BytesMut`/`BufMut` for the codec bitstream.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct ByteBuf {
@@ -147,16 +150,6 @@ impl ByteBuf {
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.data.push(v);
-    }
-
-    /// Appends a `u16`, little-endian.
-    pub fn put_u16_le(&mut self, v: u16) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32`, little-endian.
-    pub fn put_u32_le(&mut self, v: u32) {
-        self.data.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a slice.
@@ -183,9 +176,12 @@ impl ByteBuf {
         self.data.is_empty()
     }
 
-    /// Converts to an immutable [`Bytes`] without copying.
+    /// Converts to an immutable [`Bytes`] without copying, releasing the
+    /// spare capacity (the bytes no longer grow, and an immutable buffer
+    /// may live long: a served stream crosses a whole session).
     #[must_use]
-    pub fn freeze(self) -> Bytes {
+    pub fn freeze(mut self) -> Bytes {
+        self.data.shrink_to_fit();
         Bytes::from(self.data)
     }
 }
@@ -194,6 +190,13 @@ impl Deref for ByteBuf {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for ByteBuf {
+    /// Overwrites bytes already written, e.g. a header reserved up front.
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 
@@ -215,14 +218,29 @@ mod tests {
     fn bytebuf_writes_and_freezes() {
         let mut b = ByteBuf::with_capacity(8);
         b.put_u8(0xAB);
-        b.put_u16_le(0x1234);
-        b.put_u32_le(0xDEAD_BEEF);
+        b.put_slice(&0x1234u16.to_le_bytes());
+        b.put_slice(&0xDEAD_BEEFu32.to_le_bytes());
         b.put_slice(&[1, 2]);
         assert_eq!(b.len(), 9);
         let frozen = b.freeze();
         assert_eq!(&frozen[..3], &[0xAB, 0x34, 0x12]);
         let clone = frozen.clone();
         assert_eq!(clone, frozen);
+    }
+
+    #[test]
+    fn freeze_and_vector_conversion_keep_the_buffer() {
+        let mut b = ByteBuf::with_capacity(40);
+        b.put_slice(&[7; 40]);
+        b[..2].copy_from_slice(&[1, 2]);
+        let addr = b.as_ptr();
+        let frozen = b.freeze();
+        assert_eq!(frozen.as_ptr(), addr, "freeze moves the buffer, it does not copy it");
+        assert_eq!(&frozen[..3], &[1, 2, 7]);
+        assert_eq!(frozen.clone().as_ptr(), addr, "a clone shares the buffer");
+        let v = vec![3u8; 10];
+        let addr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), addr, "a vector converts without a copy");
     }
 
     #[test]

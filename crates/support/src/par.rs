@@ -15,11 +15,14 @@
 //! * a panicking item reaches the caller with its own payload.
 //!
 //! [`ParallelConfig`] and [`chunked_map`] add the fixed-size chunking the
-//! per-frame stages use on top of it.
+//! per-frame stages use on top of it. [`available_workers`] is the one
+//! place that reads how many cores the host gives the process.
 
 use crate::sync::Mutex;
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// How much intra-job parallelism to use.
 ///
@@ -64,6 +67,20 @@ impl ParallelConfig {
         self.chunk_frames = chunk_frames;
         self
     }
+}
+
+/// The host's available parallelism, read once per process: the worker
+/// count of the fan-outs that take no configuration (the server's closed
+/// GOPs and the annotation service's profile memo).
+///
+/// It is [`std::thread::available_parallelism`], which on Linux honours
+/// the process's CPU affinity and cgroup quota, or 1 where the host does
+/// not say. A count of 1 runs those fan-outs inline and starts no thread;
+/// every count gives the same bytes.
+#[must_use]
+pub fn available_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Splits `0..n` into contiguous chunks of at most `chunk` items.
@@ -223,6 +240,13 @@ mod tests {
             assert_eq!(visited.iter().sum::<usize>(), 41, "workers={workers}");
             assert!(frames.iter().all(|&v| v == 1), "workers={workers}: {frames:?}");
         }
+    }
+
+    #[test]
+    fn available_workers_is_at_least_one_and_fixed() {
+        let first = available_workers();
+        assert!(first >= 1);
+        assert_eq!(available_workers(), first, "read once per process");
     }
 
     #[test]

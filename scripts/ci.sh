@@ -107,6 +107,16 @@ double_run pipeline ANNOLIGHT_PIPELINE_LOG ANNOLIGHT_CHECK_SEED=0x51BD -- \
 echo "== allocation-regression guard (0 allocations/frame warm steady state) =="
 cargo test -q --release --offline --test alloc_steady
 
+echo "== goldens on the inline path (one CPU: the server's GOP fan-out and the profile memo's start no thread) =="
+# Both fan-outs take their worker count from the host's available
+# parallelism, which `taskset -c 0` makes 1, so this run checks that the
+# inline path serves the same bytes as the fanned-out one above.
+if command -v taskset >/dev/null 2>&1; then
+  taskset -c 0 cargo test -q --offline --test session_golden --test end_to_end
+else
+  echo "taskset not found: skipped the one-CPU golden run"
+fi
+
 echo "== annobench tests (its own package; smoke-runs every workload against golden.json) =="
 cargo test -q --offline --manifest-path annobench/Cargo.toml
 
